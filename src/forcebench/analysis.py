@@ -23,6 +23,7 @@ UNKNOWN = "unknown"
 
 DEFAULT_DROP_FRACTION = 0.10
 DEFAULT_DROP_FLOOR_N = 0.050  # ten times the rig's 5 mN force resolution
+DEFAULT_SIGMA_MULTIPLE = 3.0
 BUDGET_PROBABILITIES = (1e-6, 1e-5, 1e-4)
 
 
@@ -72,7 +73,11 @@ class FailureEvent:
 
 @dataclass
 class CycleLog:
-    """Long-term test record sampled every ``record_interval`` cycles."""
+    """Long-term test record sampled every ``record_interval`` cycles.
+
+    Forces and offsets must be finite: unlike a load curve, a cycle log
+    has no validity flag to mark a lost reading.
+    """
 
     cycles: np.ndarray
     force_n: np.ndarray
@@ -87,6 +92,8 @@ class CycleLog:
         n = self.cycles.size
         if self.force_n.size != n or self.voff_mv.shape != (n, 4):
             raise ValueError("cycle log arrays must agree in length")
+        if not (np.isfinite(self.force_n).all() and np.isfinite(self.voff_mv).all()):
+            raise ValueError("cycle log forces and offsets must be finite")
         if n >= 2:
             spacing = np.diff(self.cycles)
             if np.any(spacing <= 0) or np.any(spacing != spacing[0]):
@@ -189,10 +196,6 @@ def fracture_point(
     return float(curve.force_n[i]), float(curve.dz_um[i])
 
 
-def _tensile_position(side: str) -> str:
-    return "outer" if side == "front" else "inner"
-
-
 def _other_position(position: str) -> str:
     return "inner" if position == "outer" else "outer"
 
@@ -215,7 +218,7 @@ def classify_failures(
             FailureEvent(e.sample_index, e.force_drop_n, UNKNOWN, UNKNOWN)
             for e in events
         ]
-    tensile = _tensile_position(side)
+    tensile = SensorSpec.tensile_position(side)
     classified: list[FailureEvent] = []
     for ordinal, event in enumerate(events):
         i = event.sample_index
@@ -307,7 +310,9 @@ def fleet_summary(
     )
 
 
-def degradation_report(log: CycleLog, sigma_multiple: float = 3.0) -> DegradationReport:
+def degradation_report(
+    log: CycleLog, sigma_multiple: float = DEFAULT_SIGMA_MULTIPLE
+) -> DegradationReport:
     """Per-channel statistics and a drift verdict for a long-term test.
 
     For the force and each offset channel: mean, standard deviation,

@@ -20,9 +20,12 @@ from .sensor import (
     ARMS,
     SensorSpec,
     SensorState,
+    bridge_gains,
     bridge_offsets_at_load,
     check_hinge_failures,
     degradation_factor,
+    failure_threshold_force,
+    intact_force,
     _check_side,
 )
 
@@ -132,68 +135,26 @@ class FleetParams:
 
 
 def sample_specimen(
-    params: FleetParams, side: str, rng: np.random.Generator
+    params: FleetParams,
+    side: str,
+    rng: np.random.Generator,
+    spec: SensorSpec | None = None,
 ) -> SensorState:
     """Draw one specimen's eight hinge strengths [MPa].
 
     Every hinge gets an independent Weibull strength with the side's shape
-    beta and scale gain * f0 * 4^(1/beta).  The minimum of the four
+    beta and scale gain * f0 * 4^(1/beta), the gain being the tensile gain
+    of ``spec`` (default: the standard design).  The minimum of the four
     tensile-ring strengths then makes the first-fracture force exactly
     Weibull(f0, beta) distributed (weakest link).
     """
     f0, beta = params.side_params(side)
-    spec = SensorSpec()
+    if spec is None:
+        spec = SensorSpec()
     scale_mpa = spec.tensile_gain(side) * f0 * 4.0 ** (1.0 / beta)
     draws = rng.weibull(beta, size=len(ALL_HINGES))
     strengths = {h: scale_mpa * float(w) for h, w in zip(ALL_HINGES, draws)}
     return SensorState.intact_with_strengths(strengths)
-
-
-def _intact_cubic(spec: SensorSpec, side: str, dz: np.ndarray) -> np.ndarray:
-    return spec.k1(side) * dz + spec.k3(side) * dz**3
-
-
-def _failure_threshold_force(
-    spec: SensorSpec, state: SensorState, side: str
-) -> float:
-    """Smallest true force that breaks some intact hinge in this state."""
-    tensile = spec.tensile_position(side)
-    threshold = np.inf
-    for hinge in ALL_HINGES:
-        if not state.is_intact(hinge):
-            continue
-        gain = abs(
-            spec.stress_gain_inner if hinge.position == "inner" else spec.stress_gain_outer
-        )
-        is_tensile = hinge.position == tensile
-        if not is_tensile and state.intact_in_ring(tensile) > 0:
-            continue  # compressed while the tensile ring still carries load
-        redistribution = 4.0 / state.intact_in_ring(hinge.position)
-        threshold = min(
-            threshold, state.hinge_strength[hinge] / (gain * redistribution)
-        )
-    return float(threshold)
-
-
-def _bridge_rows(
-    spec: SensorSpec,
-    state: SensorState,
-    side: str,
-    forces: np.ndarray,
-    v_ges: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bridge offsets for a curve segment with a frozen state."""
-    n = forces.size
-    if state.failed_in_arm("C") > 0:
-        return np.full((n, 4), np.nan), np.zeros(n, dtype=bool)
-    sign = 1.0 if side == "front" else -1.0
-    gains = np.array(
-        [
-            sign * spec.offset_gain_mv[arm] * 0.5 ** state.failed_in_arm(arm)
-            for arm in ARMS
-        ]
-    )
-    return forces[:, None] * gains[None, :] * v_ges, np.ones(n, dtype=bool)
 
 
 def run_static(
@@ -223,7 +184,7 @@ def run_static(
     force_noise = rng.normal(0.0, rig.force_resolution_n / 2.0, size=n_steps)
 
     dz_true = np.clip(dz_cmd + contact_offset + jitter, 0.0, None)
-    base_force = _intact_cubic(spec, protocol.side, dz_true)
+    base_force = intact_force(spec, protocol.side, dz_true)
 
     force_rows = np.empty(n_steps)
     voff_rows = np.empty((n_steps, 4))
@@ -233,18 +194,19 @@ def run_static(
     while start < n_steps:
         factor = degradation_factor(state)
         seg_true = factor * base_force[start:]
-        threshold = _failure_threshold_force(spec, state, protocol.side)
+        threshold = failure_threshold_force(spec, state, protocol.side)
         crossing = np.nonzero(seg_true >= threshold)[0]
         end = start + (int(crossing[0]) if crossing.size else seg_true.size - 1)
         seg = slice(start, end + 1)
-        force_rows[seg] = factor * base_force[seg] + force_noise[seg]
-        voff_rows[seg], valid_rows[seg] = _bridge_rows(
-            spec, state, protocol.side, factor * base_force[seg], protocol.v_ges
+        true_force = seg_true[: end + 1 - start]
+        force_rows[seg] = true_force + force_noise[seg]
+        gains = bridge_gains(spec, state, protocol.side)
+        valid_rows[seg] = gains is not None
+        voff_rows[seg] = (
+            np.nan if gains is None else true_force[:, None] * gains * protocol.v_ges
         )
         if crossing.size:
-            check_hinge_failures(
-                spec, state, float(factor * base_force[end]), protocol.side
-            )
+            check_hinge_failures(spec, state, float(true_force[-1]), protocol.side)
         start = end + 1
 
     return LoadCurve(
@@ -329,6 +291,6 @@ def run_fleet(
     """
     curves = []
     for rng in specimen_rngs(params.master_seed, params.count):
-        state = sample_specimen(params, protocol.side, rng)
+        state = sample_specimen(params, protocol.side, rng, spec)
         curves.append(run_static(state, spec, protocol, rig, rng))
     return curves

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,8 +19,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_DROP_FLOOR_N,
+    DEFAULT_DROP_FRACTION,
+    DEFAULT_SIGMA_MULTIPLE,
     DegradationReport,
     FleetSummary,
+    LoadCurve,
     degradation_report,
     fleet_summary,
     overload_factors,
@@ -46,26 +51,20 @@ from .fileio import (
 from .sensor import SensorSpec
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
 
+# Config keys of the FleetParams fields that the config names differently.
+_CONFIG_KEY = {"count": "fleet", "master_seed": "seed"}
+
+# Config keys and defaults: the protocol and fleet dataclass fields plus the
+# analysis parameters.  A seed has no default; simulations require one.
 CONFIG_DEFAULTS = {
+    _CONFIG_KEY.get(f.name, f.name): f.default
+    for cls in (StaticProtocol, DynamicProtocol, FleetParams)
+    for f in dataclasses.fields(cls)
+} | {
     "seed": None,
-    "side": "front",
-    "fleet": 20,
-    "dz_max_um": 200.0,
-    "step_um": 0.5,
-    "v_ges": 1.0,
-    "f_min_n": 0.01,
-    "f_max_n": 0.5,
-    "frequency_hz": 2.0,
-    "n_cycles": 50_000,
-    "record_interval": 500,
-    "drift_mv": 0.0,
-    "drop_fraction": 0.10,
-    "drop_floor_n": 0.05,
-    "sigma_multiple": 3.0,
-    "f0_front_n": 1.22,
-    "beta_front": 10.69,
-    "f0_back_n": 0.77,
-    "beta_back": 7.21,
+    "drop_fraction": DEFAULT_DROP_FRACTION,
+    "drop_floor_n": DEFAULT_DROP_FLOOR_N,
+    "sigma_multiple": DEFAULT_SIGMA_MULTIPLE,
 }
 
 
@@ -82,6 +81,8 @@ def load_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: top level must be a JSON object")
         unknown = set(loaded) - set(config)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
@@ -99,43 +100,36 @@ def load_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _config_value(config: dict, key: str, kind: type):
+    """``config[key]`` cast to ``kind``; floats must be finite, ints integral."""
+    value = config[key]
+    try:
+        cast = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        cast = None
+    if kind is float and cast is not None and not math.isfinite(cast):
+        cast = None
+    if kind is int and isinstance(value, float) and value != cast:
+        cast = None
+    if cast is None:
+        raise ConfigError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}")
+    return cast
+
+
+def _from_config(cls: type, config: dict):
+    """An instance of a config dataclass, each value cast to its field's type."""
+    return cls(
+        **{
+            f.name: _config_value(config, _CONFIG_KEY.get(f.name, f.name), type(f.default))
+            for f in dataclasses.fields(cls)
+        }
+    )
+
+
 def require_seed(config: dict) -> int:
     if config["seed"] is None:
         raise ConfigError("a seed is required (--seed or config file)")
-    return int(config["seed"])
-
-
-def _fleet_params(config: dict, seed: int) -> FleetParams:
-    return FleetParams(
-        f0_front_n=config["f0_front_n"],
-        beta_front=config["beta_front"],
-        f0_back_n=config["f0_back_n"],
-        beta_back=config["beta_back"],
-        count=int(config["fleet"]),
-        master_seed=seed,
-    )
-
-
-def _static_protocol(config: dict) -> StaticProtocol:
-    return StaticProtocol(
-        side=config["side"],
-        dz_max_um=float(config["dz_max_um"]),
-        step_um=float(config["step_um"]),
-        v_ges=float(config["v_ges"]),
-    )
-
-
-def _dynamic_protocol(config: dict) -> DynamicProtocol:
-    return DynamicProtocol(
-        side=config["side"],
-        f_min_n=float(config["f_min_n"]),
-        f_max_n=float(config["f_max_n"]),
-        frequency_hz=float(config["frequency_hz"]),
-        n_cycles=int(config["n_cycles"]),
-        record_interval=int(config["record_interval"]),
-        v_ges=float(config["v_ges"]),
-        drift_mv=float(config["drift_mv"]),
-    )
+    return _config_value(config, "seed", int)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -153,8 +147,15 @@ def _fit_payload(fit: WeibullFit | None) -> dict | None:
     return {"f0_n": fit.f0, "beta": fit.beta, "r": r}
 
 
-def _summary_payload(summary: FleetSummary) -> dict:
-    return {
+def _fleet_payload(curves: list[LoadCurve], spec: SensorSpec, config: dict) -> dict:
+    """Summarise a fleet, print its table and return its JSON payload."""
+    summary = fleet_summary(
+        curves,
+        spec,
+        drop_fraction=_config_value(config, "drop_fraction", float),
+        drop_floor_n=_config_value(config, "drop_floor_n", float),
+    )
+    payload = {
         "side": summary.side,
         "n_curves": summary.n_curves,
         "fracture_force_mean_n": summary.fracture_force_mean_n,
@@ -172,6 +173,14 @@ def _summary_payload(summary: FleetSummary) -> dict:
             for row in summary.budget
         ],
     }
+    if summary.fit is not None:
+        disp_factor, force_factor = overload_factors(summary, spec)
+        payload["overload"] = {
+            "displacement_factor": disp_factor,
+            "force_factor": force_factor,
+        }
+    _print_summary_table(summary)
+    return payload
 
 
 def _degradation_payload(report: DegradationReport) -> dict:
@@ -229,9 +238,9 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     config = load_config(args)
     seed = require_seed(config)
     out = _out_dir(args)
-    protocol = _static_protocol(config)
+    protocol = _from_config(StaticProtocol, config)
     rig = RigConfig()
-    params = _fleet_params(config, seed)
+    params = _from_config(FleetParams, config)
     curves = run_fleet(params, SensorSpec(), protocol, rig)
     files = []
     for i, curve in enumerate(curves):
@@ -258,9 +267,9 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     config = load_config(args)
     seed = require_seed(config)
     out = _out_dir(args)
-    protocol = _dynamic_protocol(config)
+    protocol = _from_config(DynamicProtocol, config)
     rig = RigConfig()
-    params = _fleet_params(config, seed)
+    params = _from_config(FleetParams, config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = sample_specimen(params, protocol.side, rng)
     log = run_dynamic(state, SensorSpec(), protocol, rig, rng)
@@ -306,21 +315,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     curves = [read_load_curve_csv(p, side) for p in paths]
     if len(curves) < 3:
         raise ConfigError(f"need at least 3 curves to analyze, got {len(curves)}")
-    spec = SensorSpec()
-    summary = fleet_summary(
-        curves,
-        spec,
-        drop_fraction=float(config["drop_fraction"]),
-        drop_floor_n=float(config["drop_floor_n"]),
-    )
-    payload = _summary_payload(summary)
-    if summary.fit is not None:
-        disp_factor, force_factor = overload_factors(summary, spec)
-        payload["overload"] = {
-            "displacement_factor": disp_factor,
-            "force_factor": force_factor,
-        }
-    _print_summary_table(summary)
+    payload = _fleet_payload(curves, SensorSpec(), config)
     if getattr(args, "out", None):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -360,8 +355,10 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
 
 def cmd_degradation(args: argparse.Namespace) -> int:
     config = load_config(args)
-    log = read_cycle_log_csv(Path(args.input), v_ges=float(config["v_ges"]))
-    report = degradation_report(log, sigma_multiple=float(config["sigma_multiple"]))
+    log = read_cycle_log_csv(Path(args.input), v_ges=_config_value(config, "v_ges", float))
+    report = degradation_report(
+        log, sigma_multiple=_config_value(config, "sigma_multiple", float)
+    )
     payload = _degradation_payload(report)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if getattr(args, "out", None):
@@ -381,32 +378,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     sub_seeds = np.random.SeedSequence(seed).generate_state(3)
     sides_payload = {}
     for side, side_seed in zip(("front", "back"), sub_seeds[:2]):
-        side_config = dict(config, side=side)
-        params = _fleet_params(side_config, int(side_seed))
-        protocol = _static_protocol(side_config)
-        curves = run_fleet(params, spec, protocol, rig)
-        summary = fleet_summary(
-            curves,
-            spec,
-            drop_fraction=float(config["drop_fraction"]),
-            drop_floor_n=float(config["drop_floor_n"]),
-        )
-        payload = _summary_payload(summary)
-        if summary.fit is not None:
-            disp_factor, force_factor = overload_factors(summary, spec)
-            payload["overload"] = {
-                "displacement_factor": disp_factor,
-                "force_factor": force_factor,
-            }
-        sides_payload[side] = payload
-        _print_summary_table(summary)
+        side_config = dict(config, side=side, seed=int(side_seed))
+        params = _from_config(FleetParams, side_config)
+        curves = run_fleet(params, spec, _from_config(StaticProtocol, side_config), rig)
+        sides_payload[side] = _fleet_payload(curves, spec, config)
         print()
     dyn_rng = np.random.default_rng(np.random.SeedSequence(int(sub_seeds[2])))
-    dyn_protocol = _dynamic_protocol(dict(config, side="front"))
-    params = _fleet_params(config, seed)
-    state = sample_specimen(params, "front", dyn_rng)
+    dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
+    state = sample_specimen(_from_config(FleetParams, config), "front", dyn_rng)
     log = run_dynamic(state, spec, dyn_protocol, rig, dyn_rng)
-    degradation = degradation_report(log, sigma_multiple=float(config["sigma_multiple"]))
+    degradation = degradation_report(
+        log, sigma_multiple=_config_value(config, "sigma_multiple", float)
+    )
     _print_degradation_table(degradation)
     report = {
         "version": __version__,

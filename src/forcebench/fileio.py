@@ -116,7 +116,10 @@ def read_cycle_log_csv(path: Path, v_ges: float = 1.0) -> CycleLog:
     cycles, force, voff = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = _parse_row(path, lineno, line, 6)
-        cycles.append(int(_parse_float(path, lineno, fields[0])))
+        cycle = _parse_float(path, lineno, fields[0])
+        if not cycle.is_integer():
+            raise DataFormatError(f"{path}:{lineno}: cycle index must be an integer")
+        cycles.append(int(cycle))
         force.append(_parse_float(path, lineno, fields[1]))
         voff.append([_parse_float(path, lineno, t) for t in fields[2:6]])
     if len(cycles) < 1:

@@ -6,13 +6,20 @@ on the probe pin bend the hinges; implanted piezoresistors wired as one
 Wheatstone bridge per arm turn the hinge stress into offset voltages.
 
 The module provides
-  * the piezoresistive transduction law and the bridge offset equation,
+  * the piezoresistive transduction law and the bridge offset equation
+    (``PiezoCoefficients``, ``StressState``, ``resistivity_change``,
+    ``bridge_offset``) as a stand-alone API: the simulator does not use
+    it, it turns force into offset voltage through the calibrated
+    ``OFFSET_GAIN_MV`` instead,
   * a calibrated linear map from normal force to hinge surface stress,
   * a hardening cubic force-displacement law with per-load-side
     coefficients,
   * per-specimen hinge strengths plus the tensile-fracture criterion,
     including load redistribution inside a hinge ring and the load-path
     inversion once a full ring has broken away.
+
+Each of these laws is written down once, here; the virtual rig and the
+analyser call these functions rather than restating them.
 
 Conventions: displacements in micrometers, forces in newtons, stresses in
 MPa unless a name says otherwise.  Positive hinge stress means tension on
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DegenerateBridgeError
 
@@ -158,16 +167,18 @@ class SensorSpec:
         _check_side(side)
         return self.k3_front if side == "front" else self.k3_back
 
-    def tensile_position(self, side: str) -> str:
-        """The hinge ring under tension for a given load side."""
+    @staticmethod
+    def tensile_position(side: str) -> str:
+        """The hinge ring under tension for a given load side.
+
+        The validated gain signs fix it, so it needs no instance.
+        """
         _check_side(side)
         return "outer" if side == "front" else "inner"
 
     def tensile_gain(self, side: str) -> float:
         """Magnitude of the stress gain of the tensile ring [MPa/N]."""
-        return abs(
-            self.stress_gain_outer if side == "front" else self.stress_gain_inner
-        )
+        return hinge_stress(self, 1.0, side, self.tensile_position(side))
 
 
 @dataclass
@@ -306,19 +317,26 @@ def degradation_factor(state: SensorState | None) -> float:
     return (intact / N_HINGES) ** failed
 
 
+def intact_force(spec: SensorSpec, side: str, dz):
+    """Force [N] of an intact sensor: the hardening cubic k1*dz + k3*dz^3.
+
+    ``dz`` [um] may be a float or a numpy array.
+    """
+    return spec.k1(side) * dz + spec.k3(side) * dz**3
+
+
 def force_at_displacement(
     spec: SensorSpec, side: str, dz: float, state: SensorState | None = None
 ) -> float:
     """Normal force [N] at displacement ``dz`` [um] of the cross center.
 
-    The intact law is the hardening cubic k1*dz + k3*dz^3; broken hinges
-    scale it by :func:`degradation_factor`.
+    The intact law is :func:`intact_force`; broken hinges scale it by
+    :func:`degradation_factor`.
     """
     _check_side(side)
     if dz < 0:
         raise ValueError("displacement must be nonnegative")
-    base = spec.k1(side) * dz + spec.k3(side) * dz**3
-    return degradation_factor(state) * base
+    return degradation_factor(state) * intact_force(spec, side, dz)
 
 
 def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
@@ -326,6 +344,10 @@ def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
 
     Inverts the monotone cubic with Newton iterations started from above;
     the residual is driven below 1e-9 N.
+
+    Raises:
+        ValueError: if the iteration ends with a larger or non-finite
+            residual.
     """
     _check_side(side)
     if f_z < 0:
@@ -335,17 +357,36 @@ def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
     k1, k3 = spec.k1(side), spec.k3(side)
     z = f_z / k1  # overestimate: the cubic is convex through the origin
     for _ in range(100):
-        residual = k1 * z + k3 * z**3 - f_z
+        residual = intact_force(spec, side, z) - f_z
         if abs(residual) < 1e-12:
-            break
+            return z
         z -= residual / (k1 + 3.0 * k3 * z * z)
+    residual = intact_force(spec, side, z) - f_z
+    if not abs(residual) < 1e-9:
+        raise ValueError(
+            f"displacement at {f_z} N did not converge (residual {residual} N)"
+        )
     return z
 
 
-def _arm_offset_factor(state: SensorState | None, arm: str) -> float:
-    if state is None:
-        return 1.0
-    return FAILURE_JUMP_FACTOR ** state.failed_in_arm(arm)
+def bridge_gains(
+    spec: SensorSpec, state: SensorState | None, side: str
+) -> np.ndarray | None:
+    """Offset per unit force and supply voltage [mV/(N V)], arms A..D.
+
+    Back-side loading reverses the signs, and every failed hinge of an arm
+    scales that arm's gain by ``FAILURE_JUMP_FACTOR``.  Returns None once
+    arm C, which carries the supply leads, has lost a hinge: no bridge can
+    be read then.  ``state`` None is an intact sensor.
+    """
+    _check_side(side)
+    sign = 1.0 if side == "front" else -1.0
+    failed = {arm: 0 if state is None else state.failed_in_arm(arm) for arm in ARMS}
+    if failed["C"] > 0:
+        return None
+    return np.array(
+        [sign * spec.offset_gain_mv[arm] * FAILURE_JUMP_FACTOR ** failed[arm] for arm in ARMS]
+    )
 
 
 def bridge_offsets_at_load(
@@ -357,34 +398,28 @@ def bridge_offsets_at_load(
 ) -> BridgeSignal:
     """Offset voltages [mV] of all four bridges at a normal force.
 
-    Bilinear in force and supply voltage.  Back-side loading reverses the
-    offset signs.  Every failed hinge of an arm halves that arm's offset
-    magnitude; once arm C (supply leads) has a failed hinge, all readings
-    become invalid (NaN).
+    Bilinear in force and supply voltage, with the gains of
+    :func:`bridge_gains`; once arm C (supply leads) has a failed hinge,
+    all readings become invalid (NaN).
     """
-    _check_side(side)
     if f_z < 0:
         raise ValueError("normal force must be nonnegative")
     if v_ges <= 0:
         raise ValueError("supply voltage must be positive")
-    sign = 1.0 if side == "front" else -1.0
-    supply_lost = state is not None and state.failed_in_arm("C") > 0
-    if supply_lost:
+    gains = bridge_gains(spec, state, side)
+    if gains is None:
         return BridgeSignal(
             v_off_mv={arm: float("nan") for arm in ARMS},
             valid={arm: False for arm in ARMS},
         )
-    values = {
-        arm: sign * spec.offset_gain_mv[arm] * f_z * v_ges * _arm_offset_factor(state, arm)
-        for arm in ARMS
-    }
+    values = dict(zip(ARMS, (gains * f_z * v_ges).tolist()))
     return BridgeSignal(v_off_mv=values, valid={arm: True for arm in ARMS})
 
 
-def effective_hinge_stress(
-    spec: SensorSpec, state: SensorState, f_z: float, side: str, hinge: HingeId
-) -> float:
-    """Stress [MPa] actually carried by one intact hinge.
+def effective_stresses(
+    spec: SensorSpec, state: SensorState, f_z: float, side: str
+) -> dict[HingeId, float]:
+    """Stress [MPa] actually carried by every intact hinge.
 
     Adds two effects to :func:`hinge_stress`: the load of broken hinges is
     shed onto the survivors of the same ring (factor 4/remaining), and
@@ -392,17 +427,28 @@ def effective_hinge_stress(
     inverts, putting the formerly compressed ring under tension.
     Compressed hinges report their (negative) nominal stress.
     """
-    base = hinge_stress(spec, f_z, side, hinge.position)
-    ring_intact = state.intact_in_ring(hinge.position)
-    if ring_intact == 0:
-        raise ValueError("effective stress is defined for hinges of a non-empty ring")
-    redistribution = 4.0 / ring_intact
-    if base > 0:
-        return base * redistribution
-    tensile_ring_gone = state.intact_in_ring(spec.tensile_position(side)) == 0
-    if base < 0 and tensile_ring_gone:
-        return -base * redistribution
-    return base
+    intact = {pos: state.intact_in_ring(pos) for pos in POSITIONS}
+    tensile_ring_gone = intact[spec.tensile_position(side)] == 0
+    ring_stress = {}
+    for pos in POSITIONS:
+        stress = hinge_stress(spec, f_z, side, pos)
+        if intact[pos] and (stress > 0 or (stress < 0 and tensile_ring_gone)):
+            stress = abs(stress) * (4.0 / intact[pos])
+        ring_stress[pos] = stress
+    return {h: ring_stress[h.position] for h in ALL_HINGES if state.hinge_status[h]}
+
+
+def failure_threshold_force(spec: SensorSpec, state: SensorState, side: str) -> float:
+    """Smallest force [N] that breaks some intact hinge in this state.
+
+    Stress is linear in force, so it is the least strength / stress at
+    1 N over the tensile hinges; ``math.inf`` when no hinge is in tension.
+    """
+    stresses = effective_stresses(spec, state, 1.0, side)
+    return min(
+        (state.hinge_strength[h] / s for h, s in stresses.items() if s > 0),
+        default=math.inf,
+    )
 
 
 def check_hinge_failures(
@@ -416,14 +462,8 @@ def check_hinge_failures(
     this call only takes effect on the next call, so cascades play out
     step by step.
     """
-    _check_side(side)
-    if f_z < 0:
-        raise ValueError("normal force must be nonnegative")
     overstressed = []
-    for hinge in ALL_HINGES:
-        if not state.is_intact(hinge):
-            continue
-        stress = effective_hinge_stress(spec, state, f_z, side, hinge)
+    for hinge, stress in effective_stresses(spec, state, f_z, side).items():
         if stress >= state.hinge_strength[hinge]:
             # order simultaneous failures by overstress margin: the most
             # overloaded hinge is the one that physically broke first

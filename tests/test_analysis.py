@@ -367,6 +367,12 @@ def test_cycle_log_requires_constant_spacing():
         )
 
 
+@pytest.mark.parametrize("force, voff", [(np.inf, -190.0), (0.5, np.nan)])
+def test_cycle_log_rejects_non_finite_values(force, voff):
+    with pytest.raises(ValueError, match="finite"):
+        constant_log(n=20, force=force, voff=voff)
+
+
 # ---------------------------------------------------------------- overload
 
 def reference_summary(side="front"):

@@ -14,6 +14,7 @@ from forcebench import (
     degradation_report,
     detect_failures,
     fit_weibull,
+    fracture_point,
     run_dynamic,
     run_fleet,
     run_static,
@@ -41,6 +42,22 @@ def test_sample_specimen_deterministic():
     a = sample_specimen(params, "front", np.random.default_rng(123))
     b = sample_specimen(params, "front", np.random.default_rng(123))
     assert a.hinge_strength == b.hinge_strength
+
+
+def test_sample_specimen_honours_custom_spec():
+    # weakest link: strengths scale with the tensile gain of the given spec,
+    # so the first-fracture force does not depend on it
+    custom = SensorSpec(stress_gain_outer=2.0 * SPEC.stress_gain_outer)
+    params = FleetParams(count=3, master_seed=4)
+    state = sample_specimen(params, "front", np.random.default_rng(7), custom)
+    default = sample_specimen(params, "front", np.random.default_rng(7))
+    assert state.first_fracture_force(custom, "front") == pytest.approx(
+        default.first_fracture_force(SPEC, "front"), rel=1e-12
+    )
+    protocol = StaticProtocol(side="front")
+    for a, b in zip(run_fleet(params, custom, protocol, QUIET_RIG),
+                    run_fleet(params, SPEC, protocol, QUIET_RIG)):
+        assert fracture_point(a) == fracture_point(b)
 
 
 def test_first_fracture_distribution_front():

@@ -69,6 +69,25 @@ def test_unknown_config_key_rejected(tmp_path):
                    "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("simulate-static", "5", "JSON object"),
+        ("simulate-static", "[]", "JSON object"),
+        ("simulate-static", '{"f0_front_n": "x"}', "f0_front_n"),
+        ("simulate-static", '{"dz_max_um": NaN}', "dz_max_um"),
+        ("simulate-dynamic", '{"n_cycles": 50000.5}', "n_cycles"),
+        ("report", '{"sigma_multiple": [3]}', "sigma_multiple"),
+    ],
+)
+def test_malformed_config_rejected(tmp_path, capsys, command, content, message):
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    assert run_cli(command, "--seed", "1", "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 2
+    assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- analyze
 
 @pytest.fixture(scope="module")
@@ -250,6 +269,24 @@ def test_dynamic_too_few_records_exit_two(tmp_path):
     assert run_cli("simulate-dynamic", "--seed", "5", "--cycles", "500",
                    "--out", str(out)) == 0
     assert run_cli("degradation", str(out / "cycles.csv")) == 2
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan_offsets", "finite"),
+    ("fractional_cycle", "cycles.csv:2:"),
+])
+def test_degradation_rejects_bad_cycle_log(tmp_path, capsys, defect, message):
+    out = tmp_path / "dyn"
+    assert run_cli("simulate-dynamic", "--seed", "5", "--out", str(out)) == 0
+    lines = (out / "cycles.csv").read_text().splitlines()
+    if defect == "nan_offsets":
+        lines[1:] = [line.rsplit(",", 1)[0] + ",nan" for line in lines[1:]]
+    else:
+        lines[1] = "500.7," + lines[1].split(",", 1)[1]
+    (out / "cycles.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("degradation", str(out / "cycles.csv")) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_dynamic_rerun_byte_identical(tmp_path):

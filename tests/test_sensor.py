@@ -18,7 +18,12 @@ from forcebench import (
     hinge_stress,
     resistivity_change,
 )
-from forcebench.sensor import ALL_HINGES, ARMS, degradation_factor
+from forcebench.sensor import (
+    ALL_HINGES,
+    ARMS,
+    degradation_factor,
+    failure_threshold_force,
+)
 
 
 @pytest.fixture
@@ -242,6 +247,12 @@ def test_arm_c_failure_invalidates_all_signals(spec):
     assert all(math.isnan(v) for v in sig.v_off_mv.values())
 
 
+def test_displacement_reports_newton_failure():
+    spec = SensorSpec(k1_front=1e-300, k3_front=0.0)
+    with pytest.raises(ValueError, match="converge"):
+        displacement_at_force(spec, "front", 1e300)
+
+
 # ------------------------------------------------------------- fracture checks
 
 def test_no_failures_at_zero_force(spec):
@@ -297,6 +308,20 @@ def test_load_path_inversion_after_ring_exhaustion(spec):
     # inner gain magnitude is 746 MPa/N: 1.0 N -> 746 MPa > 700 MPa
     failed = check_hinge_failures(spec, state, 1.0, "front")
     assert len(failed) == 4 and all(h.position == "inner" for h in failed)
+
+
+@pytest.mark.parametrize("side", ["front", "back"])
+def test_failure_threshold_is_least_breaking_force(spec, side):
+    # walk one specimen through all eight failures, across the load-path
+    # inversion: each threshold breaks a hinge, slightly less breaks none
+    rng = np.random.default_rng(3)
+    strengths = rng.uniform(300.0, 900.0, size=len(ALL_HINGES))
+    state = SensorState.intact_with_strengths(dict(zip(ALL_HINGES, strengths)))
+    while (threshold := failure_threshold_force(spec, state, side)) < math.inf:
+        probe = SensorState(dict(state.hinge_strength), dict(state.hinge_status))
+        assert check_hinge_failures(spec, probe, threshold * (1 - 1e-9), side) == []
+        assert check_hinge_failures(spec, state, threshold * (1 + 1e-9), side)
+    assert state.failed_count() == 8
 
 
 def test_compressed_ring_safe_while_tensile_ring_alive(spec):
