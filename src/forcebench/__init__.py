@@ -64,55 +64,3 @@ from .weibull import (
     weibull_cdf,
     weibull_mean_std,
 )
-
-__all__ = [
-    "__version__",
-    "BridgeSignal",
-    "CycleLog",
-    "DataFormatError",
-    "DegenerateBridgeError",
-    "DegenerateDataError",
-    "DegradationReport",
-    "DynamicProtocol",
-    "FailureEvent",
-    "FleetParams",
-    "FleetSummary",
-    "ForceBenchError",
-    "HingeId",
-    "InsufficientDataError",
-    "LoadCurve",
-    "NoFailureError",
-    "OverloadError",
-    "PiezoCoefficients",
-    "ProtocolLimitError",
-    "RigConfig",
-    "SensorSpec",
-    "SensorState",
-    "StaticProtocol",
-    "StressState",
-    "WeibullFit",
-    "bridge_offset",
-    "bridge_offsets_at_load",
-    "check_hinge_failures",
-    "classify_failures",
-    "degradation_report",
-    "detect_failures",
-    "displacement_at_force",
-    "extract_stiffness",
-    "fit_weibull",
-    "fleet_summary",
-    "force_at_displacement",
-    "fracture_point",
-    "hinge_stress",
-    "invert_failure_probability",
-    "median_ranks",
-    "overload_factors",
-    "r_parameter",
-    "resistivity_change",
-    "run_dynamic",
-    "run_fleet",
-    "run_static",
-    "sample_specimen",
-    "weibull_cdf",
-    "weibull_mean_std",
-]

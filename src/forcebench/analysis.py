@@ -32,8 +32,9 @@ class LoadCurve:
     """One static destructive test record.
 
     Column arrays over the samples: displacement ``dz_um`` (nondecreasing),
-    force ``force_n`` and the four bridge offsets ``voff_mv`` (n x 4,
-    arm order A..D) with a per-sample validity flag.
+    force ``force_n`` (both finite) and the four bridge offsets ``voff_mv``
+    (n x 4, arm order A..D; NaN marks supply loss) with a per-sample
+    validity flag.
     """
 
     side: str
@@ -50,6 +51,8 @@ class LoadCurve:
         n = self.dz_um.size
         if self.force_n.size != n or self.valid.size != n or self.voff_mv.shape != (n, 4):
             raise ValueError("curve arrays must agree in length")
+        if not (np.isfinite(self.dz_um).all() and np.isfinite(self.force_n).all()):
+            raise ValueError("curve displacements and forces must be finite")
         if np.any(np.diff(self.dz_um) < 0):
             raise ValueError("displacement samples must be nondecreasing")
 

@@ -44,9 +44,11 @@ from .fileio import (
     read_cycle_log_csv,
     read_force_column_csv,
     read_load_curve_csv,
+    read_manifest,
     write_cycle_log_csv,
     write_json,
     write_load_curve_csv,
+    write_manifest,
 )
 from .sensor import SensorSpec
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
@@ -247,18 +249,8 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
         name = f"specimen_{i:03d}.csv"
         write_load_curve_csv(out / name, curve)
         files.append(name)
-    manifest = {
-        "kind": "static-fleet",
-        "version": __version__,
-        "seed": seed,
-        "side": protocol.side,
-        "fleet": params.count,
-        "protocol": dataclasses.asdict(protocol),
-        "rig": dataclasses.asdict(rig),
-        "config_sha256": config_hash(config),
-        "files": files,
-    }
-    write_json(out / "manifest.json", manifest)
+    write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
+                   fleet=params.count)
     print(f"wrote {len(files)} curves and manifest.json to {out}")
     return 0
 
@@ -274,17 +266,7 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     state = sample_specimen(params, protocol.side, rng)
     log = run_dynamic(state, SensorSpec(), protocol, rig, rng)
     write_cycle_log_csv(out / "cycles.csv", log)
-    manifest = {
-        "kind": "cycle-log",
-        "version": __version__,
-        "seed": seed,
-        "side": protocol.side,
-        "protocol": dataclasses.asdict(protocol),
-        "rig": dataclasses.asdict(rig),
-        "config_sha256": config_hash(config),
-        "files": ["cycles.csv"],
-    }
-    write_json(out / "manifest.json", manifest)
+    write_manifest(out, "cycle-log", seed, protocol, rig, config, ["cycles.csv"])
     print(f"wrote cycles.csv ({len(log)} records) and manifest.json to {out}")
     return 0
 
@@ -296,11 +278,10 @@ def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            manifest = p / "manifest.json"
-            if manifest.exists():
-                meta = json.loads(manifest.read_text())
-                side = meta.get("side", side)
-                paths.extend(p / name for name in meta.get("files", []))
+            if (p / "manifest.json").exists():
+                files, manifest_side = read_manifest(p)
+                side = manifest_side or side
+                paths.extend(p / name for name in files)
             else:
                 paths.extend(sorted(p.glob("*.csv")))
         else:

@@ -138,15 +138,50 @@ def test_analyze_rejects_non_monotone_curve(tmp_path, capsys):
     assert "bad.csv" in err and ":4" in err
 
 
-def test_analyze_rejects_malformed_csv(tmp_path, capsys):
+@pytest.mark.parametrize("rows, where", [
+    ("0,0.0,zero,0,0,0,0,1\n", "mangled.csv:2: not a number: 'zero'"),
+    ("0,0.0,0.0,0,0,0,0,1.0\n", "mangled.csv:2: valid flag"),
+    ("0,0.0,0.0,0,0,0,0,2\n", "mangled.csv:2: valid flag"),
+    ("x,0.0,0.0,0,0,0,0,1\n", "mangled.csv:2: not a number: 'x'"),
+    ("0,0.0,0.0,0,0,0,0,1\n\n2,1.0,zero,0,0,0,0,1\n", "mangled.csv:4:"),
+], ids=["force", "flag_float", "flag_two", "index", "after_blank_line"])
+def test_analyze_rejects_malformed_csv(tmp_path, capsys, rows, where):
     bad = tmp_path / "mangled.csv"
     bad.write_text(
-        "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n"
-        "0,0.0,zero,0,0,0,0,1\n"
+        "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n" + rows
     )
     assert run_cli("analyze", str(bad), str(bad), str(bad)) == 2
+    assert where in capsys.readouterr().err
+
+
+def copy_curves(fleet_dir, dest, count):
+    for i in range(count):
+        name = f"specimen_{i:03d}.csv"
+        (dest / name).write_bytes((fleet_dir / name).read_bytes())
+
+
+def test_analyze_rejects_non_finite_force(fleet_dir, tmp_path, capsys):
+    copy_curves(fleet_dir, tmp_path, 3)
+    curve = read_load_curve_csv(fleet_dir / "specimen_003.csv", "front")
+    curve.force_n[:] = np.nan
+    write_load_curve_csv(tmp_path / "specimen_003.csv", curve)
+    assert run_cli("analyze", str(tmp_path), "--side", "front") == 2
     err = capsys.readouterr().err
-    assert "mangled.csv" in err and ":2" in err
+    assert "specimen_003.csv" in err and "finite" in err
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    '{"files": [5]}',
+    '{"files": "specimen_000.csv"}',
+    '{"side": 3, "files": ["specimen_000.csv"]}',
+    "{",
+], ids=["list", "file_number", "files_string", "side_number", "invalid_json"])
+def test_analyze_rejects_malformed_manifest(fleet_dir, tmp_path, capsys, content):
+    copy_curves(fleet_dir, tmp_path, 3)
+    (tmp_path / "manifest.json").write_text(content)
+    assert run_cli("analyze", str(tmp_path)) == 2
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_analyze_needs_three_curves(fleet_dir):
