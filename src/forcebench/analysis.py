@@ -174,17 +174,14 @@ def detect_failures(
     i+1 by more than max(drop_fraction * f_i, drop_floor_n) while the
     displacement is increasing.  Smooth curves yield an empty list.
     """
-    events: list[FailureEvent] = []
+    if not np.isfinite([drop_fraction, drop_floor_n]).all():
+        raise ValueError("drop fraction and drop floor must be finite")
     f = curve.force_n
     dz = curve.dz_um
-    for i in range(len(curve) - 1):
-        if dz[i + 1] <= dz[i]:
-            continue
-        threshold = max(drop_fraction * f[i], drop_floor_n)
-        drop = f[i] - f[i + 1]
-        if drop > threshold:
-            events.append(FailureEvent(sample_index=i, force_drop_n=float(drop)))
-    return events
+    drop = f[:-1] - f[1:]
+    hits = (dz[1:] > dz[:-1]) & (drop > np.maximum(drop_fraction * f[:-1], drop_floor_n))
+    return [FailureEvent(sample_index=i, force_drop_n=d)
+            for i, d in zip(np.flatnonzero(hits).tolist(), drop[hits].tolist())]
 
 
 def fracture_point(

@@ -2,6 +2,8 @@
 
 Numeric CSV fields use a dot decimal separator and at least nine
 significant digits so curves round-trip losslessly through the analyzer.
+They are read by numpy's C parser: ASCII decimal numbers, ``nan`` and
+``inf``, and no digit separators.
 All writes go through a temp-then-rename so output files are atomic.
 Error messages name the file and its physical line, blank lines counted.
 """
@@ -86,30 +88,71 @@ def _write_table(path: Path, header: str, row_format: str, columns: list) -> Non
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _loadtxt(rows: list[str], usecols=None) -> np.ndarray:
+    """numpy's C parser over non-empty rows: every field an ASCII decimal number."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+
+
+def _rejects(rows: list[str], usecols=None) -> bool:
+    try:
+        _loadtxt(rows, usecols)
+    except ValueError:
+        return True
+    return False
+
+
+def _raise_first_bad_row(path: Path, rows: list[str], linenos, width: int) -> None:
+    """Raise the ``path:line`` error of the first row that ``_loadtxt`` rejects.
+
+    Runs only after a whole-table parse failed, and never returns.  Field
+    counts are checked first; the first row with a bad field is then found
+    by bisection with the same parser, so the scan cannot accept what the
+    fast parse rejected.
+    """
+    counts = [row.count(",") + 1 for row in rows]
+    end = next((k for k, count in enumerate(counts) if count != width), len(rows))
+    if end and _rejects(rows[:end]):
+        lo, hi = 0, end  # rows[:lo] parse; the first bad row is in rows[lo:hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _rejects(rows[lo:mid]) else (mid, hi)
+        column = next(j for j in range(width) if _rejects(rows[lo:hi], usecols=j))
+        raise DataFormatError(
+            f"{path}:{linenos[lo]}: not a number: {rows[lo].split(',')[column]!r}")
+    if end < len(rows):
+        raise DataFormatError(f"{path}:{linenos[end]}: expected {width} fields, got {counts[end]}")
+    raise DataFormatError(f"{path}: not a table of numbers")
+
+
+def _parse_table(path: Path, rows: list[str], linenos, width: int) -> np.ndarray:
+    """The (rows x width) table of non-empty rows, or a ``path:line`` error."""
+    if not rows:  # loadtxt would warn that the input has no data
+        return np.empty((0, width))
+    try:
+        table = _loadtxt(rows)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != width:
+        _raise_first_bad_row(path, rows, linenos, width)
+    return table
+
+
 def _read_table(path: Path, header: str) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Parse a CSV with this exact header and every field a number.
 
-    Returns the (rows x fields) table, the raw tokens of the last field and
-    the physical line number of each row.
+    Returns the (rows x fields) table, the data rows as text and the
+    physical line number of each row.
     """
-    lines = [(n, line) for n, line in enumerate(path.read_text().splitlines(), 1)
-             if line.strip()]
-    if not lines or lines[0][1].strip() != header:
-        raise DataFormatError(f"{path}:{lines[0][0] if lines else 1}: bad or missing header")
-    width = header.count(",") + 1
-    values, last, linenos = [], [], []
-    for lineno, line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != width:
-            raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
-        for token in fields:
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: not a number: {token!r}") from None
-        last.append(fields[-1])
-        linenos.append(lineno)
-    return np.array(values).reshape(len(linenos), width), last, np.array(linenos, dtype=int)
+    lines = path.read_text().splitlines()
+    if all(map(str.strip, lines)):  # no blank line, the common case
+        linenos = np.arange(1, len(lines) + 1)
+    else:
+        linenos = np.array([n for n, line in enumerate(lines, 1) if line.strip()], dtype=int)
+        lines = [lines[n - 1] for n in linenos]
+    if not lines or lines[0].strip() != header:
+        raise DataFormatError(f"{path}:{linenos[0] if lines else 1}: bad or missing header")
+    rows, linenos = lines[1:], linenos[1:]
+    return _parse_table(path, rows, linenos, header.count(",") + 1), rows, linenos
 
 
 def _reject_first(path: Path, linenos: np.ndarray, bad, message: str) -> None:
@@ -129,9 +172,11 @@ def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
     """Parse one static-test CSV; errors name the file and line."""
     if side not in SIDES:
         raise DataFormatError(f"{path}: unknown load side {side!r}")
-    table, flags, linenos = _read_table(path, CURVE_HEADER)
-    _reject_first(path, linenos, [f not in ("0", "1") for f in flags],
-                  "valid flag must be 0 or 1")
+    table, rows, linenos = _read_table(path, CURVE_HEADER)
+    text = "\n".join(rows) + "\n"  # a flag is exactly 0 or 1 iff its row ends in ",0" or ",1"
+    if text.count(",0\n") + text.count(",1\n") != len(rows):
+        _reject_first(path, linenos, [not row.endswith((",0", ",1")) for row in rows],
+                      "valid flag must be 0 or 1")
     _reject_first(path, linenos[1:], np.diff(table[:, 1]) < 0, "displacement decreases")
     try:  # copies, so that the curve does not keep the whole table alive
         return LoadCurve(side=side, dz_um=table[:, 1].copy(), force_n=table[:, 2].copy(),
@@ -162,18 +207,23 @@ def read_cycle_log_csv(path: Path, v_ges: float = 1.0) -> CycleLog:
 
 
 def read_force_column_csv(path: Path) -> np.ndarray:
-    """Read a one-column CSV of fracture forces; a header line is allowed."""
-    values = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        token = line.split(",")[0].strip()
-        if not token:
-            continue
+    """Read a one-column CSV of fracture forces; a header line is allowed.
+
+    Only the first field of a line counts, and lines where it is empty are
+    skipped.  A first line whose first field is not a number is the header.
+    """
+    lines = path.read_text().splitlines()
+    first = lines[0].split(",", 1)[0].strip() if lines else ""
+    start = 1 if first and _rejects([first]) else 0
+    rows = lines[start:]
+    if any(rows):  # fast path: loadtxt skips empty lines and reads the first field only
         try:
-            values.append(float(token))
+            return _loadtxt(rows, usecols=0).ravel()
         except ValueError:
-            if lineno == 1:
-                continue  # header
-            raise DataFormatError(f"{path}:{lineno}: not a number: {token!r}")
-    if not values:
+            pass  # a line whose first field is empty or not a number
+    numbered = [(n, token) for n, token in enumerate(
+        (line.split(",", 1)[0].strip() for line in rows), start + 1) if token]
+    if not numbered:
         raise DataFormatError(f"{path}: no numeric data")
-    return np.array(values)
+    linenos, tokens = zip(*numbered)
+    return _parse_table(path, list(tokens), linenos, 1).ravel()

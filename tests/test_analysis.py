@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forcebench import (
     CycleLog,
@@ -21,7 +23,7 @@ from forcebench import (
     run_static,
     sample_specimen,
 )
-from forcebench.analysis import FleetSummary
+from forcebench.analysis import FailureEvent, FleetSummary
 from forcebench.weibull import WeibullFit
 
 QUIET_RIG = RigConfig(
@@ -133,6 +135,60 @@ def test_detect_ignores_drops_while_dwelling():
     dz = np.concatenate([np.linspace(0, 10, 20), np.full(5, 10.0)])
     f = np.concatenate([np.linspace(0, 1, 20), np.full(5, 0.2)])
     assert detect_failures(make_curve(dz, f)) == []
+
+
+def detect_failures_reference(curve, drop_fraction, drop_floor_n):
+    """The per-sample loop that the vectorised detector replaced."""
+    events = []
+    f, dz = curve.force_n, curve.dz_um
+    for i in range(len(curve) - 1):
+        if dz[i + 1] <= dz[i]:
+            continue
+        threshold = max(drop_fraction * f[i], drop_floor_n)
+        drop = f[i] - f[i + 1]
+        if drop > threshold:
+            events.append(FailureEvent(sample_index=i, force_drop_n=float(drop)))
+    return events
+
+
+# Multiples of 1/8 make exact ties at the threshold likely: for example
+# f = 0.5 -> 0.25 with fraction 0.5 drops by exactly 0.5 * f.
+EIGHTHS = st.integers(-24, 24).map(lambda k: k / 8)
+FORCES = st.one_of(EIGHTHS, st.floats(-5.0, 5.0))
+
+
+@st.composite
+def drop_curves(draw):
+    n = draw(st.integers(0, 40))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    force = draw(st.lists(FORCES, min_size=n, max_size=n))
+    return make_curve(np.cumsum(steps), force)  # flat dz steps where a step is 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve=drop_curves(), drop_fraction=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+       drop_floor_n=st.sampled_from([0.0, 0.05, 0.125, 0.25, 1.0]))
+@example(curve=make_curve([0, 1, 2, 3], [0.5, 0.25, 0.125, -0.25]),  # ties both ways
+         drop_fraction=0.5, drop_floor_n=0.125)
+@example(curve=make_curve([0, 1, 1, 2], [-0.5, -1.0, -2.0, -2.5]),  # negative, flat step
+         drop_fraction=0.1, drop_floor_n=0.0)
+def test_detect_failures_matches_scalar_loop(curve, drop_fraction, drop_floor_n):
+    events = detect_failures(curve, drop_fraction, drop_floor_n)
+    assert events == detect_failures_reference(curve, drop_fraction, drop_floor_n)
+    assert all(type(e.sample_index) is int and type(e.force_drop_n) is float for e in events)
+
+
+@pytest.mark.parametrize("drop_fraction, drop_floor_n", [(np.nan, 0.05), (0.1, np.nan)])
+def test_detect_rejects_non_finite_thresholds(drop_fraction, drop_floor_n):
+    dz, f = smooth_front_curve()
+    with pytest.raises(ValueError, match="finite"):
+        detect_failures(make_curve(dz, f), drop_fraction, drop_floor_n)
+
+
+def test_detect_drop_equal_to_threshold_is_no_failure():
+    # 0.5 -> 0.25 drops by exactly 0.5 * 0.5; 0.25 -> 0.125 by exactly the floor
+    curve = make_curve([0, 1, 2, 3], [0.5, 0.25, 0.125, -0.25])
+    assert [e.sample_index for e in detect_failures(curve, 0.5, 0.125)] == [2]
 
 
 # -------------------------------------------------------------- fracture point

@@ -144,7 +144,10 @@ def test_analyze_rejects_non_monotone_curve(tmp_path, capsys):
     ("0,0.0,0.0,0,0,0,0,2\n", "mangled.csv:2: valid flag"),
     ("x,0.0,0.0,0,0,0,0,1\n", "mangled.csv:2: not a number: 'x'"),
     ("0,0.0,0.0,0,0,0,0,1\n\n2,1.0,zero,0,0,0,0,1\n", "mangled.csv:4:"),
-], ids=["force", "flag_float", "flag_two", "index", "after_blank_line"])
+    ("0,0.0,1_0,0,0,0,0,1\n", "mangled.csv:2: not a number: '1_0'"),
+    ("0,0.0,\u0661,0,0,0,0,1\n", "mangled.csv:2: not a number: '\u0661'"),
+], ids=["force", "flag_float", "flag_two", "index", "after_blank_line",
+        "digit_separator", "non_ascii_digit"])
 def test_analyze_rejects_malformed_csv(tmp_path, capsys, rows, where):
     bad = tmp_path / "mangled.csv"
     bad.write_text(
@@ -182,6 +185,19 @@ def test_analyze_rejects_malformed_manifest(fleet_dir, tmp_path, capsys, content
     (tmp_path / "manifest.json").write_text(content)
     assert run_cli("analyze", str(tmp_path)) == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_files_exit_two_without_warning(tmp_path, capsys):
+    curve, log, forces = tmp_path / "curve.csv", tmp_path / "cycles.csv", tmp_path / "f.csv"
+    curve.write_text("index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n")
+    log.write_text("cycle,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV\n")
+    forces.write_text("force_N\n")
+    assert run_cli("analyze", str(curve), str(curve), str(curve)) == 2
+    assert run_cli("degradation", str(log)) == 2
+    assert run_cli("fit-weibull", str(forces)) == 2
+    err = capsys.readouterr().err
+    assert "cycles.csv: no data rows" in err and "f.csv: no numeric data" in err
 
 
 def test_analyze_needs_three_curves(fleet_dir):
@@ -262,6 +278,13 @@ def test_fit_weibull_rejects_empty(tmp_path):
     data = tmp_path / "empty.csv"
     data.write_text("force_N\n")
     assert run_cli("fit-weibull", str(data)) == 2
+
+
+def test_fit_weibull_names_bad_line(tmp_path, capsys):
+    data = tmp_path / "forces.csv"
+    data.write_text("force_N\n1.0\n\n1.5\n2.0x\n1.2\n")
+    assert run_cli("fit-weibull", str(data)) == 2
+    assert "forces.csv:5: not a number: '2.0x'" in capsys.readouterr().err
 
 
 def test_fit_weibull_rejects_nonpositive(tmp_path):
