@@ -9,6 +9,7 @@ is a pure function of its inputs and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .analysis import CycleLog, LoadCurve
 from .errors import OverloadError, ProtocolLimitError
 from .sensor import (
-    ALL_HINGES,
     ARMS,
+    N_HINGES,
     SensorSpec,
     SensorState,
     bridge_gains,
@@ -122,8 +123,9 @@ class FleetParams:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.f0_front_n, self.beta_front, self.f0_back_n, self.beta_back) <= 0:
-            raise ValueError("Weibull parameters must be positive")
+        weibull = (self.f0_front_n, self.beta_front, self.f0_back_n, self.beta_back)
+        if not all(0 < value < math.inf for value in weibull):
+            raise ValueError("Weibull parameters must be positive and finite")
         if self.count < 1:
             raise ValueError("fleet needs at least one specimen")
 
@@ -152,9 +154,7 @@ def sample_specimen(
     if spec is None:
         spec = SensorSpec()
     scale_mpa = spec.tensile_gain(side) * f0 * 4.0 ** (1.0 / beta)
-    draws = rng.weibull(beta, size=len(ALL_HINGES))
-    strengths = {h: scale_mpa * float(w) for h, w in zip(ALL_HINGES, draws)}
-    return SensorState.intact_with_strengths(strengths)
+    return SensorState(scale_mpa * rng.weibull(beta, size=N_HINGES))
 
 
 def run_static(

@@ -103,10 +103,10 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def _config_value(config: dict, key: str, kind: type):
-    """``config[key]`` cast to ``kind``; floats must be finite, ints integral."""
+    """``config[key]`` cast to ``kind``; floats finite, ints integral, no booleans."""
     value = config[key]
     try:
-        cast = kind(value)
+        cast = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         cast = None
     if kind is float and cast is not None and not math.isfinite(cast):
@@ -183,23 +183,6 @@ def _fleet_payload(curves: list[LoadCurve], spec: SensorSpec, config: dict) -> d
         }
     _print_summary_table(summary)
     return payload
-
-
-def _degradation_payload(report: DegradationReport) -> dict:
-    return {
-        "total_cycles": report.total_cycles,
-        "sigma_multiple": report.sigma_multiple,
-        "verdict": report.verdict,
-        "channels": {
-            name: {
-                "mean": stats.mean,
-                "std": stats.std,
-                "rel_std_pct": stats.rel_std_pct,
-                "slope_per_cycle": stats.slope_per_cycle,
-            }
-            for name, stats in report.channels.items()
-        },
-    }
 
 
 def _print_summary_table(summary: FleetSummary) -> None:
@@ -340,7 +323,7 @@ def cmd_degradation(args: argparse.Namespace) -> int:
     report = degradation_report(
         log, sigma_multiple=_config_value(config, "sigma_multiple", float)
     )
-    payload = _degradation_payload(report)
+    payload = dataclasses.asdict(report)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if getattr(args, "out", None):
         out = Path(args.out)
@@ -377,7 +360,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "seed": seed,
         "config_sha256": config_hash(config),
         "sides": sides_payload,
-        "dynamic": _degradation_payload(degradation),
+        "dynamic": dataclasses.asdict(degradation),
     }
     write_json(out / "report.json", report)
     print(f"\nwrote report.json to {out}")

@@ -21,6 +21,12 @@ The module provides
 Each of these laws is written down once, here; the virtual rig and the
 analyser call these functions rather than restating them.
 
+Inside the model a hinge is its index i = 2*arm + ring into ``ALL_HINGES``
+(arms A..D = 0..3, rings inner/outer = 0/1): a ``SensorState`` keeps the
+eight strengths and the intact flags as arrays in that order, and the
+kernel works on them with masked array expressions.  ``HingeId`` labels
+are the public face of an index.
+
 Conventions: displacements in micrometers, forces in newtons, stresses in
 MPa unless a name says otherwise.  Positive hinge stress means tension on
 the resistor surface; only tensile stress can fracture a hinge.
@@ -120,6 +126,9 @@ class HingeId:
 
 ALL_HINGES = tuple(HingeId(arm, pos) for arm in ARMS for pos in POSITIONS)
 
+# Shape that views the hinge arrays as rows of arms, columns of rings.
+_ARM_RING = (len(ARMS), len(POSITIONS))
+
 
 def _check_side(side: str) -> None:
     if side not in SIDES:
@@ -130,16 +139,14 @@ def _check_side(side: str) -> None:
 class SensorSpec:
     """Calibrated description of one sensor design.
 
-    Geometry fields are metadata; the behavioral fields are the stiffness
-    coefficients (force F = k1*dz + k3*dz^3 per load side, dz in um), the
-    per-position stress gains [MPa/N] for front loading, and the per-arm
-    bridge offset gains [mV/(N V)].
+    The fields are what the model reads: the stiffness coefficients (force
+    F = k1*dz + k3*dz^3 per load side, dz in um), the per-ring stress gains
+    [MPa/N] for front loading, and the per-arm bridge offset gains
+    [mV/(N V)].  They are calibrated for the standard design: a 25 um
+    membrane, a 4.5 mm cross, a 7 mm probe pin and piezoresistors of
+    aspect ratio 2.
     """
 
-    membrane_thickness_um: float = 25.0
-    cross_size_mm: float = 4.5
-    pin_length_mm: float = 7.0
-    resistor_aspect: float = 2.0
     k1_front: float = K1_FRONT
     k1_back: float = K1_BACK
     k3_front: float = K3_FRONT
@@ -147,7 +154,6 @@ class SensorSpec:
     stress_gain_inner: float = STRESS_GAIN_INNER_FRONT
     stress_gain_outer: float = STRESS_GAIN_OUTER_FRONT
     offset_gain_mv: dict[str, float] = field(default_factory=lambda: dict(OFFSET_GAIN_MV))
-    piezo: PiezoCoefficients = field(default_factory=PiezoCoefficients)
 
     def __post_init__(self) -> None:
         if self.k1_front <= 0 or self.k1_back <= 0:
@@ -181,62 +187,61 @@ class SensorSpec:
         return hinge_stress(self, 1.0, side, self.tensile_position(side))
 
 
-@dataclass
+@dataclass(eq=False)
 class SensorState:
     """Mutable per-specimen state: hinge strengths and failure status.
 
-    A hinge never returns to intact within a test; ``failure_order``
-    records the hinges in the order they broke (ground truth for the
-    analysis layer's classification tests).
+    ``hinge_strength`` [MPa] and ``intact`` hold one entry per hinge,
+    indexed like ``ALL_HINGES``; ``intact`` starts all True.  A hinge
+    never returns to intact within a test; ``failure_order`` records the
+    hinges in the order they broke (ground truth for the analysis layer's
+    classification tests).  ``mark_failed`` is their only writer.
     """
 
-    hinge_strength: dict[HingeId, float]
-    hinge_status: dict[HingeId, bool] = field(default_factory=dict)  # True = intact
+    hinge_strength: np.ndarray
+    intact: np.ndarray = field(default_factory=lambda: np.ones(N_HINGES, dtype=bool))
     failure_order: list[HingeId] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if set(self.hinge_strength) != set(ALL_HINGES):
-            raise ValueError("strengths must be given for all eight hinges")
-        if any(s <= 0 for s in self.hinge_strength.values()):
-            raise ValueError("hinge strengths must be strictly positive")
-        if not self.hinge_status:
-            self.hinge_status = {h: True for h in ALL_HINGES}
+        self.hinge_strength = np.array(self.hinge_strength, dtype=float)
+        self.intact = np.array(self.intact, dtype=bool)
+        if self.hinge_strength.shape != (N_HINGES,) or self.intact.shape != (N_HINGES,):
+            raise ValueError("strengths and status must be given for all eight hinges")
+        if not np.all((self.hinge_strength > 0) & (self.hinge_strength < math.inf)):
+            raise ValueError("hinge strengths must be finite and strictly positive")
 
     @classmethod
     def intact_with_strengths(cls, strengths: dict[HingeId, float]) -> "SensorState":
-        return cls(hinge_strength=dict(strengths))
+        if set(strengths) != set(ALL_HINGES):
+            raise ValueError("strengths must be given for all eight hinges")
+        return cls(np.array([strengths[h] for h in ALL_HINGES]))
 
     def is_intact(self, hinge: HingeId) -> bool:
-        return self.hinge_status[hinge]
+        return bool(self.intact[ALL_HINGES.index(hinge)])
 
     def intact_count(self) -> int:
-        return sum(self.hinge_status.values())
+        return int(np.count_nonzero(self.intact))
 
     def failed_count(self) -> int:
         return N_HINGES - self.intact_count()
 
     def intact_in_ring(self, position: str) -> int:
-        return sum(
-            1 for h in ALL_HINGES if h.position == position and self.hinge_status[h]
-        )
+        return int(self.intact.reshape(_ARM_RING)[:, POSITIONS.index(position)].sum())
 
     def failed_in_arm(self, arm: str) -> int:
-        return sum(
-            1 for h in ALL_HINGES if h.arm == arm and not self.hinge_status[h]
-        )
+        return int((~self.intact.reshape(_ARM_RING)[ARMS.index(arm)]).sum())
 
     def mark_failed(self, hinge: HingeId) -> None:
-        if self.hinge_status[hinge]:
-            self.hinge_status[hinge] = False
+        i = ALL_HINGES.index(hinge)
+        if self.intact[i]:
+            self.intact[i] = False
             self.failure_order.append(hinge)
 
     def first_fracture_force(self, spec: SensorSpec, side: str) -> float:
         """Force [N] at which the weakest tensile-ring hinge breaks."""
-        pos = spec.tensile_position(side)
-        weakest = min(
-            self.hinge_strength[h] for h in ALL_HINGES if h.position == pos
-        )
-        return weakest / spec.tensile_gain(side)
+        ring = POSITIONS.index(spec.tensile_position(side))
+        weakest = self.hinge_strength.reshape(_ARM_RING)[:, ring].min()
+        return float(weakest) / spec.tensile_gain(side)
 
 
 @dataclass(frozen=True)
@@ -381,11 +386,12 @@ def bridge_gains(
     """
     _check_side(side)
     sign = 1.0 if side == "front" else -1.0
-    failed = {arm: 0 if state is None else state.failed_in_arm(arm) for arm in ARMS}
-    if failed["C"] > 0:
+    broken = np.zeros(N_HINGES, dtype=bool) if state is None else ~state.intact
+    failed = broken.reshape(_ARM_RING).sum(axis=1).tolist()
+    if failed[ARMS.index("C")] > 0:
         return None
     return np.array(
-        [sign * spec.offset_gain_mv[arm] * FAILURE_JUMP_FACTOR ** failed[arm] for arm in ARMS]
+        [sign * spec.offset_gain_mv[arm] * FAILURE_JUMP_FACTOR ** n for arm, n in zip(ARMS, failed)]
     )
 
 
@@ -418,24 +424,26 @@ def bridge_offsets_at_load(
 
 def effective_stresses(
     spec: SensorSpec, state: SensorState, f_z: float, side: str
-) -> dict[HingeId, float]:
-    """Stress [MPa] actually carried by every intact hinge.
+) -> np.ndarray:
+    """Stress [MPa] actually carried by each hinge, indexed like ``ALL_HINGES``.
 
     Adds two effects to :func:`hinge_stress`: the load of broken hinges is
     shed onto the survivors of the same ring (factor 4/remaining), and
     once the tensile ring of the load side is fully broken the load path
     inverts, putting the formerly compressed ring under tension.
-    Compressed hinges report their (negative) nominal stress.
+    Compressed hinges report their (negative) nominal stress, broken
+    hinges carry 0.
     """
-    intact = {pos: state.intact_in_ring(pos) for pos in POSITIONS}
-    tensile_ring_gone = intact[spec.tensile_position(side)] == 0
-    ring_stress = {}
-    for pos in POSITIONS:
+    intact = state.intact.reshape(_ARM_RING)
+    count = intact.sum(axis=0).tolist()
+    tensile_ring_gone = count[POSITIONS.index(spec.tensile_position(side))] == 0
+    ring_stress = []
+    for pos, n in zip(POSITIONS, count):
         stress = hinge_stress(spec, f_z, side, pos)
-        if intact[pos] and (stress > 0 or (stress < 0 and tensile_ring_gone)):
-            stress = abs(stress) * (4.0 / intact[pos])
-        ring_stress[pos] = stress
-    return {h: ring_stress[h.position] for h in ALL_HINGES if state.hinge_status[h]}
+        if n and (stress > 0 or (stress < 0 and tensile_ring_gone)):
+            stress = abs(stress) * (4.0 / n)
+        ring_stress.append(stress)
+    return np.where(intact, ring_stress, 0.0).ravel()
 
 
 def failure_threshold_force(spec: SensorSpec, state: SensorState, side: str) -> float:
@@ -444,11 +452,9 @@ def failure_threshold_force(spec: SensorSpec, state: SensorState, side: str) -> 
     Stress is linear in force, so it is the least strength / stress at
     1 N over the tensile hinges; ``math.inf`` when no hinge is in tension.
     """
-    stresses = effective_stresses(spec, state, 1.0, side)
-    return min(
-        (state.hinge_strength[h] / s for h, s in stresses.items() if s > 0),
-        default=math.inf,
-    )
+    stress = effective_stresses(spec, state, 1.0, side)
+    tensile = stress > 0
+    return float((state.hinge_strength[tensile] / stress[tensile]).min(initial=math.inf))
 
 
 def check_hinge_failures(
@@ -462,14 +468,12 @@ def check_hinge_failures(
     this call only takes effect on the next call, so cascades play out
     step by step.
     """
-    overstressed = []
-    for hinge, stress in effective_stresses(spec, state, f_z, side).items():
-        if stress >= state.hinge_strength[hinge]:
-            # order simultaneous failures by overstress margin: the most
-            # overloaded hinge is the one that physically broke first
-            overstressed.append((state.hinge_strength[hinge] / stress, hinge))
-    overstressed.sort(key=lambda item: item[0])
-    newly_failed = [hinge for _, hinge in overstressed]
+    stress = effective_stresses(spec, state, f_z, side)
+    hit = np.flatnonzero(stress >= state.hinge_strength)
+    # order simultaneous failures by overstress margin: the most
+    # overloaded hinge is the one that physically broke first
+    margin = state.hinge_strength[hit] / stress[hit]
+    newly_failed = [ALL_HINGES[i] for i in hit[np.argsort(margin, kind="stable")]]
     for hinge in newly_failed:
         state.mark_failed(hinge)
     return newly_failed

@@ -25,8 +25,8 @@ class WeibullFit:
     r: float = float("nan")
 
     def __post_init__(self) -> None:
-        if not (self.f0 > 0 and self.beta > 0):
-            raise ValueError("Weibull scale and shape must be positive")
+        if not (0 < self.f0 < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("Weibull scale and shape must be positive and finite")
         if self.r > 1 + 1e-12:
             raise ValueError("fit quality r cannot exceed 1")
 

@@ -41,7 +41,7 @@ def test_sample_specimen_deterministic():
     params = FleetParams()
     a = sample_specimen(params, "front", np.random.default_rng(123))
     b = sample_specimen(params, "front", np.random.default_rng(123))
-    assert a.hinge_strength == b.hinge_strength
+    assert a.hinge_strength.tolist() == b.hinge_strength.tolist()
 
 
 def test_sample_specimen_honours_custom_spec():
@@ -97,7 +97,7 @@ def test_degenerate_shape_concentrates_strengths():
     rng = np.random.default_rng(52)
     state = sample_specimen(params, "front", rng)
     scale = SPEC.tensile_gain("front") * 1.22 * 4 ** (1 / 1e4)
-    for strength in state.hinge_strength.values():
+    for strength in state.hinge_strength:
         assert strength == pytest.approx(scale, rel=1e-3)
 
 
@@ -280,6 +280,15 @@ def test_dynamic_protocol_limits():
 def test_dynamic_validates_force_window():
     with pytest.raises(ValueError):
         DynamicProtocol(f_min_n=0.6, f_max_n=0.5)
+
+
+@pytest.mark.parametrize(
+    "field", ["f0_front_n", "beta_front", "f0_back_n", "beta_back"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_fleet_rejects_non_finite_weibull_parameters(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        FleetParams(**{field: value})
 
 
 # ------------------------------------------------------------------ fleet runs

@@ -78,6 +78,9 @@ def test_unknown_config_key_rejected(tmp_path):
         ("simulate-static", '{"dz_max_um": NaN}', "dz_max_um"),
         ("simulate-dynamic", '{"n_cycles": 50000.5}', "n_cycles"),
         ("report", '{"sigma_multiple": [3]}', "sigma_multiple"),
+        ("simulate-static", '{"fleet": true}', "fleet"),
+        ("simulate-static", '{"f0_front_n": true}', "f0_front_n"),
+        ("simulate-dynamic", '{"record_interval": false}', "record_interval"),
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, command, content, message):
@@ -86,6 +89,14 @@ def test_malformed_config_rejected(tmp_path, capsys, command, content, message):
     assert run_cli(command, "--seed", "1", "--config", str(config),
                    "--out", str(tmp_path / "x")) == 2
     assert message in capsys.readouterr().err
+
+
+def test_boolean_seed_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": true, "fleet": 2}')
+    assert run_cli("simulate-static", "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 2
+    assert "'seed'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- analyze
@@ -250,6 +261,14 @@ def test_fit_weibull_invert_with_params(capsys):
     payload = json.loads(capsys.readouterr().out)
     rounded = [round(row["f_max_N"], 2) for row in payload["inversions"]]
     assert rounded == [0.34, 0.42, 0.52]
+
+
+@pytest.mark.parametrize("params", ["inf,2", "nan,2", "1.22,inf", "1.22,nan"])
+def test_fit_weibull_rejects_non_finite_params(params, capsys):
+    assert run_cli("fit-weibull", "--params", params, "--invert", "1e-6") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_fit_weibull_recovers_exact_points(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcebench import (
     DegenerateBridgeError,
@@ -21,7 +23,11 @@ from forcebench import (
 from forcebench.sensor import (
     ALL_HINGES,
     ARMS,
+    POSITIONS,
+    STRESS_GAIN_INNER_FRONT,
+    STRESS_GAIN_OUTER_FRONT,
     degradation_factor,
+    effective_stresses,
     failure_threshold_force,
 )
 
@@ -318,7 +324,7 @@ def test_failure_threshold_is_least_breaking_force(spec, side):
     strengths = rng.uniform(300.0, 900.0, size=len(ALL_HINGES))
     state = SensorState.intact_with_strengths(dict(zip(ALL_HINGES, strengths)))
     while (threshold := failure_threshold_force(spec, state, side)) < math.inf:
-        probe = SensorState(dict(state.hinge_strength), dict(state.hinge_status))
+        probe = SensorState(state.hinge_strength, state.intact.copy())
         assert check_hinge_failures(spec, probe, threshold * (1 - 1e-9), side) == []
         assert check_hinge_failures(spec, state, threshold * (1 + 1e-9), side)
     assert state.failed_count() == 8
@@ -353,3 +359,103 @@ def test_hinge_id_validation():
         HingeId("E", "inner")
     with pytest.raises(ValueError):
         HingeId("A", "middle")
+
+
+def test_state_rejects_non_finite_strengths():
+    for bad in (math.nan, math.inf):
+        strengths = {h: 1000.0 for h in ALL_HINGES}
+        strengths[HingeId("C", "outer")] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SensorState.intact_with_strengths(strengths)
+
+
+# ------------------------------------------- array kernel against the dict loop
+#
+# The failure kernel as it was written over HingeId-keyed dicts, kept as the
+# reference for the array kernel: ``status`` maps each hinge to True while
+# it is intact, ``order`` lists the broken hinges.
+
+def reference_effective_stresses(spec, status, f_z, side):
+    intact = {
+        pos: sum(1 for h in ALL_HINGES if h.position == pos and status[h])
+        for pos in POSITIONS
+    }
+    tensile_ring_gone = intact[spec.tensile_position(side)] == 0
+    ring_stress = {}
+    for pos in POSITIONS:
+        stress = hinge_stress(spec, f_z, side, pos)
+        if intact[pos] and (stress > 0 or (stress < 0 and tensile_ring_gone)):
+            stress = abs(stress) * (4.0 / intact[pos])
+        ring_stress[pos] = stress
+    return {h: ring_stress[h.position] for h in ALL_HINGES if status[h]}
+
+
+def reference_threshold(spec, strengths, status, side):
+    stresses = reference_effective_stresses(spec, status, 1.0, side)
+    return min(
+        (strengths[h] / s for h, s in stresses.items() if s > 0), default=math.inf
+    )
+
+
+def reference_check(spec, strengths, status, order, f_z, side):
+    overstressed = []
+    for hinge, stress in reference_effective_stresses(spec, status, f_z, side).items():
+        if stress >= strengths[hinge]:
+            overstressed.append((strengths[hinge] / stress, hinge))
+    overstressed.sort(key=lambda item: item[0])
+    newly_failed = [hinge for _, hinge in overstressed]
+    for hinge in newly_failed:
+        status[hinge] = False
+        order.append(hinge)
+    return newly_failed
+
+
+# a few shared values make ties in the overstress margin
+strength_values = st.one_of(
+    st.floats(1.0, 5000.0), st.sampled_from([373.0, 489.0, 746.0, 978.0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    strengths=st.lists(strength_values, min_size=8, max_size=8),
+    broken_first=st.permutations(range(8)),
+    n_broken=st.integers(0, 8),
+    side=st.sampled_from(["front", "back"]),
+    gains=st.one_of(
+        st.just((STRESS_GAIN_INNER_FRONT, STRESS_GAIN_OUTER_FRONT)),
+        st.tuples(st.floats(-2000.0, -1.0), st.floats(1.0, 2000.0)),
+    ),
+    factors=st.lists(
+        st.one_of(st.sampled_from([1 - 1e-9, 1 + 1e-9]), st.floats(0.0, 3.0)),
+        max_size=12,
+    ),
+)
+def test_array_kernel_matches_dict_loop(
+    strengths, broken_first, n_broken, side, gains, factors
+):
+    spec = SensorSpec(stress_gain_inner=gains[0], stress_gain_outer=gains[1])
+    by_label = dict(zip(ALL_HINGES, strengths))
+    state = SensorState.intact_with_strengths(by_label)
+    status = {h: True for h in ALL_HINGES}
+    order = []
+    for i in broken_first[:n_broken]:
+        state.mark_failed(ALL_HINGES[i])
+        status[ALL_HINGES[i]] = False
+        order.append(ALL_HINGES[i])
+    force = 1.0
+    for factor in factors:
+        threshold = failure_threshold_force(spec, state, side)
+        assert threshold.hex() == reference_threshold(spec, by_label, status, side).hex()
+        if threshold < math.inf:
+            force = threshold
+        force *= factor
+        stress = effective_stresses(spec, state, force, side)
+        carried = reference_effective_stresses(spec, status, force, side)
+        assert {h: stress[ALL_HINGES.index(h)].hex() for h in carried} == {
+            h: s.hex() for h, s in carried.items()
+        }
+        expected = reference_check(spec, by_label, status, order, force, side)
+        assert check_hinge_failures(spec, state, force, side) == expected
+        assert [state.is_intact(h) for h in ALL_HINGES] == [status[h] for h in ALL_HINGES]
+    assert state.failure_order == order

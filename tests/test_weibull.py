@@ -242,3 +242,11 @@ def test_fit_validates_parameters():
         WeibullFit(f0=-1.0, beta=2.0)
     with pytest.raises(ValueError):
         WeibullFit(f0=1.0, beta=0.0)
+
+
+@pytest.mark.parametrize(
+    "f0, beta", [(math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, math.nan)]
+)
+def test_fit_rejects_non_finite_parameters(f0, beta):
+    with pytest.raises(ValueError, match="finite"):
+        WeibullFit(f0=f0, beta=beta)
