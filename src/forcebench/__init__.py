@@ -41,7 +41,6 @@ from .errors import (
     ProtocolLimitError,
 )
 from .sensor import (
-    BridgeSignal,
     HingeId,
     PiezoCoefficients,
     SensorSpec,

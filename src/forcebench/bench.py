@@ -17,18 +17,22 @@ import numpy as np
 from .analysis import CycleLog, LoadCurve
 from .errors import OverloadError, ProtocolLimitError
 from .sensor import (
-    ARMS,
+    ALL_HINGES,
     N_HINGES,
     SensorSpec,
     SensorState,
     bridge_gains,
-    bridge_offsets_at_load,
-    check_hinge_failures,
-    degradation_factor,
     failure_threshold_force,
+    hinge_breaks,
     intact_force,
+    stiffness_factor,
     _check_side,
 )
+
+# Specimens that run_fleet advances through one kernel call.  Large enough
+# to spread numpy's per-call cost over many specimens, small enough that a
+# block's working arrays stay a few MB and do not raise peak memory.
+FLEET_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,24 @@ def run_static(
     true force (with the current hinge damage), the force channel adds
     Gaussian readout noise, the bridges are sampled, and only then is the
     fracture criterion evaluated, so a failure shows up as a force drop at
-    the following sample.
+    the following sample.  ``state`` ends with the ramp's damage.  This is
+    the fleet kernel on a batch of one.
+    """
+    return _run_block([state], [rng], spec, protocol, rig)[0]
+
+
+def _run_block(
+    states: list[SensorState],
+    rngs: list[np.random.Generator],
+    spec: SensorSpec,
+    protocol: StaticProtocol,
+    rig: RigConfig,
+) -> list[LoadCurve]:
+    """Ramp each specimen with its own generator; one curve per specimen.
+
+    Each generator draws the contact offset, the jitter and the force
+    noise of its ramp, in that order; the physics then advances the
+    whole block at once (see :func:`_ramp`).
     """
     if protocol.dz_max_um > rig.dz_max_um:
         raise ProtocolLimitError(
@@ -179,43 +200,82 @@ def run_static(
     n_steps = int(np.floor(protocol.dz_max_um / protocol.step_um + 1e-9)) + 1
     dz_cmd = np.arange(n_steps) * protocol.step_um
 
-    contact_offset = rng.normal(0.0, rig.stage_accuracy_um / 2.0)
-    jitter = rng.normal(0.0, rig.nano_accuracy_um / 2.0, size=n_steps)
-    force_noise = rng.normal(0.0, rig.force_resolution_n / 2.0, size=n_steps)
+    dz_true = np.empty((len(rngs), n_steps))
+    force_noise = np.empty((len(rngs), n_steps))
+    for i, rng in enumerate(rngs):
+        contact_offset = rng.normal(0.0, rig.stage_accuracy_um / 2.0)
+        jitter = rng.normal(0.0, rig.nano_accuracy_um / 2.0, size=n_steps)
+        dz_true[i] = dz_cmd + contact_offset + jitter
+        force_noise[i] = rng.normal(0.0, rig.force_resolution_n / 2.0, size=n_steps)
 
-    dz_true = np.clip(dz_cmd + contact_offset + jitter, 0.0, None)
-    base_force = intact_force(spec, protocol.side, dz_true)
+    base_force = intact_force(spec, protocol.side, np.clip(dz_true, 0.0, None, out=dz_true))
+    del dz_true
+    true_force, gains = _ramp(states, spec, protocol.side, base_force)
 
-    force_rows = np.empty(n_steps)
-    voff_rows = np.empty((n_steps, 4))
-    valid_rows = np.empty(n_steps, dtype=bool)
+    # in place, to keep the block's peak memory down: gains become offsets
+    valid = ~np.isnan(gains[..., 0])
+    voff = np.multiply(true_force[..., None], gains, out=gains)
+    voff *= protocol.v_ges
+    force = np.add(true_force, force_noise, out=force_noise)
+    return [
+        LoadCurve(side=protocol.side, dz_um=dz_cmd.copy(), force_n=f, voff_mv=v, valid=ok)
+        for f, v, ok in zip(force, voff, valid)
+    ]
 
-    start = 0
-    while start < n_steps:
-        factor = degradation_factor(state)
-        seg_true = factor * base_force[start:]
-        threshold = failure_threshold_force(spec, state, protocol.side)
-        crossing = np.nonzero(seg_true >= threshold)[0]
-        end = start + (int(crossing[0]) if crossing.size else seg_true.size - 1)
-        seg = slice(start, end + 1)
-        true_force = seg_true[: end + 1 - start]
-        force_rows[seg] = true_force + force_noise[seg]
-        gains = bridge_gains(spec, state, protocol.side)
-        valid_rows[seg] = gains is not None
-        voff_rows[seg] = (
-            np.nan if gains is None else true_force[:, None] * gains * protocol.v_ges
+
+def _ramp(
+    states: list[SensorState], spec: SensorSpec, side: str, base_force: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a block of specimens along their ramps, segment by segment.
+
+    Row i of ``base_force`` [N] is the intact-sensor force of specimen
+    ``states[i]`` at each sample.  A segment runs from a specimen's start
+    sample up to the first sample whose force, under the current damage,
+    reaches the failure threshold; the hinges that force breaks change the
+    damage of the next segment.  Each pass advances every specimen still
+    ramping by one segment.  Returns the true force and the bridge gains
+    (NaN after an arm-C loss) at every sample; the states end with the
+    ramp's damage and failure order.
+    """
+    strength = np.array([state.hinge_strength for state in states])
+    intact = np.array([state.intact for state in states])
+    orders: list[list] = [[] for _ in states]
+    m, n = base_force.shape
+    cols = np.arange(n)
+    start = np.zeros(m, dtype=np.intp)
+    ramping = np.arange(m)
+    # new_segment[i, j] is 1 where specimen i's damage changed just before
+    # sample j; the extra column takes breaks at the last sample
+    new_segment = np.zeros((m, n + 1), dtype=np.int8)
+    factors, gains = [], []
+    while ramping.size:
+        factors.append(stiffness_factor(intact))
+        gains.append(bridge_gains(spec, intact, side))
+        threshold = failure_threshold_force(spec, strength[ramping], intact[ramping], side)
+        seg_force = factors[-1][ramping, None] * base_force[ramping]
+        over = (seg_force >= threshold[:, None]) & (cols >= start[ramping, None])
+        end = over.argmax(axis=1)
+        crossed = over[np.arange(ramping.size), end]
+        rows, end = ramping[crossed], end[crossed]
+        hit, order = hinge_breaks(
+            spec, strength[rows], intact[rows], seg_force[crossed, end], side
         )
-        if crossing.size:
-            check_hinge_failures(spec, state, float(true_force[-1]), protocol.side)
-        start = end + 1
+        intact[rows] &= ~hit
+        for i, hinges, k in zip(rows.tolist(), order.tolist(), hit.sum(axis=1).tolist()):
+            orders[i] += [ALL_HINGES[h] for h in hinges[:k]]
+        new_segment[rows, end + 1] = 1
+        start[rows] = end + 1
+        ramping = rows[end + 1 < n]
 
-    return LoadCurve(
-        side=protocol.side,
-        dz_um=dz_cmd,
-        force_n=force_rows,
-        voff_mv=voff_rows,
-        valid=valid_rows,
-    )
+    for state, row, order in zip(states, intact, orders):
+        state.intact[:] = row
+        state.failure_order += order
+    # the pass that filled each sample, as the smallest integer type that holds it
+    passes = np.cumsum(new_segment[:, :n], axis=1, dtype=np.min_scalar_type(len(factors)))
+    at = passes, np.arange(m)[:, None]
+    true_force = np.array(factors)[at]
+    true_force *= base_force
+    return true_force, np.array(gains)[at]
 
 
 def run_dynamic(
@@ -249,10 +309,9 @@ def run_dynamic(
 
     n_records = protocol.n_cycles // protocol.record_interval
     cycles = (np.arange(n_records) + 1) * protocol.record_interval
-    signal = bridge_offsets_at_load(
-        spec, protocol.f_max_n, protocol.side, protocol.v_ges, state
+    base_offsets = (
+        bridge_gains(spec, state.intact, protocol.side) * protocol.f_max_n * protocol.v_ges
     )
-    base_offsets = np.array([signal.v_off_mv[arm] for arm in ARMS])
 
     force = (
         protocol.f_max_n * rig.force_read_bias
@@ -287,10 +346,15 @@ def run_fleet(
     """Destructively test a whole fleet; one curve per specimen.
 
     Specimen seeds are spawned deterministically from the master seed, so
-    repeated runs are bit-identical and specimens are independent.
+    repeated runs are bit-identical and specimens are independent.  The
+    ramps run ``FLEET_BLOCK`` specimens at a time through the kernel of
+    :func:`run_static`, each drawing from its own generator in the same
+    order, so every curve equals the one ``run_static`` gives.
     """
+    rngs = specimen_rngs(params.master_seed, params.count)
     curves = []
-    for rng in specimen_rngs(params.master_seed, params.count):
-        state = sample_specimen(params, protocol.side, rng, spec)
-        curves.append(run_static(state, spec, protocol, rig, rng))
+    for first in range(0, len(rngs), FLEET_BLOCK):
+        block = rngs[first : first + FLEET_BLOCK]
+        states = [sample_specimen(params, protocol.side, rng, spec) for rng in block]
+        curves += _run_block(states, block, spec, protocol, rig)
     return curves

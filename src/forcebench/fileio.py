@@ -23,6 +23,12 @@ from .analysis import CycleLog, LoadCurve
 from .errors import DataFormatError
 from .sensor import ARMS, SIDES
 
+# The line breaks of str.splitlines other than "\n" (read_text has turned
+# "\r\n" and "\r" into "\n"): numpy's parser does not end a line at them.
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# numpy opens a file path with one of these suffixes as a compressed archive.
+_ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 # Each CSV schema: its header and the matching row format.
 _VOFF_COLUMNS = [f"voff{arm}_mV" for arm in ARMS]
 CURVE_HEADER = ",".join(["index", "dz_um", "force_N", *_VOFF_COLUMNS, "valid"])
@@ -88,9 +94,12 @@ def _write_table(path: Path, header: str, row_format: str, columns: list) -> Non
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _loadtxt(rows: list[str], usecols=None) -> np.ndarray:
-    """numpy's C parser over non-empty rows: every field an ASCII decimal number."""
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+def _loadtxt(rows, usecols=None, skiprows=0) -> np.ndarray:
+    """numpy's C parser over rows (a list of lines or a file path), skipping
+    empty lines: every field an ASCII decimal number."""
+    return np.loadtxt(
+        rows, delimiter=",", comments=None, ndmin=2, usecols=usecols, skiprows=skiprows
+    )
 
 
 def _rejects(rows: list[str], usecols=None) -> bool:
@@ -212,15 +221,24 @@ def read_force_column_csv(path: Path) -> np.ndarray:
     Only the first field of a line counts, and lines where it is empty are
     skipped.  A first line whose first field is not a number is the header.
     """
-    lines = path.read_text().splitlines()
-    first = lines[0].split(",", 1)[0].strip() if lines else ""
+    text = path.read_text()
+    head, _, rest = text.partition("\n")
+    head = head.splitlines()[:1]  # the first line as splitlines ends it
+    first = head[0].split(",", 1)[0].strip() if head else ""
     start = 1 if first and _rejects([first]) else 0
-    rows = lines[start:]
-    if any(rows):  # fast path: loadtxt skips empty lines and reads the first field only
+    body = rest if start else text
+    if (
+        len(body) > body.count("\n")  # some line is not empty
+        and not any(sep in text for sep in _OTHER_LINE_BREAKS)
+        and path.suffix not in _ARCHIVE_SUFFIXES
+    ):
+        # fast path: numpy reads the file in chunks, skips empty lines and
+        # reads the first field only; it ends lines where splitlines does
         try:
-            return _loadtxt(rows, usecols=0).ravel()
+            return _loadtxt(path, usecols=0, skiprows=start).ravel()
         except ValueError:
             pass  # a line whose first field is empty or not a number
+    rows = text.splitlines()[start:]
     numbered = [(n, token) for n, token in enumerate(
         (line.split(",", 1)[0].strip() for line in rows), start + 1) if token]
     if not numbered:

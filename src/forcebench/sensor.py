@@ -23,9 +23,10 @@ analyser call these functions rather than restating them.
 
 Inside the model a hinge is its index i = 2*arm + ring into ``ALL_HINGES``
 (arms A..D = 0..3, rings inner/outer = 0/1): a ``SensorState`` keeps the
-eight strengths and the intact flags as arrays in that order, and the
-kernel works on them with masked array expressions.  ``HingeId`` labels
-are the public face of an index.
+eight strengths and the intact flags as arrays in that order.  The kernel
+functions take those arrays with any leading batch shape, (8,) for one
+specimen or (m, 8) for a block of them, and work on them with masked
+array expressions.  ``HingeId`` labels are the public face of an index.
 
 Conventions: displacements in micrometers, forces in newtons, stresses in
 MPa unless a name says otherwise.  Positive hinge stress means tension on
@@ -129,6 +130,12 @@ ALL_HINGES = tuple(HingeId(arm, pos) for arm in ARMS for pos in POSITIONS)
 # Shape that views the hinge arrays as rows of arms, columns of rings.
 _ARM_RING = (len(ARMS), len(POSITIONS))
 
+# Lookup tables of the Python-scalar powers the laws below use, indexed by
+# a hinge count: the stiffness knockdown (i/8) ** (8 - i) with i hinges
+# intact, and FAILURE_JUMP_FACTOR ** n with n hinges of an arm failed.
+_KNOCKDOWN = np.array([(i / N_HINGES) ** (N_HINGES - i) for i in range(N_HINGES + 1)])
+_JUMP = np.array([FAILURE_JUMP_FACTOR ** n for n in range(len(POSITIONS) + 1)])
+
 
 def _check_side(side: str) -> None:
     if side not in SIDES:
@@ -156,14 +163,18 @@ class SensorSpec:
     offset_gain_mv: dict[str, float] = field(default_factory=lambda: dict(OFFSET_GAIN_MV))
 
     def __post_init__(self) -> None:
-        if self.k1_front <= 0 or self.k1_back <= 0:
-            raise ValueError("linear stiffness k1 must be positive")
-        if self.k3_front < 0 or self.k3_back < 0:
-            raise ValueError("hardening coefficient k3 must be nonnegative")
-        if not self.stress_gain_inner < 0 < self.stress_gain_outer:
-            raise ValueError("front-load stress gains must be inner-negative, outer-positive")
+        if not (0 < self.k1_front < math.inf and 0 < self.k1_back < math.inf):
+            raise ValueError("linear stiffness k1 must be positive and finite")
+        if not (0 <= self.k3_front < math.inf and 0 <= self.k3_back < math.inf):
+            raise ValueError("hardening coefficient k3 must be nonnegative and finite")
+        if not -math.inf < self.stress_gain_inner < 0 < self.stress_gain_outer < math.inf:
+            raise ValueError(
+                "front-load stress gains must be finite, inner-negative, outer-positive"
+            )
         if set(self.offset_gain_mv) != set(ARMS):
             raise ValueError("offset gains must cover exactly arms A..D")
+        if not all(math.isfinite(v) for v in self.offset_gain_mv.values()):
+            raise ValueError("offset gains must be finite")
 
     def k1(self, side: str) -> float:
         _check_side(side)
@@ -195,7 +206,9 @@ class SensorState:
     indexed like ``ALL_HINGES``; ``intact`` starts all True.  A hinge
     never returns to intact within a test; ``failure_order`` records the
     hinges in the order they broke (ground truth for the analysis layer's
-    classification tests).  ``mark_failed`` is their only writer.
+    classification tests).  ``mark_failed`` and the ramp of
+    ``bench.run_static``/``run_fleet``, which writes back the outcome of a
+    whole ramp, are their only writers.
     """
 
     hinge_strength: np.ndarray
@@ -216,21 +229,6 @@ class SensorState:
             raise ValueError("strengths must be given for all eight hinges")
         return cls(np.array([strengths[h] for h in ALL_HINGES]))
 
-    def is_intact(self, hinge: HingeId) -> bool:
-        return bool(self.intact[ALL_HINGES.index(hinge)])
-
-    def intact_count(self) -> int:
-        return int(np.count_nonzero(self.intact))
-
-    def failed_count(self) -> int:
-        return N_HINGES - self.intact_count()
-
-    def intact_in_ring(self, position: str) -> int:
-        return int(self.intact.reshape(_ARM_RING)[:, POSITIONS.index(position)].sum())
-
-    def failed_in_arm(self, arm: str) -> int:
-        return int((~self.intact.reshape(_ARM_RING)[ARMS.index(arm)]).sum())
-
     def mark_failed(self, hinge: HingeId) -> None:
         i = ALL_HINGES.index(hinge)
         if self.intact[i]:
@@ -242,21 +240,6 @@ class SensorState:
         ring = POSITIONS.index(spec.tensile_position(side))
         weakest = self.hinge_strength.reshape(_ARM_RING)[:, ring].min()
         return float(weakest) / spec.tensile_gain(side)
-
-
-@dataclass(frozen=True)
-class BridgeSignal:
-    """Offset voltages [mV] of the four Wheatstone bridges plus validity.
-
-    All arms turn invalid together once any hinge of arm C (the arm that
-    carries the supply leads) has failed; the voltages are NaN then.
-    """
-
-    v_off_mv: dict[str, float]
-    valid: dict[str, bool]
-
-    def all_valid(self) -> bool:
-        return all(self.valid.values())
 
 
 def resistivity_change(coeffs: PiezoCoefficients, stress: StressState) -> float:
@@ -307,19 +290,18 @@ def hinge_stress(spec: SensorSpec, f_z: float, side: str, position: str) -> floa
     return gain * f_z
 
 
-def degradation_factor(state: SensorState | None) -> float:
-    """Stiffness knockdown for a partially broken sensor.
+def stiffness_factor(intact: np.ndarray) -> np.ndarray:
+    """Stiffness knockdown of partially broken sensors, one per row of ``intact``.
 
     Each failed hinge contributes one factor of (intact/8); an intact
-    sensor returns 1.0 and a fully broken one 0.0.
+    sensor gives 1.0 and a fully broken one 0.0.
     """
-    if state is None:
-        return 1.0
-    intact = state.intact_count()
-    failed = N_HINGES - intact
-    if failed == 0:
-        return 1.0
-    return (intact / N_HINGES) ** failed
+    return _KNOCKDOWN[intact.sum(axis=-1)]
+
+
+def degradation_factor(state: SensorState | None) -> float:
+    """:func:`stiffness_factor` of one sensor; ``state`` None is intact."""
+    return 1.0 if state is None else float(stiffness_factor(state.intact))
 
 
 def intact_force(spec: SensorSpec, side: str, dz):
@@ -374,25 +356,21 @@ def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
     return z
 
 
-def bridge_gains(
-    spec: SensorSpec, state: SensorState | None, side: str
-) -> np.ndarray | None:
+def bridge_gains(spec: SensorSpec, intact: np.ndarray, side: str) -> np.ndarray:
     """Offset per unit force and supply voltage [mV/(N V)], arms A..D.
 
-    Back-side loading reverses the signs, and every failed hinge of an arm
-    scales that arm's gain by ``FAILURE_JUMP_FACTOR``.  Returns None once
-    arm C, which carries the supply leads, has lost a hinge: no bridge can
-    be read then.  ``state`` None is an intact sensor.
+    ``intact`` is (..., 8); the gains are (..., 4).  Back-side loading
+    reverses the signs, and every failed hinge of an arm scales that arm's
+    gain by ``FAILURE_JUMP_FACTOR``.  All four gains are NaN once arm C,
+    which carries the supply leads, has lost a hinge: no bridge can be
+    read then.
     """
     _check_side(side)
     sign = 1.0 if side == "front" else -1.0
-    broken = np.zeros(N_HINGES, dtype=bool) if state is None else ~state.intact
-    failed = broken.reshape(_ARM_RING).sum(axis=1).tolist()
-    if failed[ARMS.index("C")] > 0:
-        return None
-    return np.array(
-        [sign * spec.offset_gain_mv[arm] * FAILURE_JUMP_FACTOR ** n for arm, n in zip(ARMS, failed)]
-    )
+    failed = (~_arm_ring(intact)).sum(axis=-1)
+    gains = sign * np.array([spec.offset_gain_mv[arm] for arm in ARMS]) * _JUMP[failed]
+    gains[failed[..., ARMS.index("C")] > 0] = np.nan
+    return gains
 
 
 def bridge_offsets_at_load(
@@ -401,32 +379,30 @@ def bridge_offsets_at_load(
     side: str,
     v_ges: float,
     state: SensorState | None = None,
-) -> BridgeSignal:
-    """Offset voltages [mV] of all four bridges at a normal force.
+) -> np.ndarray:
+    """Offset voltages [mV] of the four bridges at a normal force, arms A..D.
 
     Bilinear in force and supply voltage, with the gains of
     :func:`bridge_gains`; once arm C (supply leads) has a failed hinge,
-    all readings become invalid (NaN).
+    all readings are invalid (NaN).  ``state`` None is an intact sensor.
     """
     if f_z < 0:
         raise ValueError("normal force must be nonnegative")
     if v_ges <= 0:
         raise ValueError("supply voltage must be positive")
-    gains = bridge_gains(spec, state, side)
-    if gains is None:
-        return BridgeSignal(
-            v_off_mv={arm: float("nan") for arm in ARMS},
-            valid={arm: False for arm in ARMS},
-        )
-    values = dict(zip(ARMS, (gains * f_z * v_ges).tolist()))
-    return BridgeSignal(v_off_mv=values, valid={arm: True for arm in ARMS})
+    intact = np.ones(N_HINGES, dtype=bool) if state is None else state.intact
+    return bridge_gains(spec, intact, side) * f_z * v_ges
 
 
-def effective_stresses(
-    spec: SensorSpec, state: SensorState, f_z: float, side: str
-) -> np.ndarray:
+def _arm_ring(hinges: np.ndarray) -> np.ndarray:
+    """View (..., 8) hinge arrays as (..., arm, ring)."""
+    return hinges.reshape(*hinges.shape[:-1], *_ARM_RING)
+
+
+def effective_stresses(spec: SensorSpec, intact: np.ndarray, f_z, side: str) -> np.ndarray:
     """Stress [MPa] actually carried by each hinge, indexed like ``ALL_HINGES``.
 
+    ``intact`` is (..., 8) and ``f_z`` [N] a float or one force per row.
     Adds two effects to :func:`hinge_stress`: the load of broken hinges is
     shed onto the survivors of the same ring (factor 4/remaining), and
     once the tensile ring of the load side is fully broken the load path
@@ -434,27 +410,50 @@ def effective_stresses(
     Compressed hinges report their (negative) nominal stress, broken
     hinges carry 0.
     """
-    intact = state.intact.reshape(_ARM_RING)
-    count = intact.sum(axis=0).tolist()
-    tensile_ring_gone = count[POSITIONS.index(spec.tensile_position(side))] == 0
-    ring_stress = []
-    for pos, n in zip(POSITIONS, count):
-        stress = hinge_stress(spec, f_z, side, pos)
-        if n and (stress > 0 or (stress < 0 and tensile_ring_gone)):
-            stress = abs(stress) * (4.0 / n)
-        ring_stress.append(stress)
-    return np.where(intact, ring_stress, 0.0).ravel()
+    ring_intact = _arm_ring(intact)
+    count = ring_intact.sum(axis=-2)
+    stress = np.array([hinge_stress(spec, 1.0, side, pos) for pos in POSITIONS])
+    stress = stress * np.asarray(f_z, dtype=float)[..., None]
+    tensile = POSITIONS.index(spec.tensile_position(side))
+    tensile_ring_gone = count[..., tensile, None] == 0
+    shared = (count > 0) & ((stress > 0) | ((stress < 0) & tensile_ring_gone))
+    stress = np.where(shared, np.abs(stress) * (4.0 / np.maximum(count, 1)), stress)
+    carried = np.where(ring_intact, stress[..., None, :], 0.0)
+    return carried.reshape(intact.shape)
 
 
-def failure_threshold_force(spec: SensorSpec, state: SensorState, side: str) -> float:
-    """Smallest force [N] that breaks some intact hinge in this state.
+def failure_threshold_force(
+    spec: SensorSpec, strength: np.ndarray, intact: np.ndarray, side: str
+) -> np.ndarray:
+    """Smallest force [N] that breaks some intact hinge, one per row.
 
     Stress is linear in force, so it is the least strength / stress at
-    1 N over the tensile hinges; ``math.inf`` when no hinge is in tension.
+    1 N over the tensile hinges; ``inf`` when no hinge is in tension.
     """
-    stress = effective_stresses(spec, state, 1.0, side)
-    tensile = stress > 0
-    return float((state.hinge_strength[tensile] / stress[tensile]).min(initial=math.inf))
+    stress = effective_stresses(spec, intact, 1.0, side)
+    return _ratio(strength, stress, stress > 0).min(axis=-1)
+
+
+def hinge_breaks(
+    spec: SensorSpec, strength: np.ndarray, intact: np.ndarray, f_z, side: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hinges broken by the force ``f_z``, and the order in which they break.
+
+    Returns the (..., 8) mask of intact hinges whose effective tensile
+    stress meets or exceeds their strength, and per row the hinge indices
+    sorted so that the masked ones come first, most overloaded (least
+    strength/stress) first, ties by index.
+    """
+    stress = effective_stresses(spec, intact, f_z, side)
+    hit = stress >= strength
+    # order simultaneous failures by overstress margin: the most
+    # overloaded hinge is the one that physically broke first
+    return hit, np.argsort(_ratio(strength, stress, hit), axis=-1, kind="stable")
+
+
+def _ratio(strength: np.ndarray, stress: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """strength / stress where ``where`` holds, ``inf`` elsewhere."""
+    return np.divide(strength, stress, out=np.full(stress.shape, math.inf), where=where)
 
 
 def check_hinge_failures(
@@ -463,17 +462,15 @@ def check_hinge_failures(
     """Mark and return every intact hinge broken by the force ``f_z``.
 
     A single pass against the entry state: each intact hinge whose
-    effective tensile stress meets or exceeds its strength fails.
-    Compressed hinges never fail.  Load redistribution from failures in
-    this call only takes effect on the next call, so cascades play out
-    step by step.
+    effective tensile stress meets or exceeds its strength fails, in the
+    order of :func:`hinge_breaks`.  Compressed hinges never fail.  Load
+    redistribution from failures in this call only takes effect on the
+    next call, so cascades play out step by step.
     """
-    stress = effective_stresses(spec, state, f_z, side)
-    hit = np.flatnonzero(stress >= state.hinge_strength)
-    # order simultaneous failures by overstress margin: the most
-    # overloaded hinge is the one that physically broke first
-    margin = state.hinge_strength[hit] / stress[hit]
-    newly_failed = [ALL_HINGES[i] for i in hit[np.argsort(margin, kind="stable")]]
+    if f_z < 0:
+        raise ValueError("normal force must be nonnegative")
+    hit, order = hinge_breaks(spec, state.hinge_strength, state.intact, f_z, side)
+    newly_failed = [ALL_HINGES[i] for i in order[: np.count_nonzero(hit)]]
     for hinge in newly_failed:
         state.mark_failed(hinge)
     return newly_failed

@@ -16,6 +16,12 @@ import numpy as np
 from .errors import DegenerateDataError, InsufficientDataError
 
 
+# Loads that fit_weibull turns into Python floats at a time: the scalar
+# math is what fixes the bits, and a whole 1M-force list at once would
+# add 32 MB to the fit's peak memory.
+_CDF_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class WeibullFit:
     """Scale ``f0`` [N], shape ``beta`` and fit quality ``r`` (1 = perfect)."""
@@ -47,8 +53,14 @@ def weibull_cdf(fit: WeibullFit, f: float) -> float:
     """Failure probability at load ``f`` [N]; 0 at 0, 1 - 1/e at f0."""
     if f < 0:
         raise ValueError("load must be nonnegative")
+    return _cdf(f, fit.f0, fit.beta)
+
+
+def _cdf(f: float, f0: float, beta: float) -> float:
+    """1 - exp(-(f/f0)^beta) in Python scalar math, which numpy's vector
+    ``**`` and ``expm1`` do not match to the last bit."""
     try:
-        t = (f / fit.f0) ** fit.beta
+        t = (f / f0) ** beta
     except OverflowError:
         return 1.0  # saturated anyway: 1 - exp(-t) rounds to 1 for t > ~37
     return -math.expm1(-t)
@@ -109,10 +121,12 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     intercept = y_mean - beta * x_mean
     f0 = math.exp(-intercept / beta)
 
-    fit = WeibullFit(f0=f0, beta=beta)
-    fitted_p = [weibull_cdf(fit, float(v)) for v in f_sorted]
-    r = r_parameter(p, fitted_p)
-    return WeibullFit(f0=f0, beta=beta, r=r)
+    WeibullFit(f0=f0, beta=beta)  # rejects a non-finite or non-positive fit
+    fitted_p = np.empty(f_sorted.size)
+    for i in range(0, f_sorted.size, _CDF_CHUNK):
+        loads = f_sorted[i : i + _CDF_CHUNK].tolist()
+        fitted_p[i : i + _CDF_CHUNK] = [_cdf(v, f0, beta) for v in loads]
+    return WeibullFit(f0=f0, beta=beta, r=r_parameter(p, fitted_p))
 
 
 def weibull_mean_std(fit: WeibullFit) -> tuple[float, float]:

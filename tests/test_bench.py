@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from forcebench import (
     DynamicProtocol,
@@ -21,8 +25,17 @@ from forcebench import (
     sample_specimen,
     weibull_cdf,
 )
-from forcebench.bench import specimen_rngs
-from forcebench.sensor import ALL_HINGES
+from forcebench.analysis import LoadCurve
+from forcebench.bench import FLEET_BLOCK, specimen_rngs
+from forcebench.sensor import (
+    ALL_HINGES,
+    POSITIONS,
+    bridge_gains,
+    check_hinge_failures,
+    degradation_factor,
+    failure_threshold_force,
+    intact_force,
+)
 from forcebench.weibull import WeibullFit
 
 SPEC = SensorSpec()
@@ -197,7 +210,7 @@ def test_every_arm_loses_a_hinge_by_full_ramp():
         for rng in specimen_rngs(params.master_seed, params.count):
             state = sample_specimen(params, side, rng)
             run_static(state, SPEC, protocol, RigConfig(), rng)
-            if all(state.failed_in_arm(arm) >= 1 for arm in "ABCD"):
+            if (~state.intact.reshape(4, 2)).any(axis=1).all():
                 complete += 1
     assert complete >= 0.95 * 2 * params.count
 
@@ -348,3 +361,169 @@ def test_budget_stays_below_minimum_fracture_over_seeds():
         if all(row["f_max_n"] < min_observed for row in summary.budget):
             hits += 1
     assert hits >= 95
+
+
+# ------------------------------------------ block kernel against the old loop
+#
+# run_static and run_fleet as they were written before the block kernel: one
+# specimen at a time, one segment per pass.  Kept as the reference for the
+# kernel, which must reproduce every bit.
+
+def reference_run_static(state, spec, protocol, rig, rng):
+    if protocol.dz_max_um > rig.dz_max_um:
+        raise ProtocolLimitError("protocol ramps beyond the rig")
+    n_steps = int(np.floor(protocol.dz_max_um / protocol.step_um + 1e-9)) + 1
+    dz_cmd = np.arange(n_steps) * protocol.step_um
+
+    contact_offset = rng.normal(0.0, rig.stage_accuracy_um / 2.0)
+    jitter = rng.normal(0.0, rig.nano_accuracy_um / 2.0, size=n_steps)
+    force_noise = rng.normal(0.0, rig.force_resolution_n / 2.0, size=n_steps)
+
+    dz_true = np.clip(dz_cmd + contact_offset + jitter, 0.0, None)
+    base_force = intact_force(spec, protocol.side, dz_true)
+
+    force_rows = np.empty(n_steps)
+    voff_rows = np.empty((n_steps, 4))
+    valid_rows = np.empty(n_steps, dtype=bool)
+
+    start = 0
+    while start < n_steps:
+        factor = degradation_factor(state)
+        seg_true = factor * base_force[start:]
+        threshold = failure_threshold_force(
+            spec, state.hinge_strength, state.intact, protocol.side
+        )
+        crossing = np.nonzero(seg_true >= threshold)[0]
+        end = start + (int(crossing[0]) if crossing.size else seg_true.size - 1)
+        seg = slice(start, end + 1)
+        true_force = seg_true[: end + 1 - start]
+        force_rows[seg] = true_force + force_noise[seg]
+        gains = bridge_gains(spec, state.intact, protocol.side)
+        valid = not np.isnan(gains).any()
+        valid_rows[seg] = valid
+        voff_rows[seg] = true_force[:, None] * gains * protocol.v_ges if valid else np.nan
+        if crossing.size:
+            check_hinge_failures(spec, state, float(true_force[-1]), protocol.side)
+        start = end + 1
+
+    return LoadCurve(
+        side=protocol.side, dz_um=dz_cmd, force_n=force_rows, voff_mv=voff_rows,
+        valid=valid_rows,
+    )
+
+
+def reference_run_fleet(params, spec, protocol, rig):
+    curves = []
+    for rng in specimen_rngs(params.master_seed, params.count):
+        state = sample_specimen(params, protocol.side, rng, spec)
+        curves.append(reference_run_static(state, spec, protocol, rig, rng))
+    return curves
+
+
+def assert_same_curve(a, b):
+    assert a.force_n.tobytes() == b.force_n.tobytes()
+    assert a.dz_um.tobytes() == b.dz_um.tobytes()
+    assert np.array_equal(a.voff_mv, b.voff_mv, equal_nan=True)
+    assert np.array_equal(a.valid, b.valid)
+
+
+DOUBLED = SensorSpec(
+    stress_gain_inner=2.0 * SPEC.stress_gain_inner,
+    stress_gain_outer=2.0 * SPEC.stress_gain_outer,
+    offset_gain_mv={arm: 2.0 * gain for arm, gain in SPEC.offset_gain_mv.items()},
+)
+protocols = st.builds(
+    StaticProtocol,
+    side=st.sampled_from(["front", "back"]),
+    dz_max_um=st.one_of(st.just(200.0), st.floats(1.0, 200.0)),
+    step_um=st.one_of(st.just(0.5), st.floats(0.05, 5.0)),
+)
+specs = st.sampled_from([SPEC, DOUBLED])
+rigs = st.sampled_from([RigConfig(), QUIET_RIG])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.sampled_from([1, FLEET_BLOCK - 1, FLEET_BLOCK, FLEET_BLOCK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    protocol=protocols,
+    spec=specs,
+    rig=rigs,
+)
+def test_fleet_kernel_matches_specimen_loop(count, seed, protocol, spec, rig):
+    params = FleetParams(count=count, master_seed=seed)
+    expected = reference_run_fleet(params, spec, protocol, rig)
+    actual = run_fleet(params, spec, protocol, rig)
+    assert len(actual) == count
+    for a, b in zip(actual, expected):
+        assert_same_curve(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    protocol=protocols,
+    spec=specs,
+    rig=rigs,
+    broken_first=st.permutations(range(8)),
+    n_broken=st.integers(0, 8),
+)
+def test_static_kernel_matches_specimen_loop(
+    seed, protocol, spec, rig, broken_first, n_broken
+):
+    rng = np.random.default_rng(seed)
+    shared = sample_specimen(FleetParams(), protocol.side, rng, spec)
+    for i in broken_first[:n_broken]:
+        shared.mark_failed(ALL_HINGES[i])
+    states = [SensorState(shared.hinge_strength, shared.intact, list(shared.failure_order))
+              for _ in range(2)]
+    state_rng = rng.bit_generator.state
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for r in rngs:
+        r.bit_generator.state = state_rng
+    actual = run_static(states[0], spec, protocol, rig, rngs[0])
+    expected = reference_run_static(states[1], spec, protocol, rig, rngs[1])
+    assert_same_curve(actual, expected)
+    assert states[0].intact.tolist() == states[1].intact.tolist()
+    assert states[0].failure_order == states[1].failure_order
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=protocols, spec=specs, sample=st.integers(1, 4000), arm=st.integers(0, 3))
+def test_force_at_threshold_breaks_like_the_loop(protocol, spec, sample, arm):
+    # a quiet ramp whose force meets one hinge's threshold exactly at one sample
+    n_steps = int(np.floor(protocol.dz_max_um / protocol.step_um + 1e-9)) + 1
+    assume(n_steps >= 2)
+    dz = np.arange(n_steps) * protocol.step_um
+    force = float(intact_force(spec, protocol.side, dz)[1 + sample % (n_steps - 1)])
+    gain = spec.tensile_gain(protocol.side)
+    strength = force * gain
+    for _ in range(100):
+        if strength / gain == force:
+            break
+        strength = np.nextafter(strength, math.inf if strength / gain < force else 0.0)
+    assume(strength / gain == force)
+    hinge = 2 * arm + POSITIONS.index(spec.tensile_position(protocol.side))
+    strengths = np.full(8, 1e9)
+    strengths[hinge] = strength
+    states = [SensorState(strengths) for _ in range(2)]
+    actual = run_static(states[0], spec, protocol, QUIET_RIG, np.random.default_rng(0))
+    expected = reference_run_static(
+        states[1], spec, protocol, QUIET_RIG, np.random.default_rng(0)
+    )
+    assert_same_curve(actual, expected)
+    assert states[0].failure_order == states[1].failure_order
+    assert states[0].failure_order[0] == ALL_HINGES[hinge]
+
+
+def test_protocol_limit_raised_before_any_draw():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    state = infinite_state()
+    with pytest.raises(ProtocolLimitError):
+        run_static(state, SPEC, StaticProtocol(dz_max_um=300.0), RigConfig(), rng)
+    assert rng.bit_generator.state == before
+    assert state.intact.all() and state.failure_order == []
+    with pytest.raises(ProtocolLimitError):
+        run_fleet(FleetParams(count=3), SPEC, StaticProtocol(dz_max_um=300.0), RigConfig())
