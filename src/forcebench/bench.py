@@ -82,6 +82,8 @@ class StaticProtocol:
 
     def __post_init__(self) -> None:
         _check_side(self.side)
+        if not all(map(math.isfinite, (self.step_um, self.dz_max_um, self.v_ges))):
+            raise ValueError("step, maximum displacement and supply voltage must be finite")
         if self.step_um <= 0 or self.dz_max_um <= 0:
             raise ValueError("step and maximum displacement must be positive")
         if self.v_ges <= 0:

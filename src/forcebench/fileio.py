@@ -1,20 +1,28 @@
 """File formats: load-curve and cycle-log CSVs, JSON reports, manifests.
 
-Numeric CSV fields use a dot decimal separator and at least nine
-significant digits so curves round-trip losslessly through the analyzer.
-They are read by numpy's C parser: ASCII decimal numbers, ``nan`` and
-``inf``, and no digit separators.
-All writes go through a temp-then-rename so output files are atomic.
+Numeric CSV fields are written with ``%.10g`` (integer columns with
+``%d``), so curves round-trip losslessly through the analyzer; ``-0`` is
+written as ``0``, and ``nan`` in a curve's offsets marks supply loss.
+Lines end in ``\n``, the last one included.  A file is one ``%`` over a
+cached template that already holds the text of the leading columns
+(``index,dz_um`` or ``cycle``), so curves on the same displacement grid
+share it.  Fields are read by numpy's C parser: ASCII decimal numbers,
+``nan`` and ``inf``, and no digit separators.
+All writes go through a temp-then-rename so output files are atomic; a
+failed write removes its temp file.
 Error messages name the file and its physical line, blank lines counted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,18 +37,32 @@ _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # numpy opens a file path with one of these suffixes as a compressed archive.
 _ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-# Each CSV schema: its header and the matching row format.
+
+class _Schema(NamedTuple):
+    """A CSV schema: its header, and the row format split in two parts."""
+
+    header: str
+    lead: str  # the leading columns, whose text a fleet's files share
+    rest: str  # the other columns, filled in per file
+
+
 _VOFF_COLUMNS = [f"voff{arm}_mV" for arm in ARMS]
 CURVE_HEADER = ",".join(["index", "dz_um", "force_N", *_VOFF_COLUMNS, "valid"])
-_CURVE_ROW = "%d" + ",%.10g" * (2 + len(ARMS)) + ",%d"
+_CURVE = _Schema(CURVE_HEADER, "%d,%.10g", ",%.10g" * (1 + len(ARMS)) + ",%d")
 CYCLE_HEADER = ",".join(["cycle", "force_N", *_VOFF_COLUMNS])
-_CYCLE_ROW = "%d" + ",%.10g" * (1 + len(ARMS))
+_CYCLE = _Schema(CYCLE_HEADER, "%d", ",%.10g" * (1 + len(ARMS)))
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``PATH.tmp``, then rename it to ``path``; no temp file is left."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -87,11 +109,22 @@ def read_manifest(directory: Path) -> tuple[list[str], str | None]:
     return files, side
 
 
-def _write_table(path: Path, header: str, row_format: str, columns: list) -> None:
-    """Write the columns (1-D or 2-D arrays of equal length), one row per line."""
+def _write_table(path: Path, schema: _Schema, columns: list) -> None:
+    """Write the columns (1-D or 2-D arrays of equal length), one row per line:
+    one ``%`` of the other columns' values over the template of the leading ones."""
     table = np.column_stack(columns).astype(float) + 0.0  # +0.0 normalizes -0.0
-    lines = [header] + [row_format % tuple(row) for row in table.tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    n_lead = schema.lead.count("%")
+    template = _file_template(schema, table[:, :n_lead].tobytes())
+    atomic_write_text(path, template % tuple(table[:, n_lead:].ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=4)
+def _file_template(schema: _Schema, lead_bytes: bytes) -> str:
+    """The file as a format: the header, then per row the text of its leading
+    columns (given as float64 bytes) and the format of the rest."""
+    lead = np.frombuffer(lead_bytes).reshape(-1, schema.lead.count("%"))
+    return "".join([schema.header, "\n", *(
+        schema.lead % tuple(row) + schema.rest + "\n" for row in lead.tolist())])
 
 
 def _loadtxt(rows, usecols=None, skiprows=0) -> np.ndarray:
@@ -172,7 +205,7 @@ def _reject_first(path: Path, linenos: np.ndarray, bad, message: str) -> None:
 
 
 def write_load_curve_csv(path: Path, curve: LoadCurve) -> None:
-    _write_table(path, CURVE_HEADER, _CURVE_ROW, [
+    _write_table(path, _CURVE, [
         np.arange(len(curve)), curve.dz_um, curve.force_n, curve.voff_mv, curve.valid,
     ])
 
@@ -195,7 +228,7 @@ def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
 
 
 def write_cycle_log_csv(path: Path, log: CycleLog) -> None:
-    _write_table(path, CYCLE_HEADER, _CYCLE_ROW, [log.cycles, log.force_n, log.voff_mv])
+    _write_table(path, _CYCLE, [log.cycles, log.force_n, log.voff_mv])
 
 
 def read_cycle_log_csv(path: Path, v_ges: float = 1.0) -> CycleLog:

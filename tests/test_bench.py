@@ -188,6 +188,13 @@ def test_static_rejects_bad_protocol():
         StaticProtocol(side="left")
 
 
+@pytest.mark.parametrize("field", ["step_um", "dz_max_um", "v_ges"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_static_rejects_non_finite_protocol(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        StaticProtocol(**{field: value})
+
+
 def test_no_failure_below_weakest_link_force():
     # the first recorded fracture force never undercuts the weakest
     # sampled strength divided by the tensile gain

@@ -38,6 +38,14 @@ def test_simulate_static_rerun_is_byte_identical(tmp_path):
     assert read_dir_bytes(out_a) == read_dir_bytes(out_b)
 
 
+def test_simulate_static_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "fleet"
+    (out / "specimen_001.csv").mkdir(parents=True)  # the rename onto it fails
+    assert run_cli("simulate-static", "--seed", "1", "--fleet", "3", "--out", str(out)) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["specimen_000.csv", "specimen_001.csv"]
+
+
 def test_simulate_static_requires_seed(tmp_path):
     assert run_cli("simulate-static", "--out", str(tmp_path / "x")) == 2
 

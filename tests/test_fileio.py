@@ -1,4 +1,4 @@
-"""The CSV table codec: round trips, the parser, and its error and empty cases."""
+"""The CSV table codec: round trips, the writer, the parser, and its error and empty cases."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from forcebench.fileio import (
     CURVE_HEADER,
     CYCLE_HEADER,
     _read_table,
+    atomic_write_text,
     read_cycle_log_csv,
     read_force_column_csv,
     read_load_curve_csv,
@@ -87,6 +88,136 @@ def test_cycle_log_round_trip(tmp_path, log):
     assert np.array_equal(again.force_n, log.force_n)
     assert np.array_equal(again.voff_mv, log.voff_mv)
     assert again.record_interval == log.record_interval
+
+
+# ------------------------------------------------------------------ the writer
+
+CURVE_ROW = "%d" + ",%.10g" * 6 + ",%d"
+CYCLE_ROW = "%d" + ",%.10g" * 5
+
+
+def reference_table_text(header, row_format, columns):
+    """The per-row writer that the file template replaced: one % per row."""
+    table = np.column_stack(columns).astype(float) + 0.0  # +0.0 normalizes -0.0
+    lines = [header] + [row_format % tuple(row) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def reference_curve_bytes(curve):
+    return reference_table_text(CURVE_HEADER, CURVE_ROW, [
+        np.arange(len(curve)), curve.dz_um, curve.force_n, curve.voff_mv, curve.valid,
+    ]).encode()
+
+
+def reference_cycle_log_bytes(log):
+    return reference_table_text(CYCLE_HEADER, CYCLE_ROW,
+                                [log.cycles, log.force_n, log.voff_mv]).encode()
+
+
+# Any finite value: the extremes of the %.10g format, signed zeros, subnormals.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-320, 1e21, -1e21, 0.5, 1e-5]),
+)
+ROW_COUNTS = st.one_of(st.just(0), st.just(1), st.integers(2, 60))
+WRITER = settings(max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def grids(draw, counts=ROW_COUNTS):
+    n = draw(counts)
+    return sorted(draw(st.lists(FINITE, min_size=n, max_size=n)))
+
+
+@st.composite
+def curves_on(draw, grid):
+    n = len(grid)
+    offsets = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
+    return LoadCurve(
+        side="front", dz_um=grid,
+        force_n=draw(st.lists(FINITE, min_size=n, max_size=n)),
+        voff_mv=np.reshape(draw(st.lists(offsets, min_size=4 * n, max_size=4 * n)), (n, 4)),
+        valid=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def assert_curve_written_as_before(path, curve):
+    write_load_curve_csv(path, curve)
+    assert path.read_bytes() == reference_curve_bytes(curve)
+
+
+@WRITER
+@given(data=st.data())
+def test_curve_bytes_equal_per_row_writer(tmp_path, data):
+    assert_curve_written_as_before(tmp_path / "curve.csv", data.draw(curves_on(data.draw(grids()))))
+
+
+def test_curve_edge_values_written_as_before(tmp_path):
+    # -0.0 and subnormal grid points, NaN offsets, both flags
+    curve = LoadCurve(side="back", dz_um=[-0.0, 0.0, 5e-324, 1e21],
+                      force_n=[-0.0, 1.5, -2.5e-320, 1e21],
+                      voff_mv=[[np.nan] * 4, [-0.0, 1.0, np.nan, 2.0], [0.0] * 4, [3.0] * 4],
+                      valid=[False, True, True, False])
+    assert_curve_written_as_before(tmp_path / "curve.csv", curve)
+    assert (tmp_path / "curve.csv").read_text().splitlines()[1:3] == [
+        "0,0,0,nan,nan,nan,nan,0", "1,0,1.5,0,1,nan,2,1"]
+
+
+def seeded_curve(grid, rng):
+    """A curve on ``grid`` with random forces, offsets (some NaN) and flags."""
+    n = len(grid)
+    voff = rng.normal(0.0, 50.0, (n, 4))
+    voff[rng.random((n, 4)) < 0.2] = np.nan
+    return LoadCurve(side="front", dz_um=grid, force_n=rng.normal(0.0, 2.0, n),
+                     voff_mv=voff, valid=rng.random(n) < 0.5)
+
+
+@WRITER
+@given(grid_list=st.lists(grids(), min_size=2, max_size=7),
+       order=st.lists(st.integers(0, 6), min_size=2, max_size=16), seed=st.integers(0, 2**32))
+def test_grids_written_alternately_keep_their_bytes(tmp_path, grid_list, order, seed):
+    # Up to more grids than the template cache holds, written in a random
+    # order: a stale or evicted entry would show as a byte difference.
+    rng = np.random.default_rng(seed)
+    for k, g in enumerate(order):
+        curve = seeded_curve(grid_list[g % len(grid_list)], rng)
+        assert_curve_written_as_before(tmp_path / f"curve_{k}.csv", curve)
+
+
+@WRITER
+@given(grid=grids(st.integers(1, 60)), shift=st.floats(1e-3, 1e6), seed=st.integers(0, 2**32))
+def test_grid_changed_in_place_after_a_write(tmp_path, grid, shift, seed):
+    curve = seeded_curve(grid, np.random.default_rng(seed))
+    assert_curve_written_as_before(tmp_path / "before.csv", curve)
+    curve.dz_um[-1] += shift  # the same array object, now a different grid
+    assert_curve_written_as_before(tmp_path / "after.csv", curve)
+
+
+@WRITER
+@given(n=ROW_COUNTS, start=st.integers(0, 2**62), step=st.integers(1, 10**6), data=st.data())
+def test_cycle_log_bytes_equal_per_row_writer(tmp_path, n, start, step, data):
+    log = CycleLog(cycles=np.arange(n) * step + start,
+                   force_n=data.draw(st.lists(FINITE, min_size=n, max_size=n)),
+                   voff_mv=np.reshape(data.draw(st.lists(FINITE, min_size=4 * n, max_size=4 * n)),
+                                      (n, 4)),
+                   v_ges=1.0, record_interval=step)
+    path = tmp_path / "cycles.csv"
+    write_cycle_log_csv(path, log)
+    assert path.read_bytes() == reference_cycle_log_bytes(log)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\udc80")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    (tmp_path / "out.txt").mkdir()  # the rename onto a directory fails
+    with pytest.raises(OSError):
+        atomic_write_text(tmp_path / "out.txt", "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # ------------------------------------------------------------------ the parser
