@@ -10,7 +10,8 @@ is a pure function of its inputs and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,8 @@ class RigConfig:
     hold_offset_noise_mv: float = 0.28
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("rig figures must be finite")
         if min(self.max_force_n, self.max_frequency_hz, self.dz_max_um) <= 0:
             raise ValueError("rig limits must be positive")
         if min(
@@ -105,6 +108,9 @@ class DynamicProtocol:
 
     def __post_init__(self) -> None:
         _check_side(self.side)
+        floats = (self.f_min_n, self.f_max_n, self.frequency_hz, self.v_ges, self.drift_mv)
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("forces, frequency, supply voltage and drift must be finite")
         if not 0 < self.f_min_n < self.f_max_n:
             raise ValueError("need 0 < f_min < f_max")
         if self.frequency_hz <= 0:
@@ -132,8 +138,12 @@ class FleetParams:
         weibull = (self.f0_front_n, self.beta_front, self.f0_back_n, self.beta_back)
         if not all(0 < value < math.inf for value in weibull):
             raise ValueError("Weibull parameters must be positive and finite")
+        if not isinstance(self.count, Integral):
+            raise ValueError("fleet size must be an integer")
         if self.count < 1:
             raise ValueError("fleet needs at least one specimen")
+        if not isinstance(self.master_seed, Integral) or self.master_seed < 0:
+            raise ValueError("expected non-negative integer")  # numpy's seed message
 
     def side_params(self, side: str) -> tuple[float, float]:
         _check_side(side)

@@ -4,10 +4,13 @@ Numeric CSV fields are written with ``%.10g`` (integer columns with
 ``%d``), so curves round-trip losslessly through the analyzer; ``-0`` is
 written as ``0``, and ``nan`` in a curve's offsets marks supply loss.
 Lines end in ``\n``, the last one included.  A file is one ``%`` over a
-cached template that already holds the text of the leading columns
-(``index,dz_um`` or ``cycle``), so curves on the same displacement grid
-share it.  Fields are read by numpy's C parser: ASCII decimal numbers,
-``nan`` and ``inf``, and no digit separators.
+template joined from cached row texts that already hold the leading
+columns (``index,dz_um`` or ``cycle``), so curves on the same displacement
+grid share them.  A curve row's ``valid`` flag is literal text, and so are
+the ``nan`` offsets of a supply-loss row: each row's text is picked from
+its data, and only forces and present offsets are formatted, with the
+same bytes as formatting every field.  Fields are read by numpy's C
+parser: ASCII decimal numbers, ``nan`` and ``inf``, and no digit separators.
 All writes go through a temp-then-rename so output files are atomic; a
 failed write removes its temp file.
 Error messages name the file and its physical line, blank lines counted.
@@ -39,18 +42,25 @@ _ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class _Schema(NamedTuple):
-    """A CSV schema: its header, and the row format split in two parts."""
+    """A CSV schema: its header, the format of the leading columns, and the
+    format of the other columns (with the line end) for each kind of row."""
 
     header: str
     lead: str  # the leading columns, whose text a fleet's files share
-    rest: str  # the other columns, filled in per file
+    rests: tuple[str, ...]  # the other columns, filled in per file; by row kind
 
 
+_FIELD = ",%.10g"
 _VOFF_COLUMNS = [f"voff{arm}_mV" for arm in ARMS]
 CURVE_HEADER = ",".join(["index", "dz_um", "force_N", *_VOFF_COLUMNS, "valid"])
-_CURVE = _Schema(CURVE_HEADER, "%d,%.10g", ",%.10g" * (1 + len(ARMS)) + ",%d")
+# A curve row's kind is 2 * lost + valid.  The flag is literal text, and so
+# are the offsets of a lost row (supply loss: all four NaN, which Python
+# prints as "nan" whatever the sign bit); any other row formats them.
+_CURVE = _Schema(CURVE_HEADER, "%d,%.10g", tuple(
+    _FIELD + offsets + flag + "\n"
+    for offsets in (_FIELD * len(ARMS), ",nan" * len(ARMS)) for flag in (",0", ",1")))
 CYCLE_HEADER = ",".join(["cycle", "force_N", *_VOFF_COLUMNS])
-_CYCLE = _Schema(CYCLE_HEADER, "%d", ",%.10g" * (1 + len(ARMS)))
+_CYCLE = _Schema(CYCLE_HEADER, "%d", (_FIELD * (1 + len(ARMS)) + "\n",))
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -109,22 +119,34 @@ def read_manifest(directory: Path) -> tuple[list[str], str | None]:
     return files, side
 
 
-def _write_table(path: Path, schema: _Schema, columns: list) -> None:
-    """Write the columns (1-D or 2-D arrays of equal length), one row per line:
-    one ``%`` of the other columns' values over the template of the leading ones."""
-    table = np.column_stack(columns).astype(float) + 0.0  # +0.0 normalizes -0.0
-    n_lead = schema.lead.count("%")
-    template = _file_template(schema, table[:, :n_lead].tobytes())
-    atomic_write_text(path, template % tuple(table[:, n_lead:].ravel().tolist()))
+def _float_table(columns: list) -> np.ndarray:
+    """The columns (1-D or 2-D arrays of equal length) side by side, as floats."""
+    return np.column_stack(columns).astype(float) + 0.0  # +0.0 normalizes -0.0
+
+
+def _write_table(path: Path, schema: _Schema, lead: np.ndarray, values: np.ndarray,
+                 kind=0) -> None:
+    """Write one row per line: the cached text of its ``lead`` columns and
+    the rest format of its ``kind``, all filled with ``values`` by one ``%``.
+
+    The format is ASCII bytes: ``bytes %`` writes the same fields as
+    ``str %``, and a ``str %`` over a new format for every file grew the
+    resident memory of a 1000-curve ``simulate-static`` by about 3 MB.
+    """
+    rows = _row_formats(schema, lead.tobytes())
+    lines = rows[np.arange(len(rows)), kind].tolist()
+    text = b"".join([schema.header.encode(), b"\n", *lines]) % tuple(values.tolist())
+    atomic_write_text(path, text.decode())
 
 
 @functools.lru_cache(maxsize=4)
-def _file_template(schema: _Schema, lead_bytes: bytes) -> str:
-    """The file as a format: the header, then per row the text of its leading
-    columns (given as float64 bytes) and the format of the rest."""
+def _row_formats(schema: _Schema, lead_bytes: bytes) -> np.ndarray:
+    """Per row of the leading columns (given as float64 bytes), the text of
+    those columns followed by each rest format, as ASCII bytes: a
+    (rows x kinds) array."""
     lead = np.frombuffer(lead_bytes).reshape(-1, schema.lead.count("%"))
-    return "".join([schema.header, "\n", *(
-        schema.lead % tuple(row) + schema.rest + "\n" for row in lead.tolist())])
+    return np.array([[(schema.lead % tuple(row) + rest).encode() for rest in schema.rests]
+                     for row in lead.tolist()], dtype=object).reshape(-1, len(schema.rests))
 
 
 def _loadtxt(rows, usecols=None, skiprows=0) -> np.ndarray:
@@ -205,9 +227,12 @@ def _reject_first(path: Path, linenos: np.ndarray, bad, message: str) -> None:
 
 
 def write_load_curve_csv(path: Path, curve: LoadCurve) -> None:
-    _write_table(path, _CURVE, [
-        np.arange(len(curve)), curve.dz_um, curve.force_n, curve.voff_mv, curve.valid,
-    ])
+    rest = _float_table([curve.force_n, curve.voff_mv])
+    lost = np.isnan(rest[:, 1:]).all(axis=1)
+    keep = np.ones(rest.shape, dtype=bool)  # the fields the row's format fills
+    keep[lost, 1:] = False
+    _write_table(path, _CURVE, _float_table([np.arange(len(curve)), curve.dz_um]),
+                 rest[keep], 2 * lost + curve.valid)
 
 
 def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
@@ -228,7 +253,8 @@ def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
 
 
 def write_cycle_log_csv(path: Path, log: CycleLog) -> None:
-    _write_table(path, _CYCLE, [log.cycles, log.force_n, log.voff_mv])
+    _write_table(path, _CYCLE, _float_table([log.cycles]),
+                 _float_table([log.force_n, log.voff_mv]).ravel())
 
 
 def read_cycle_log_csv(path: Path, v_ges: float = 1.0) -> CycleLog:

@@ -96,18 +96,18 @@ def r_parameter(y: Sequence[float], y_prime: Sequence[float]) -> float:
 def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     """Fit (f0, beta) to fracture loads by linearized rank regression.
 
-    The loads are sorted ascending (stable, so ties keep input order),
-    assigned median ranks p_i, and y = ln(-ln(1 - p_i)) is regressed on
-    x = ln(f_i).  beta is the slope and f0 = exp(-intercept/beta).  The
-    reported r compares the empirical ranks with the fitted CDF on the
-    probability scale.
+    The loads are sorted ascending (equal positive floats are bit-identical,
+    so the order of ties cannot show), assigned median ranks p_i, and
+    y = ln(-ln(1 - p_i)) is regressed on x = ln(f_i).  beta is the slope
+    and f0 = exp(-intercept/beta).  The reported r compares the empirical
+    ranks with the fitted CDF on the probability scale.
     """
     f = np.asarray(forces, dtype=float)
     if f.ndim != 1 or f.size < 3:
         raise InsufficientDataError("need at least three fracture loads to fit")
     if np.any(~np.isfinite(f)) or np.any(f <= 0):
         raise ValueError("fracture loads must be finite and positive")
-    f_sorted = np.sort(f, kind="stable")
+    f_sorted = np.sort(f)
     if f_sorted[0] == f_sorted[-1]:
         raise DegenerateDataError("all fracture loads are equal; no spread to fit")
 

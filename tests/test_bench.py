@@ -195,6 +195,29 @@ def test_static_rejects_non_finite_protocol(field, value):
         StaticProtocol(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["max_force_n", "force_resolution_n"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_rig_rejects_non_finite_figures(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        RigConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["drift_mv", "f_max_n", "v_ges"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_dynamic_rejects_non_finite_protocol(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        DynamicProtocol(**{field: value})
+
+
+@pytest.mark.parametrize("fields", [
+    {"count": 1.5}, {"count": 2.0}, {"count": float("nan")}, {"count": "3"},
+    {"master_seed": -1}, {"master_seed": 1.5},
+])
+def test_fleet_rejects_fractional_count_and_negative_seed(fields):
+    with pytest.raises(ValueError, match="integer"):
+        FleetParams(**fields)
+
+
 def test_no_failure_below_weakest_link_force():
     # the first recorded fracture force never undercuts the weakest
     # sampled strength divided by the tensile gain

@@ -1,12 +1,17 @@
 """The CSV table codec: round trips, the writer, the parser, and its error and empty cases."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from forcebench.analysis import CycleLog, LoadCurve
+from forcebench.bench import FLEET_BLOCK, FleetParams, RigConfig, StaticProtocol, run_fleet
 from forcebench.errors import DataFormatError
+from forcebench.sensor import SensorSpec
 from forcebench.fileio import (
     CURVE_HEADER,
     CYCLE_HEADER,
@@ -204,6 +209,67 @@ def test_cycle_log_bytes_equal_per_row_writer(tmp_path, n, start, step, data):
     path = tmp_path / "cycles.csv"
     write_cycle_log_csv(path, log)
     assert path.read_bytes() == reference_cycle_log_bytes(log)
+
+
+# Quiet NaNs with and without the sign bit and a payload: all print as nan.
+NANS = st.sampled_from([float("nan"), -float("nan"), math.copysign(float("nan"), -1.0)] + [
+    struct.unpack("<d", struct.pack("<Q", bits))[0]
+    for bits in (0x7FF8000000000001, 0xFFF800000000BEEF)])
+INFS = st.sampled_from([np.inf, -np.inf])
+
+
+@st.composite
+def three_nans_and_one(draw):
+    """Three NaN offsets and one finite or infinite one, in any position."""
+    offsets = draw(st.lists(NANS, min_size=3, max_size=3))
+    offsets.insert(draw(st.integers(0, 3)), draw(st.one_of(FINITE, INFS)))
+    return offsets
+
+
+LOST_OFFSETS = st.lists(NANS, min_size=4, max_size=4)
+ROW_OFFSETS = st.one_of(
+    LOST_OFFSETS,  # supply loss
+    three_nans_and_one(),
+    st.lists(FINITE, min_size=4, max_size=4),
+    st.lists(st.one_of(FINITE, NANS, INFS), min_size=4, max_size=4),
+)
+
+
+@st.composite
+def curves_of_every_row_kind(draw):
+    """Rows of interleaved kinds, then a supply-loss suffix; both flags throughout."""
+    grid = draw(grids())
+    n = len(grid)
+    lost_from = draw(st.integers(0, n))
+    offsets = [draw(ROW_OFFSETS) for _ in range(lost_from)]
+    offsets += [draw(LOST_OFFSETS) for _ in range(n - lost_from)]
+    return LoadCurve(
+        side="front", dz_um=grid,
+        force_n=draw(st.lists(FINITE, min_size=n, max_size=n)),
+        voff_mv=np.reshape(offsets, (n, 4)),
+        valid=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@WRITER
+@given(curve=curves_of_every_row_kind())
+@example(curve=LoadCurve(
+    side="front", dz_um=[0.0, 0.5, 1.0, 1.5, 2.0],
+    force_n=[0.25, 0.5, 0.75, 1.0, 1.25],
+    voff_mv=[[1.0, np.nan, np.nan, np.nan], [np.nan, np.nan, np.inf, np.nan],
+             [1.0, 2.0, 3.0, 4.0], [np.nan] * 4, [-np.nan] * 4],
+    valid=[True, False, False, False, True]))
+def test_curve_row_kinds_written_as_before(tmp_path, curve):
+    assert_curve_written_as_before(tmp_path / "curve.csv", curve)
+
+
+@pytest.mark.parametrize("side", ["front", "back"])
+@pytest.mark.parametrize("seed", [14, 7])
+def test_fleet_curves_written_as_before(tmp_path, side, seed):
+    # two kernel blocks of real ramps: supply-loss suffixes, both flags
+    params = FleetParams(count=FLEET_BLOCK + 1, master_seed=seed)
+    curves = run_fleet(params, SensorSpec(), StaticProtocol(side=side), RigConfig())
+    for i, curve in enumerate(curves):
+        assert_curve_written_as_before(tmp_path / f"specimen_{i:03d}.csv", curve)
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
