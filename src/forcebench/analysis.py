@@ -16,7 +16,17 @@ from .errors import (
     InsufficientDataError,
     NoFailureError,
 )
-from .sensor import ARMS, SensorSpec, displacement_at_force, force_at_displacement
+from .sensor import (
+    ARMS,
+    NONNEGATIVE,
+    POSITIVE,
+    POSITIVE_INT,
+    SensorSpec,
+    _check_fields,
+    _check_value,
+    displacement_at_force,
+    force_at_displacement,
+)
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
 
 UNKNOWN = "unknown"
@@ -79,16 +89,18 @@ class CycleLog:
     """Long-term test record sampled every ``record_interval`` cycles.
 
     Forces and offsets must be finite: unlike a load curve, a cycle log
-    has no validity flag to mark a lost reading.
+    has no validity flag to mark a lost reading.  Cycle indices lie within
+    +-2**53, where float64, which the writer formats them from, is exact.
     """
 
     cycles: np.ndarray
     force_n: np.ndarray
     voff_mv: np.ndarray
-    v_ges: float
-    record_interval: int
+    v_ges: float = field(metadata=POSITIVE)
+    record_interval: int = field(metadata=POSITIVE_INT)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         self.cycles = np.asarray(self.cycles, dtype=int)
         self.force_n = np.asarray(self.force_n, dtype=float)
         self.voff_mv = np.asarray(self.voff_mv, dtype=float)
@@ -97,6 +109,8 @@ class CycleLog:
             raise ValueError("cycle log arrays must agree in length")
         if not (np.isfinite(self.force_n).all() and np.isfinite(self.voff_mv).all()):
             raise ValueError("cycle log forces and offsets must be finite")
+        if np.any((self.cycles < -(2**53)) | (self.cycles > 2**53)):
+            raise ValueError("cycle indices must lie within +-2**53")
         if n >= 2:
             spacing = np.diff(self.cycles)
             if np.any(spacing <= 0) or np.any(spacing != spacing[0]):
@@ -174,8 +188,8 @@ def detect_failures(
     i+1 by more than max(drop_fraction * f_i, drop_floor_n) while the
     displacement is increasing.  Smooth curves yield an empty list.
     """
-    if not np.isfinite([drop_fraction, drop_floor_n]).all():
-        raise ValueError("drop fraction and drop floor must be finite")
+    _check_value("drop_fraction", drop_fraction, NONNEGATIVE)
+    _check_value("drop_floor_n", drop_floor_n, NONNEGATIVE)
     f = curve.force_n
     dz = curve.dz_um
     drop = f[:-1] - f[1:]
@@ -321,6 +335,7 @@ def degradation_report(
     trend accumulated over the full run exceeds ``sigma_multiple`` times
     the detrended (residual) scatter of that channel.
     """
+    _check_value("sigma_multiple", sigma_multiple, POSITIVE)
     if len(log) < 10:
         raise InsufficientDataError(
             f"need at least 10 log entries, got {len(log)}"
@@ -371,7 +386,6 @@ def overload_factors(
     )
     if row is None:
         raise ValueError("budget table has no 1 ppm row")
-    if nominal_dz_um <= 0:
-        raise ValueError("nominal displacement must be positive")
+    _check_value("nominal_dz_um", nominal_dz_um, POSITIVE)
     nominal_force = force_at_displacement(spec, summary.side, nominal_dz_um)
     return row["dz_max_um"] / nominal_dz_um, row["f_max_n"] / nominal_force

@@ -9,9 +9,7 @@ is a pure function of its inputs and seed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import astuple, dataclass
-from numbers import Integral
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +17,13 @@ from .analysis import CycleLog, LoadCurve
 from .errors import OverloadError, ProtocolLimitError
 from .sensor import (
     ALL_HINGES,
+    FINITE,
     N_HINGES,
+    NONNEGATIVE,
+    NONNEGATIVE_INT,
+    POSITIVE,
+    POSITIVE_INT,
+    SIDE,
     SensorSpec,
     SensorState,
     bridge_gains,
@@ -27,6 +31,7 @@ from .sensor import (
     hinge_breaks,
     intact_force,
     stiffness_factor,
+    _check_fields,
     _check_side,
 )
 
@@ -47,103 +52,67 @@ class RigConfig:
     (``force_read_bias``) and the back-solved hold noise levels.
     """
 
-    force_resolution_n: float = 0.005
-    stage_accuracy_um: float = 2.0
-    nano_accuracy_um: float = 0.02
-    max_force_n: float = 3.6
-    max_frequency_hz: float = 20.0
-    dz_max_um: float = 200.0
-    force_read_bias: float = 1.00704
-    hold_force_noise_n: float = 0.00037
-    hold_offset_noise_mv: float = 0.28
+    force_resolution_n: float = field(default=0.005, metadata=NONNEGATIVE)
+    stage_accuracy_um: float = field(default=2.0, metadata=NONNEGATIVE)
+    nano_accuracy_um: float = field(default=0.02, metadata=NONNEGATIVE)
+    max_force_n: float = field(default=3.6, metadata=POSITIVE)
+    max_frequency_hz: float = field(default=20.0, metadata=POSITIVE)
+    dz_max_um: float = field(default=200.0, metadata=POSITIVE)
+    force_read_bias: float = field(default=1.00704, metadata=POSITIVE)
+    hold_force_noise_n: float = field(default=0.00037, metadata=NONNEGATIVE)
+    hold_offset_noise_mv: float = field(default=0.28, metadata=NONNEGATIVE)
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, astuple(self))):
-            raise ValueError("rig figures must be finite")
-        if min(self.max_force_n, self.max_frequency_hz, self.dz_max_um) <= 0:
-            raise ValueError("rig limits must be positive")
-        if min(
-            self.force_resolution_n,
-            self.stage_accuracy_um,
-            self.nano_accuracy_um,
-            self.hold_force_noise_n,
-            self.hold_offset_noise_mv,
-        ) < 0:
-            raise ValueError("noise and accuracy figures must be nonnegative")
-        if self.force_read_bias <= 0:
-            raise ValueError("force read bias must be positive")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class StaticProtocol:
     """Destructive ramp: step the displacement from 0 to ``dz_max_um``."""
 
-    side: str = "front"
-    dz_max_um: float = 200.0
-    step_um: float = 0.5
-    v_ges: float = 1.0
+    side: str = field(default="front", metadata=SIDE)
+    dz_max_um: float = field(default=200.0, metadata=POSITIVE)
+    step_um: float = field(default=0.5, metadata=POSITIVE)
+    v_ges: float = field(default=1.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        _check_side(self.side)
-        if not all(map(math.isfinite, (self.step_um, self.dz_max_um, self.v_ges))):
-            raise ValueError("step, maximum displacement and supply voltage must be finite")
-        if self.step_um <= 0 or self.dz_max_um <= 0:
-            raise ValueError("step and maximum displacement must be positive")
-        if self.v_ges <= 0:
-            raise ValueError("supply voltage must be positive")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class DynamicProtocol:
     """Cyclic load between ``f_min_n`` and ``f_max_n``, logged at the hold point."""
 
-    side: str = "front"
-    f_min_n: float = 0.01
-    f_max_n: float = 0.5
-    frequency_hz: float = 2.0
-    n_cycles: int = 50_000
-    record_interval: int = 500
-    v_ges: float = 1.0
-    drift_mv: float = 0.0
+    side: str = field(default="front", metadata=SIDE)
+    f_min_n: float = field(default=0.01, metadata=POSITIVE)
+    f_max_n: float = field(default=0.5, metadata=POSITIVE)
+    frequency_hz: float = field(default=2.0, metadata=POSITIVE)
+    n_cycles: int = field(default=50_000, metadata=POSITIVE_INT)
+    record_interval: int = field(default=500, metadata=POSITIVE_INT)
+    v_ges: float = field(default=1.0, metadata=POSITIVE)
+    drift_mv: float = field(default=0.0, metadata=FINITE)
 
     def __post_init__(self) -> None:
-        _check_side(self.side)
-        floats = (self.f_min_n, self.f_max_n, self.frequency_hz, self.v_ges, self.drift_mv)
-        if not all(map(math.isfinite, floats)):
-            raise ValueError("forces, frequency, supply voltage and drift must be finite")
-        if not 0 < self.f_min_n < self.f_max_n:
+        _check_fields(self)
+        if not self.f_min_n < self.f_max_n:
             raise ValueError("need 0 < f_min < f_max")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
-        if self.n_cycles < 1 or self.record_interval < 1:
-            raise ValueError("cycle counts must be positive")
         if self.n_cycles % self.record_interval != 0:
             raise ValueError("n_cycles must be a multiple of record_interval")
-        if self.v_ges <= 0:
-            raise ValueError("supply voltage must be positive")
 
 
 @dataclass(frozen=True)
 class FleetParams:
     """Per-side first-fracture Weibull parameters and the fleet size."""
 
-    f0_front_n: float = 1.22
-    beta_front: float = 10.69
-    f0_back_n: float = 0.77
-    beta_back: float = 7.21
-    count: int = 20
-    master_seed: int = 0
+    f0_front_n: float = field(default=1.22, metadata=POSITIVE)
+    beta_front: float = field(default=10.69, metadata=POSITIVE)
+    f0_back_n: float = field(default=0.77, metadata=POSITIVE)
+    beta_back: float = field(default=7.21, metadata=POSITIVE)
+    count: int = field(default=20, metadata=POSITIVE_INT)
+    master_seed: int = field(default=0, metadata=NONNEGATIVE_INT)
 
     def __post_init__(self) -> None:
-        weibull = (self.f0_front_n, self.beta_front, self.f0_back_n, self.beta_back)
-        if not all(0 < value < math.inf for value in weibull):
-            raise ValueError("Weibull parameters must be positive and finite")
-        if not isinstance(self.count, Integral):
-            raise ValueError("fleet size must be an integer")
-        if self.count < 1:
-            raise ValueError("fleet needs at least one specimen")
-        if not isinstance(self.master_seed, Integral) or self.master_seed < 0:
-            raise ValueError("expected non-negative integer")  # numpy's seed message
+        _check_fields(self)
 
     def side_params(self, side: str) -> tuple[float, float]:
         _check_side(side)

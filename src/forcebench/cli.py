@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -103,18 +102,17 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def _config_value(config: dict, key: str, kind: type):
-    """``config[key]`` cast to ``kind``; floats finite, ints integral, no booleans."""
+    """``config[key]`` cast to ``kind``; numbers must be JSON numbers, ints integral."""
     value = config[key]
+    if kind is str:
+        return value
     try:
-        cast = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
+        cast = kind(value) if type(value) in (int, float) else None
+    except (ValueError, OverflowError):  # int of nan or inf, float of a huge int
         cast = None
-    if kind is float and cast is not None and not math.isfinite(cast):
-        cast = None
-    if kind is int and isinstance(value, float) and value != cast:
-        cast = None
-    if cast is None:
-        raise ConfigError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}")
+    if cast is None or (kind is int and cast != value):
+        raise ConfigError(f"config key {key!r}: expected a JSON number ({kind.__name__}),"
+                          f" got {value!r}")
     return cast
 
 
@@ -429,10 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ForceBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ForceBenchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,6 +17,8 @@ The module provides
   * per-specimen hinge strengths plus the tensile-fracture criterion,
     including load redistribution inside a hinge ring and the load-path
     inversion once a full ring has broken away.
+  * the validation rules that the fields of the config dataclasses
+    declare as metadata, and the one checker that applies them.
 
 Each of these laws is written down once, here; the virtual rig and the
 analyser call these functions rather than restating them.
@@ -36,7 +38,8 @@ the resistor surface; only tensile stress can fracture a hinge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -84,42 +87,72 @@ OFFSET_GAIN_MV = {"A": -382.64, "B": -384.66, "C": -380.72, "D": -383.46}
 FAILURE_JUMP_FACTOR = 0.5
 
 
+# Validation rules, declared as dataclass field metadata, as in
+# ``x: float = field(default=1.0, metadata=POSITIVE)``.  A rule pairs the
+# text of what it expects with a test of one value; numbers exclude bool.
+def _rule(expected: str, kind: type, test) -> dict:
+    def passes(value) -> bool:
+        return isinstance(value, kind) and not isinstance(value, bool) and test(value)
+
+    return {"rule": (expected, passes)}
+
+
+FINITE = _rule("finite number", Real, lambda v: -math.inf < v < math.inf)
+POSITIVE = _rule("positive finite number", Real, lambda v: 0 < v < math.inf)
+NONNEGATIVE = _rule("nonnegative finite number", Real, lambda v: 0 <= v < math.inf)
+NEGATIVE = _rule("negative finite number", Real, lambda v: -math.inf < v < 0)
+POSITIVE_INT = _rule("integer >= 1", Integral, lambda v: v >= 1)
+NONNEGATIVE_INT = _rule("non-negative integer", Integral, lambda v: v >= 0)  # numpy's seed wording
+SIDE = _rule(f"one of {SIDES}", str, lambda v: v in SIDES)
+ARM_GAINS = _rule("finite numbers for arms A..D", dict, lambda v: set(v) == set(ARMS)
+                  and all(FINITE["rule"][1](x) for x in v.values()))
+
+
+def _check_value(name: str, value, rule: dict) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` passes ``rule``."""
+    expected, test = rule["rule"]
+    if not test(value):
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
+def _check_fields(obj) -> None:
+    """Check every field of the dataclass ``obj`` that declares a rule."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            _check_value(f.name, getattr(obj, f.name), f.metadata)
+
+
 @dataclass(frozen=True)
 class PiezoCoefficients:
     """Longitudinal and transversal piezoresistive coefficients [1/Pa]."""
 
-    pi_l: float = 71.8e-11
-    pi_t: float = -66.3e-11
+    pi_l: float = field(default=71.8e-11, metadata=FINITE)
+    pi_t: float = field(default=-66.3e-11, metadata=FINITE)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.pi_l) and math.isfinite(self.pi_t)):
-            raise ValueError("piezoresistive coefficients must be finite")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class StressState:
     """In-plane stress at a resistor, split along its orientation [Pa]."""
 
-    sigma_l: float = 0.0
-    sigma_t: float = 0.0
+    sigma_l: float = field(default=0.0, metadata=FINITE)
+    sigma_t: float = field(default=0.0, metadata=FINITE)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_l) and math.isfinite(self.sigma_t)):
-            raise ValueError("stress components must be finite")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class HingeId:
     """One of the eight membrane hinges: cross arm A..D, inner or outer."""
 
-    arm: str
-    position: str
+    arm: str = field(metadata=_rule(f"one of {ARMS}", str, lambda v: v in ARMS))
+    position: str = field(metadata=_rule(f"one of {POSITIONS}", str, lambda v: v in POSITIONS))
 
     def __post_init__(self) -> None:
-        if self.arm not in ARMS:
-            raise ValueError(f"arm must be one of {ARMS}, got {self.arm!r}")
-        if self.position not in POSITIONS:
-            raise ValueError(f"position must be one of {POSITIONS}, got {self.position!r}")
+        _check_fields(self)
 
     def __str__(self) -> str:
         return f"{self.arm}-{self.position}"
@@ -138,6 +171,7 @@ _JUMP = np.array([FAILURE_JUMP_FACTOR ** n for n in range(len(POSITIONS) + 1)])
 
 
 def _check_side(side: str) -> None:
+    # the SIDE rule as a bare membership test: the ramp kernel calls it per pass
     if side not in SIDES:
         raise ValueError(f"load side must be one of {SIDES}, got {side!r}")
 
@@ -154,27 +188,18 @@ class SensorSpec:
     aspect ratio 2.
     """
 
-    k1_front: float = K1_FRONT
-    k1_back: float = K1_BACK
-    k3_front: float = K3_FRONT
-    k3_back: float = K3_BACK
-    stress_gain_inner: float = STRESS_GAIN_INNER_FRONT
-    stress_gain_outer: float = STRESS_GAIN_OUTER_FRONT
-    offset_gain_mv: dict[str, float] = field(default_factory=lambda: dict(OFFSET_GAIN_MV))
+    k1_front: float = field(default=K1_FRONT, metadata=POSITIVE)
+    k1_back: float = field(default=K1_BACK, metadata=POSITIVE)
+    k3_front: float = field(default=K3_FRONT, metadata=NONNEGATIVE)
+    k3_back: float = field(default=K3_BACK, metadata=NONNEGATIVE)
+    stress_gain_inner: float = field(default=STRESS_GAIN_INNER_FRONT, metadata=NEGATIVE)
+    stress_gain_outer: float = field(default=STRESS_GAIN_OUTER_FRONT, metadata=POSITIVE)
+    offset_gain_mv: dict[str, float] = field(
+        default_factory=lambda: dict(OFFSET_GAIN_MV), metadata=ARM_GAINS
+    )
 
     def __post_init__(self) -> None:
-        if not (0 < self.k1_front < math.inf and 0 < self.k1_back < math.inf):
-            raise ValueError("linear stiffness k1 must be positive and finite")
-        if not (0 <= self.k3_front < math.inf and 0 <= self.k3_back < math.inf):
-            raise ValueError("hardening coefficient k3 must be nonnegative and finite")
-        if not -math.inf < self.stress_gain_inner < 0 < self.stress_gain_outer < math.inf:
-            raise ValueError(
-                "front-load stress gains must be finite, inner-negative, outer-positive"
-            )
-        if set(self.offset_gain_mv) != set(ARMS):
-            raise ValueError("offset gains must cover exactly arms A..D")
-        if not all(math.isfinite(v) for v in self.offset_gain_mv.values()):
-            raise ValueError("offset gains must be finite")
+        _check_fields(self)
 
     def k1(self, side: str) -> float:
         _check_side(side)
@@ -321,8 +346,7 @@ def force_at_displacement(
     :func:`degradation_factor`.
     """
     _check_side(side)
-    if dz < 0:
-        raise ValueError("displacement must be nonnegative")
+    _check_value("dz", dz, NONNEGATIVE)
     return degradation_factor(state) * intact_force(spec, side, dz)
 
 
@@ -337,8 +361,7 @@ def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
             residual.
     """
     _check_side(side)
-    if f_z < 0:
-        raise ValueError("normal force must be nonnegative")
+    _check_value("f_z", f_z, NONNEGATIVE)
     if f_z == 0.0:
         return 0.0
     k1, k3 = spec.k1(side), spec.k3(side)
@@ -386,10 +409,8 @@ def bridge_offsets_at_load(
     :func:`bridge_gains`; once arm C (supply leads) has a failed hinge,
     all readings are invalid (NaN).  ``state`` None is an intact sensor.
     """
-    if f_z < 0:
-        raise ValueError("normal force must be nonnegative")
-    if v_ges <= 0:
-        raise ValueError("supply voltage must be positive")
+    _check_value("f_z", f_z, NONNEGATIVE)
+    _check_value("v_ges", v_ges, POSITIVE)
     intact = np.ones(N_HINGES, dtype=bool) if state is None else state.intact
     return bridge_gains(spec, intact, side) * f_z * v_ges
 
@@ -467,8 +488,7 @@ def check_hinge_failures(
     redistribution from failures in this call only takes effect on the
     next call, so cascades play out step by step.
     """
-    if f_z < 0:
-        raise ValueError("normal force must be nonnegative")
+    _check_value("f_z", f_z, NONNEGATIVE)
     hit, order = hinge_breaks(spec, state.hinge_strength, state.intact, f_z, side)
     newly_failed = [ALL_HINGES[i] for i in order[: np.count_nonzero(hit)]]
     for hinge in newly_failed:

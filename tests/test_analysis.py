@@ -185,6 +185,14 @@ def test_detect_rejects_non_finite_thresholds(drop_fraction, drop_floor_n):
         detect_failures(make_curve(dz, f), drop_fraction, drop_floor_n)
 
 
+@pytest.mark.parametrize("name, value", [("drop_fraction", -0.1), ("drop_floor_n", -1.0)])
+def test_detect_rejects_negative_thresholds(name, value):
+    # a negative floor used to turn plain noise into failure events
+    dz, f = smooth_front_curve()
+    with pytest.raises(ValueError, match=f"^{name}: expected nonnegative finite number"):
+        detect_failures(make_curve(dz, f), **{name: value})
+
+
 def test_detect_drop_equal_to_threshold_is_no_failure():
     # 0.5 -> 0.25 drops by exactly 0.5 * 0.5; 0.25 -> 0.125 by exactly the floor
     curve = make_curve([0, 1, 2, 3], [0.5, 0.25, 0.125, -0.25])
@@ -427,6 +435,32 @@ def test_cycle_log_requires_constant_spacing():
 def test_cycle_log_rejects_non_finite_values(force, voff):
     with pytest.raises(ValueError, match="finite"):
         constant_log(n=20, force=force, voff=voff)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_degradation_rejects_bad_sigma_multiple(value):
+    with pytest.raises(ValueError, match="^sigma_multiple: expected positive finite number"):
+        degradation_report(constant_log(), sigma_multiple=value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("v_ges", np.nan), ("v_ges", 0.0), ("v_ges", -1.0),
+    ("record_interval", -7), ("record_interval", 0), ("record_interval", True),
+    ("record_interval", 1.5),
+])
+def test_cycle_log_rejects_bad_scalars(name, value):
+    log = constant_log(n=3)
+    scalars = {"v_ges": 1.0, "record_interval": 500, name: value}
+    with pytest.raises(ValueError, match=f"^{name}: expected"):
+        CycleLog(cycles=log.cycles, force_n=log.force_n, voff_mv=log.voff_mv, **scalars)
+
+
+@pytest.mark.parametrize("first", [2**53 - 1, -(2**53) - 4])
+def test_cycle_log_rejects_indices_beyond_float64(first):
+    # float64, which the writer formats cycles from, holds integers exactly up to 2**53
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        CycleLog(cycles=[first, first + 2], force_n=[0.5, 0.5], voff_mv=np.zeros((2, 4)),
+                 v_ges=1.0, record_interval=2)
 
 
 # ---------------------------------------------------------------- overload

@@ -89,6 +89,10 @@ def test_unknown_config_key_rejected(tmp_path):
         ("simulate-static", '{"fleet": true}', "fleet"),
         ("simulate-static", '{"f0_front_n": true}', "f0_front_n"),
         ("simulate-dynamic", '{"record_interval": false}', "record_interval"),
+        ("report", '{"sigma_multiple": -1}', "sigma_multiple"),
+        ("report", '{"drop_floor_n": -1}', "drop_floor_n"),
+        ("simulate-static", '{"fleet": "5"}', "fleet"),
+        ("simulate-static", '{"dz_max_um": "100"}', "dz_max_um"),
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, command, content, message):

@@ -361,6 +361,20 @@ def test_spec_rejects_non_finite_offset_gain(value):
         SensorSpec(offset_gain_mv=dict(OFFSET_GAIN_MV, A=value))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True, "0.5"])
+@pytest.mark.parametrize("name, call", [
+    ("f_z", lambda spec, v: displacement_at_force(spec, "front", v)),
+    ("dz", lambda spec, v: force_at_displacement(spec, "front", v)),
+    ("f_z", lambda spec, v: bridge_offsets_at_load(spec, v, "front", 1.0)),
+    ("v_ges", lambda spec, v: bridge_offsets_at_load(spec, 0.5, "front", v)),
+    ("f_z", lambda spec, v: check_hinge_failures(spec, make_state(), v, "front")),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_model_functions_name_a_bad_argument(spec, name, call, value):
+    # NaN forces and supply voltages used to pass the sign checks
+    with pytest.raises(ValueError, match=f"^{name}: expected "):
+        call(spec, value)
+
+
 def test_state_requires_positive_strengths():
     strengths = {h: 1000.0 for h in ALL_HINGES}
     strengths[HingeId("A", "inner")] = 0.0
