@@ -25,6 +25,7 @@ from .bench import (
     FleetParams,
     RigConfig,
     StaticProtocol,
+    iter_fleet,
     run_dynamic,
     run_fleet,
     run_static,

@@ -7,6 +7,7 @@ to translate budget forces into displacements.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +254,7 @@ def classify_failures(
 
 
 def fleet_summary(
-    curves: list[LoadCurve],
+    curves: Iterable[LoadCurve],
     spec: SensorSpec | None = None,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
@@ -266,26 +267,39 @@ def fleet_summary(
     evaluates the tolerable-load budget at the given probabilities.  The
     budget displacements come from the calibrated force-displacement law
     of ``spec`` (defaults to the standard design).
+
+    ``curves`` may be any iterable; it is read once, keeping only each
+    curve's fracture point and hinge positions.  A fleet that mixes load
+    sides is reported before the first error of a single curve, which is
+    held until the iterable is exhausted, so the iterable's own errors
+    come first.
     """
     if spec is None:
         spec = SensorSpec()
-    sides = {c.side for c in curves}
-    if len(sides) > 1:
-        raise ValueError(f"fleet mixes load sides: {sorted(sides)}")
-
+    sides: set[str] = set()
     forces, dzs = [], []
     counts = {"inner": 0, "outer": 0, UNKNOWN: 0}
+    error = None
     for curve in curves:
-        if len(curve) < 10:
-            raise InsufficientDataError("curves need at least 10 samples")
-        events = detect_failures(curve, drop_fraction, drop_floor_n)
-        if not events:
+        sides.add(curve.side)
+        if error is not None:
             continue
-        f, dz = fracture_point(curve, events)
-        forces.append(f)
-        dzs.append(dz)
-        for event in classify_failures(curve, events, curve.side):
-            counts[event.position] += 1
+        try:
+            if len(curve) < 10:
+                raise InsufficientDataError("curves need at least 10 samples")
+            events = detect_failures(curve, drop_fraction, drop_floor_n)
+            if events:
+                f, dz = fracture_point(curve, events)
+                forces.append(f)
+                dzs.append(dz)
+                for event in classify_failures(curve, events, curve.side):
+                    counts[event.position] += 1
+        except ValueError as exc:  # ForceBenchError included
+            error = exc
+    if len(sides) > 1:
+        raise ValueError(f"fleet mixes load sides: {sorted(sides)}")
+    if error is not None:
+        raise error
     if len(forces) < 3:
         raise InsufficientDataError(
             f"need at least 3 curves with detected failures, got {len(forces)}"
@@ -298,7 +312,7 @@ def fleet_summary(
     except DegenerateDataError:
         fit = None  # e.g. duplicated curves; stats are still meaningful
 
-    side = curves[0].side
+    (side,) = sides
     budget = []
     if fit is not None:
         for p in sorted(probabilities):

@@ -9,6 +9,7 @@ is a pure function of its inputs and seed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import OverloadError, ProtocolLimitError
 from .sensor import (
     ALL_HINGES,
     FINITE,
+    FLEET_SIZE,
     N_HINGES,
     NONNEGATIVE,
     NONNEGATIVE_INT,
@@ -35,7 +37,7 @@ from .sensor import (
     _check_side,
 )
 
-# Specimens that run_fleet advances through one kernel call.  Large enough
+# Specimens that iter_fleet advances through one kernel call.  Large enough
 # to spread numpy's per-call cost over many specimens, small enough that a
 # block's working arrays stay a few MB and do not raise peak memory.
 FLEET_BLOCK = 128
@@ -108,7 +110,7 @@ class FleetParams:
     beta_front: float = field(default=10.69, metadata=POSITIVE)
     f0_back_n: float = field(default=0.77, metadata=POSITIVE)
     beta_back: float = field(default=7.21, metadata=POSITIVE)
-    count: int = field(default=20, metadata=POSITIVE_INT)
+    count: int = field(default=20, metadata=FLEET_SIZE)
     master_seed: int = field(default=0, metadata=NONNEGATIVE_INT)
 
     def __post_init__(self) -> None:
@@ -158,7 +160,7 @@ def run_static(
     the following sample.  ``state`` ends with the ramp's damage.  This is
     the fleet kernel on a batch of one.
     """
-    return _run_block([state], [rng], spec, protocol, rig)[0]
+    return next(_run_block([state], [rng], spec, protocol, rig))
 
 
 def _run_block(
@@ -167,12 +169,14 @@ def _run_block(
     spec: SensorSpec,
     protocol: StaticProtocol,
     rig: RigConfig,
-) -> list[LoadCurve]:
-    """Ramp each specimen with its own generator; one curve per specimen.
+) -> Iterator[LoadCurve]:
+    """Ramp each specimen with its own generator; yield one curve per specimen.
 
     Each generator draws the contact offset, the jitter and the force
     noise of its ramp, in that order; the physics then advances the
-    whole block at once (see :func:`_ramp`).
+    whole block at once (see :func:`_ramp`) before the first curve is
+    yielded.  Each curve owns copies of its rows, so a curve that is kept
+    does not keep the block's arrays alive.
     """
     if protocol.dz_max_um > rig.dz_max_um:
         raise ProtocolLimitError(
@@ -198,10 +202,9 @@ def _run_block(
     voff = np.multiply(true_force[..., None], gains, out=gains)
     voff *= protocol.v_ges
     force = np.add(true_force, force_noise, out=force_noise)
-    return [
-        LoadCurve(side=protocol.side, dz_um=dz_cmd.copy(), force_n=f, voff_mv=v, valid=ok)
-        for f, v, ok in zip(force, voff, valid)
-    ]
+    for f, v, ok in zip(force, voff, valid):
+        yield LoadCurve(side=protocol.side, dz_um=dz_cmd.copy(), force_n=f.copy(),
+                        voff_mv=v.copy(), valid=ok.copy())
 
 
 def _ramp(
@@ -318,24 +321,37 @@ def specimen_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in children]
 
 
+def iter_fleet(
+    params: FleetParams,
+    spec: SensorSpec,
+    protocol: StaticProtocol,
+    rig: RigConfig,
+) -> Iterator[tuple[SensorState, LoadCurve]]:
+    """Destructively test a fleet; yield each specimen's state and curve.
+
+    Specimen seeds are spawned deterministically from the master seed, so
+    repeated runs are bit-identical and specimens are independent.  The
+    ramps run ``FLEET_BLOCK`` specimens at a time through the kernel of
+    :func:`run_static`, each drawing from its own generator in the same
+    order, so every curve equals the one ``run_static`` gives and every
+    state ends with the damage and failure order ``run_static`` leaves.
+    Only the current block is held: each block spawns its generators from
+    one shared seed sequence, which hands out the same children as
+    spawning the whole fleet at once.
+    """
+    seeds = np.random.SeedSequence(params.master_seed)
+    for first in range(0, params.count, FLEET_BLOCK):
+        size = min(FLEET_BLOCK, params.count - first)
+        rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
+        states = [sample_specimen(params, protocol.side, rng, spec) for rng in rngs]
+        yield from zip(states, _run_block(states, rngs, spec, protocol, rig))
+
+
 def run_fleet(
     params: FleetParams,
     spec: SensorSpec,
     protocol: StaticProtocol,
     rig: RigConfig,
 ) -> list[LoadCurve]:
-    """Destructively test a whole fleet; one curve per specimen.
-
-    Specimen seeds are spawned deterministically from the master seed, so
-    repeated runs are bit-identical and specimens are independent.  The
-    ramps run ``FLEET_BLOCK`` specimens at a time through the kernel of
-    :func:`run_static`, each drawing from its own generator in the same
-    order, so every curve equals the one ``run_static`` gives.
-    """
-    rngs = specimen_rngs(params.master_seed, params.count)
-    curves = []
-    for first in range(0, len(rngs), FLEET_BLOCK):
-        block = rngs[first : first + FLEET_BLOCK]
-        states = [sample_specimen(params, protocol.side, rng, spec) for rng in block]
-        curves += _run_block(states, block, spec, protocol, rig)
-    return curves
+    """Destructively test a whole fleet; one curve per specimen (see :func:`iter_fleet`)."""
+    return [curve for _, curve in iter_fleet(params, spec, protocol, rig)]

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,8 @@ from .bench import (
     FleetParams,
     RigConfig,
     StaticProtocol,
+    iter_fleet,
     run_dynamic,
-    run_fleet,
     sample_specimen,
 )
 from .errors import ForceBenchError
@@ -55,18 +56,20 @@ from .weibull import WeibullFit, fit_weibull, invert_failure_probability
 # Config keys of the FleetParams fields that the config names differently.
 _CONFIG_KEY = {"count": "fleet", "master_seed": "seed"}
 
-# Config keys and defaults: the protocol and fleet dataclass fields plus the
-# analysis parameters.  A seed has no default; simulations require one.
-CONFIG_DEFAULTS = {
+# Config keys and their types: the protocol and fleet dataclass fields plus
+# the analysis parameters, typed by their defaults.
+_DEFAULTS = {
     _CONFIG_KEY.get(f.name, f.name): f.default
     for cls in (StaticProtocol, DynamicProtocol, FleetParams)
     for f in dataclasses.fields(cls)
 } | {
-    "seed": None,
     "drop_fraction": DEFAULT_DROP_FRACTION,
     "drop_floor_n": DEFAULT_DROP_FLOOR_N,
     "sigma_multiple": DEFAULT_SIGMA_MULTIPLE,
 }
+CONFIG_TYPES = {key: type(default) for key, default in _DEFAULTS.items()}
+# A seed has no default; simulations require one.
+CONFIG_DEFAULTS = _DEFAULTS | {"seed": None}
 
 
 class ConfigError(ForceBenchError):
@@ -101,35 +104,45 @@ def load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _config_value(config: dict, key: str, kind: type):
-    """``config[key]`` cast to ``kind``; numbers must be JSON numbers, ints integral."""
-    value = config[key]
+def _cast(key: str, value):
+    """``value`` cast to the type of ``key``, or None unless it is a JSON
+    number of that type (ints integral); strings pass unchanged."""
+    kind = CONFIG_TYPES[key]
     if kind is str:
         return value
     try:
         cast = kind(value) if type(value) in (int, float) else None
     except (ValueError, OverflowError):  # int of nan or inf, float of a huge int
-        cast = None
-    if cast is None or (kind is int and cast != value):
-        raise ConfigError(f"config key {key!r}: expected a JSON number ({kind.__name__}),"
-                          f" got {value!r}")
+        return None
+    return None if kind is int and cast != value else cast
+
+
+def _config_value(config: dict, key: str):
+    """``config[key]`` cast to the type of ``key``, or a ``ConfigError``."""
+    cast = _cast(key, config[key])
+    if cast is None:
+        raise ConfigError(f"config key {key!r}: expected a JSON number"
+                          f" ({CONFIG_TYPES[key].__name__}), got {config[key]!r}")
     return cast
+
+
+def _hashed(config: dict) -> dict:
+    """The config as the commands read it, for its hash: each value that casts
+    to its key's type is cast, so ``5.0`` and ``5`` for an integer hash alike."""
+    return {key: value if (cast := _cast(key, value)) is None else cast
+            for key, value in config.items()}
 
 
 def _from_config(cls: type, config: dict):
     """An instance of a config dataclass, each value cast to its field's type."""
-    return cls(
-        **{
-            f.name: _config_value(config, _CONFIG_KEY.get(f.name, f.name), type(f.default))
-            for f in dataclasses.fields(cls)
-        }
-    )
+    return cls(**{f.name: _config_value(config, _CONFIG_KEY.get(f.name, f.name))
+                  for f in dataclasses.fields(cls)})
 
 
 def require_seed(config: dict) -> int:
     if config["seed"] is None:
         raise ConfigError("a seed is required (--seed or config file)")
-    return _config_value(config, "seed", int)
+    return _config_value(config, "seed")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -147,14 +160,35 @@ def _fit_payload(fit: WeibullFit | None) -> dict | None:
     return {"f0_n": fit.f0, "beta": fit.beta, "r": r}
 
 
-def _fleet_payload(curves: list[LoadCurve], spec: SensorSpec, config: dict) -> dict:
+class _Fleet:
+    """A fleet's curves, made one at a time as they are iterated; ``len``
+    is the fleet size, known up front (perfbench counts curves by it)."""
+
+    def __init__(self, curves: Iterable[LoadCurve], count: int):
+        self.curves, self.count = curves, count
+
+    def __iter__(self):
+        return iter(self.curves)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def drain(self) -> None:
+        """Make every curve and drop it: for the errors of making them."""
+        for _ in self:
+            pass
+
+
+def _fleet_payload(curves: _Fleet, spec: SensorSpec, config: dict) -> dict:
     """Summarise a fleet, print its table and return its JSON payload."""
-    summary = fleet_summary(
-        curves,
-        spec,
-        drop_fraction=_config_value(config, "drop_fraction", float),
-        drop_floor_n=_config_value(config, "drop_floor_n", float),
-    )
+    try:
+        drop_fraction = _config_value(config, "drop_fraction")
+        drop_floor_n = _config_value(config, "drop_floor_n")
+    except ConfigError:
+        curves.drain()  # an error making a curve (a bad file, the rig limit) comes first
+        raise
+    summary = fleet_summary(curves, spec, drop_fraction=drop_fraction,
+                            drop_floor_n=drop_floor_n)
     payload = {
         "side": summary.side,
         "n_curves": summary.n_curves,
@@ -224,13 +258,12 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     protocol = _from_config(StaticProtocol, config)
     rig = RigConfig()
     params = _from_config(FleetParams, config)
-    curves = run_fleet(params, SensorSpec(), protocol, rig)
     files = []
-    for i, curve in enumerate(curves):
+    for i, (_, curve) in enumerate(iter_fleet(params, SensorSpec(), protocol, rig)):
         name = f"specimen_{i:03d}.csv"
         write_load_curve_csv(out / name, curve)
         files.append(name)
-    write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
+    write_manifest(out, "static-fleet", seed, protocol, rig, _hashed(config), files,
                    fleet=params.count)
     print(f"wrote {len(files)} curves and manifest.json to {out}")
     return 0
@@ -247,7 +280,8 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     state = sample_specimen(params, protocol.side, rng)
     log = run_dynamic(state, SensorSpec(), protocol, rig, rng)
     write_cycle_log_csv(out / "cycles.csv", log)
-    write_manifest(out, "cycle-log", seed, protocol, rig, config, ["cycles.csv"])
+    write_manifest(out, "cycle-log", seed, protocol, rig, _hashed(config),
+                   ["cycles.csv"])
     print(f"wrote cycles.csv ({len(log)} records) and manifest.json to {out}")
     return 0
 
@@ -274,8 +308,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args)
     paths, manifest_side = _collect_curve_paths(args.inputs)
     side = args.side or manifest_side or config["side"]
-    curves = [read_load_curve_csv(p, side) for p in paths]
+    curves = _Fleet((read_load_curve_csv(p, side) for p in paths), len(paths))
     if len(curves) < 3:
+        curves.drain()  # a file's own error comes first
         raise ConfigError(f"need at least 3 curves to analyze, got {len(curves)}")
     payload = _fleet_payload(curves, SensorSpec(), config)
     if getattr(args, "out", None):
@@ -317,9 +352,9 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
 
 def cmd_degradation(args: argparse.Namespace) -> int:
     config = load_config(args)
-    log = read_cycle_log_csv(Path(args.input), v_ges=_config_value(config, "v_ges", float))
+    log = read_cycle_log_csv(Path(args.input), v_ges=_config_value(config, "v_ges"))
     report = degradation_report(
-        log, sigma_multiple=_config_value(config, "sigma_multiple", float)
+        log, sigma_multiple=_config_value(config, "sigma_multiple")
     )
     payload = dataclasses.asdict(report)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -342,21 +377,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     for side, side_seed in zip(("front", "back"), sub_seeds[:2]):
         side_config = dict(config, side=side, seed=int(side_seed))
         params = _from_config(FleetParams, side_config)
-        curves = run_fleet(params, spec, _from_config(StaticProtocol, side_config), rig)
-        sides_payload[side] = _fleet_payload(curves, spec, config)
+        protocol = _from_config(StaticProtocol, side_config)
+        curves = (curve for _, curve in iter_fleet(params, spec, protocol, rig))
+        sides_payload[side] = _fleet_payload(_Fleet(curves, params.count), spec, config)
         print()
     dyn_rng = np.random.default_rng(np.random.SeedSequence(int(sub_seeds[2])))
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
     state = sample_specimen(_from_config(FleetParams, config), "front", dyn_rng)
     log = run_dynamic(state, spec, dyn_protocol, rig, dyn_rng)
     degradation = degradation_report(
-        log, sigma_multiple=_config_value(config, "sigma_multiple", float)
+        log, sigma_multiple=_config_value(config, "sigma_multiple")
     )
     _print_degradation_table(degradation)
     report = {
         "version": __version__,
         "seed": seed,
-        "config_sha256": config_hash(config),
+        "config_sha256": config_hash(_hashed(config)),
         "sides": sides_payload,
         "dynamic": dataclasses.asdict(degradation),
     }

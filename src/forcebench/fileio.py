@@ -121,7 +121,9 @@ def read_manifest(directory: Path) -> tuple[list[str], str | None]:
 
 def _float_table(columns: list) -> np.ndarray:
     """The columns (1-D or 2-D arrays of equal length) side by side, as floats."""
-    return np.column_stack(columns).astype(float) + 0.0  # +0.0 normalizes -0.0
+    table = np.column_stack(columns).astype(float)
+    table[table == 0] = 0.0  # writes -0.0 as 0; adding 0.0 would signal on a signalling NaN
+    return table
 
 
 def _write_table(path: Path, schema: _Schema, lead: np.ndarray, values: np.ndarray,

@@ -103,6 +103,9 @@ NONNEGATIVE = _rule("nonnegative finite number", Real, lambda v: 0 <= v < math.i
 NEGATIVE = _rule("negative finite number", Real, lambda v: -math.inf < v < 0)
 POSITIVE_INT = _rule("integer >= 1", Integral, lambda v: v >= 1)
 NONNEGATIVE_INT = _rule("non-negative integer", Integral, lambda v: v >= 0)  # numpy's seed wording
+# the largest length of a numpy array, or of one spawn of seeds
+FLEET_SIZE = _rule(f"integer fleet size from 1 to {np.iinfo(np.intp).max}", Integral,
+                   lambda v: 1 <= v <= np.iinfo(np.intp).max)
 SIDE = _rule(f"one of {SIDES}", str, lambda v: v in SIDES)
 ARM_GAINS = _rule("finite numbers for arms A..D", dict, lambda v: set(v) == set(ARMS)
                   and all(FINITE["rule"][1](x) for x in v.values()))

@@ -352,6 +352,34 @@ def test_fleet_summary_handles_duplicated_curves():
     assert summary.fit is None and summary.budget == []
 
 
+def test_fleet_summary_reads_any_iterable_once(front_fleet_curves):
+    assert fleet_summary(iter(front_fleet_curves)) == fleet_summary(front_fleet_curves)
+    assert fleet_summary(c for c in front_fleet_curves) == fleet_summary(front_fleet_curves)
+
+
+def test_mixed_sides_reported_before_a_short_curve(front_fleet_curves):
+    dz, f = smooth_front_curve(5)
+    curves = [make_curve(dz, f), *front_fleet_curves[:3], make_curve(dz, f, side="back")]
+    with pytest.raises(ValueError, match="mixes load sides"):
+        fleet_summary(iter(curves))
+
+
+def test_curve_errors_held_until_the_iterable_ends(front_fleet_curves):
+    dz, f = smooth_front_curve(9)
+
+    def curves():
+        yield from front_fleet_curves[:3]
+        yield make_curve(dz, f)
+        raise OSError("the iterable's own error")
+
+    with pytest.raises(OSError, match="own error"):
+        fleet_summary(curves())
+    with pytest.raises(InsufficientDataError, match="10 samples"):
+        fleet_summary([*front_fleet_curves[:3], make_curve(dz, f)])
+    with pytest.raises(ValueError, match="drop_fraction"):
+        fleet_summary(iter(front_fleet_curves), drop_fraction=-1.0)
+
+
 def test_fleet_summary_needs_three_failed_curves():
     dz, f = smooth_front_curve()
     curves = [make_curve(dz, f) for _ in range(5)]

@@ -19,6 +19,7 @@ from forcebench import (
     detect_failures,
     fit_weibull,
     fracture_point,
+    iter_fleet,
     run_dynamic,
     run_fleet,
     run_static,
@@ -557,3 +558,30 @@ def test_protocol_limit_raised_before_any_draw():
     assert state.intact.all() and state.failure_order == []
     with pytest.raises(ProtocolLimitError):
         run_fleet(FleetParams(count=3), SPEC, StaticProtocol(dz_max_um=300.0), RigConfig())
+
+
+# ------------------------------------------------------------- streamed fleets
+
+def test_iter_fleet_matches_run_fleet_and_run_static():
+    # three blocks, the last one partial: each block spawns its own seeds
+    params = FleetParams(count=2 * FLEET_BLOCK + 44, master_seed=31)
+    protocol, rig = StaticProtocol(side="back"), RigConfig()
+    streamed = list(iter_fleet(params, SPEC, protocol, rig))
+    fleet = run_fleet(params, SPEC, protocol, rig)
+    assert len(streamed) == len(fleet) == params.count
+    rngs = specimen_rngs(params.master_seed, params.count)
+    for (state, curve), fleet_curve, rng in zip(streamed, fleet, rngs):
+        assert_same_curve(curve, fleet_curve)
+        alone = sample_specimen(params, protocol.side, rng, SPEC)
+        assert_same_curve(curve, run_static(alone, SPEC, protocol, rig, rng))
+        assert state.hinge_strength.tobytes() == alone.hinge_strength.tobytes()
+        assert state.intact.tolist() == alone.intact.tolist()
+        assert state.failure_order == alone.failure_order
+
+
+def test_fleet_size_bounded_by_numpy_index_type():
+    largest = int(np.iinfo(np.intp).max)
+    assert FleetParams(count=largest).count == largest
+    for count in (largest + 1, 10**400):
+        with pytest.raises(ValueError, match="count: expected integer fleet size"):
+            FleetParams(count=count)

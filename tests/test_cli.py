@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from forcebench.analysis import LoadCurve
 from forcebench.cli import main
 from forcebench.fileio import (
     read_cycle_log_csv,
@@ -57,6 +59,32 @@ def test_simulate_static_rejects_overlong_ramp(tmp_path, capsys):
                    "--config", str(config), "--out", str(tmp_path / "x"))
     assert code == 2
     assert "300" in capsys.readouterr().err
+
+
+def test_oversized_fleet_exits_two_and_writes_no_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for fleet in (2**63, 10**400):
+        config.write_text(f'{{"fleet": {fleet}}}')
+        for command in ("simulate-static", "report"):
+            out = tmp_path / command
+            assert run_cli(command, "--seed", "1", "--config", str(config),
+                           "--out", str(out)) == 2
+            assert "fleet" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, record", [
+    ("simulate-static", "manifest.json"), ("report", "report.json")])
+def test_config_hash_is_of_the_values_read(tmp_path, command, record):
+    digests = set()
+    for name, text in [("float", '{"fleet": 4.0, "dz_max_um": 200}'),
+                       ("int", '{"fleet": 4, "dz_max_um": 200.0}'), ("default", "{}")]:
+        config, out = tmp_path / f"{name}.json", tmp_path / name
+        config.write_text(text)
+        assert run_cli(command, "--seed", "3", "--fleet", "4", "--config", str(config),
+                       "--out", str(out)) == 0
+        digests.add(json.loads((out / record).read_text())["config_sha256"])
+    assert len(digests) == 1
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -225,6 +253,42 @@ def test_header_only_files_exit_two_without_warning(tmp_path, capsys):
 
 def test_analyze_needs_three_curves(fleet_dir):
     assert run_cli("analyze", str(fleet_dir / "specimen_000.csv")) == 2
+
+
+def test_analyze_missing_file_reported_before_too_few_curves(fleet_dir, tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run_cli("analyze", str(fleet_dir / "specimen_000.csv"), str(missing)) == 3
+    assert "missing.csv" in capsys.readouterr().err
+
+
+def test_analyze_malformed_file_reported_before_short_curve(fleet_dir, tmp_path, capsys):
+    curve = read_load_curve_csv(fleet_dir / "specimen_000.csv", "front")
+    short = LoadCurve(side="front", dz_um=curve.dz_um[:9], force_n=curve.force_n[:9],
+                      voff_mv=curve.voff_mv[:9], valid=curve.valid[:9])
+    write_load_curve_csv(tmp_path / "short.csv", short)
+    (tmp_path / "mangled.csv").write_text(
+        "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n0,0.0,zero,0,0,0,0,1\n")
+    assert run_cli("analyze", str(tmp_path / "short.csv"), str(tmp_path / "mangled.csv"),
+                   str(fleet_dir / "specimen_001.csv")) == 2
+    assert "mangled.csv:2: not a number: 'zero'" in capsys.readouterr().err
+
+
+def test_analyze_missing_file_reported_before_bad_threshold(fleet_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"drop_fraction": "x"}')
+    assert run_cli("analyze", str(fleet_dir / "specimen_000.csv"),
+                   str(fleet_dir / "specimen_001.csv"), str(tmp_path / "missing.csv"),
+                   "--config", str(config)) == 3
+    assert "missing.csv" in capsys.readouterr().err
+
+
+def test_report_rig_limit_reported_before_bad_threshold(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"drop_fraction": "x", "dz_max_um": 300.0}')
+    assert run_cli("report", "--seed", "3", "--config", str(config),
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "300" in err and "drop_fraction" not in err
 
 
 def test_curve_csv_schema(fleet_dir):
@@ -417,6 +481,21 @@ def test_report_end_to_end(tmp_path):
     assert len(payload["config_sha256"]) == 64
     # serialized report round-trips losslessly
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_report_memory_does_not_grow_with_the_fleet(tmp_path, capsys):
+    # the fleets are streamed: a peak that grew with them would hold every curve;
+    # the first run pays one-time allocations and is not measured
+    peaks = []
+    for fleet in (3, 150, 600):
+        tracemalloc.start()
+        try:
+            assert run_cli("report", "--seed", "3", "--fleet", str(fleet),
+                           "--out", str(tmp_path / str(fleet))) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.5 * peaks[1], peaks
 
 
 def test_report_rerun_identical(tmp_path):

@@ -184,6 +184,20 @@ def test_curve_edge_values_written_as_before(tmp_path):
         "0,0,0,nan,nan,nan,nan,0", "1,0,1.5,0,1,nan,2,1"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_signalling_nan_offset_written_as_nan(tmp_path):
+    signalling = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+    curves = [LoadCurve(side="front", dz_um=[0.0, 1.0], force_n=[-0.0, 1.0],
+                        voff_mv=[[nan, -0.0, 1.0, 2.0], [nan] * 4], valid=[True, False])
+              for nan in (signalling, np.nan)]
+    assert np.isnan(curves[0].voff_mv[0, 0])
+    write_load_curve_csv(tmp_path / "signalling.csv", curves[0])
+    write_load_curve_csv(tmp_path / "quiet.csv", curves[1])
+    text = (tmp_path / "signalling.csv").read_bytes()
+    assert text == (tmp_path / "quiet.csv").read_bytes() == reference_curve_bytes(curves[1])
+    assert text.splitlines()[1:] == [b"0,0,0,nan,0,1,2,1", b"1,1,1,nan,nan,nan,nan,0"]
+
+
 def seeded_curve(grid, rng):
     """A curve on ``grid`` with random forces, offsets (some NaN) and flags."""
     n = len(grid)

@@ -27,6 +27,8 @@ from forcebench import (
 )
 from forcebench.sensor import ARMS, OFFSET_GAIN_MV
 
+INTP_MAX = int(np.iinfo(np.intp).max)
+
 CONFIG_CLASSES = (RigConfig, StaticProtocol, DynamicProtocol, FleetParams, SensorSpec)
 
 # Each ruled class with the arguments it needs besides its ruled defaults.
@@ -74,6 +76,7 @@ def accepts(expected: str, value) -> bool:
         "negative finite number": number and math.isfinite(value) and value < 0,
         "integer >= 1": integer and value >= 1,
         "non-negative integer": integer and value >= 0,
+        f"integer fleet size from 1 to {INTP_MAX}": integer and 1 <= value <= INTP_MAX,
     }[expected]
 
 
