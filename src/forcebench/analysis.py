@@ -290,6 +290,10 @@ def fleet_summary(
             events = detect_failures(curve, drop_fraction, drop_floor_n)
             if events:
                 f, dz = fracture_point(curve, events)
+                if not f > 0:  # a floor below the noise finds drops at rest
+                    raise ValueError(
+                        f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
+                        f" {f!r} N, not a positive force; set it above the force noise")
                 forces.append(f)
                 dzs.append(dz)
                 for event in classify_failures(curve, events, curve.side):

@@ -146,11 +146,11 @@ def require_seed(config: dict) -> int:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """The required ``--out`` directory, not yet made: a command makes it
+    once its config is cast and checked, so a refused one leaves none."""
     if not getattr(args, "out", None):
         raise ConfigError("an output directory is required (--out)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 def _fit_payload(fit: WeibullFit | None) -> dict | None:
@@ -258,6 +258,7 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     protocol = _from_config(StaticProtocol, config)
     rig = RigConfig()
     params = _from_config(FleetParams, config)
+    out.mkdir(parents=True, exist_ok=True)
     files = []
     for i, (_, curve) in enumerate(iter_fleet(params, SensorSpec(), protocol, rig)):
         name = f"specimen_{i:03d}.csv"
@@ -279,6 +280,7 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = sample_specimen(params, protocol.side, rng)
     log = run_dynamic(state, SensorSpec(), protocol, rig, rng)
+    out.mkdir(parents=True, exist_ok=True)
     write_cycle_log_csv(out / "cycles.csv", log)
     write_manifest(out, "cycle-log", seed, protocol, rig, _hashed(config),
                    ["cycles.csv"])
@@ -396,6 +398,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "sides": sides_payload,
         "dynamic": dataclasses.asdict(degradation),
     }
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report)
     print(f"\nwrote report.json to {out}")
     return 0

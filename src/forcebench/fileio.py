@@ -283,13 +283,13 @@ def read_force_column_csv(path: Path) -> np.ndarray:
     skipped.  A first line whose first field is not a number is the header.
     """
     text = path.read_text()
-    head, _, rest = text.partition("\n")
-    head = head.splitlines()[:1]  # the first line as splitlines ends it
+    end = text.find("\n") if "\n" in text else len(text)  # the first line's end
+    head = text[:end].splitlines()[:1]  # the first line as splitlines ends it
     first = head[0].split(",", 1)[0].strip() if head else ""
     start = 1 if first and _rejects([first]) else 0
-    body = rest if start else text
     if (
-        len(body) > body.count("\n")  # some line is not empty
+        # some line after the header is not empty: more characters than "\n"s
+        len(text) - (end if start else 0) > text.count("\n")
         and not any(sep in text for sep in _OTHER_LINE_BREAKS)
         and path.suffix not in _ARCHIVE_SUFFIXES
     ):

@@ -8,7 +8,9 @@ budgets, the R goodness-of-fit statistic and the distribution moments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -16,9 +18,10 @@ import numpy as np
 from .errors import DegenerateDataError, InsufficientDataError
 
 
-# Loads that fit_weibull turns into Python floats at a time: the scalar
-# math is what fixes the bits, and a whole 1M-force list at once would
-# add 32 MB to the fit's peak memory.
+# Loads that _cdf_of turns into Python floats at a time: libm's pow and
+# expm1 on Python floats, as in _cdf, are what fix the bits of the fitted
+# CDF, and a whole 1M-force list at once would add 32 MB to the fit's peak
+# memory.
 _CDF_CHUNK = 1 << 16
 
 
@@ -87,10 +90,12 @@ def r_parameter(y: Sequence[float], y_prime: Sequence[float]) -> float:
     yp = np.asarray(y_prime, dtype=float)
     if ya.shape != yp.shape or ya.ndim != 1 or ya.size < 1:
         raise ValueError("y and y_prime must be equal-length 1-d sequences")
-    ss = float(np.sum(ya**2))
+    squares = np.square(ya)
+    ss = float(np.sum(squares))
     if ss == 0.0:
         raise DegenerateDataError("sum of squared reference values is zero")
-    return (ss - float(np.sum((ya - yp) ** 2))) / ss
+    np.square(np.subtract(ya, yp, out=squares), out=squares)
+    return (ss - float(np.sum(squares))) / ss
 
 
 def fit_weibull(forces: Sequence[float]) -> WeibullFit:
@@ -100,7 +105,8 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     so the order of ties cannot show), assigned median ranks p_i, and
     y = ln(-ln(1 - p_i)) is regressed on x = ln(f_i).  beta is the slope
     and f0 = exp(-intercept/beta).  The reported r compares the empirical
-    ranks with the fitted CDF on the probability scale.
+    ranks with the fitted CDF on the probability scale, which has the bits
+    of the scalar law :func:`_cdf` at every load (see :func:`_cdf_of`).
     """
     f = np.asarray(forces, dtype=float)
     if f.ndim != 1 or f.size < 3:
@@ -111,22 +117,45 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     if f_sorted[0] == f_sorted[-1]:
         raise DegenerateDataError("all fracture loads are equal; no spread to fit")
 
+    # The regression's temporaries are made in place: the same ufuncs in the
+    # same order as out of place, so the same bits, in less memory.
     p = median_ranks(f.size)
     x = np.log(f_sorted)
-    y = np.log(-np.log1p(-p))
+    y = np.negative(p)
+    np.log(np.negative(np.log1p(y, out=y), out=y), out=y)  # ln(-ln(1 - p))
     x_mean, y_mean = x.mean(), y.mean()
-    sxx = float(np.sum((x - x_mean) ** 2))
-    sxy = float(np.sum((x - x_mean) * (y - y_mean)))
+    x -= x_mean
+    y -= y_mean
+    y *= x  # (x - x_mean) * (y - y_mean)
+    sxx = float(np.sum(np.square(x, out=x)))
+    sxy = float(np.sum(y))
+    del x, y  # the fitted CDF takes their place in memory
     beta = sxy / sxx
     intercept = y_mean - beta * x_mean
     f0 = math.exp(-intercept / beta)
 
     WeibullFit(f0=f0, beta=beta)  # rejects a non-finite or non-positive fit
-    fitted_p = np.empty(f_sorted.size)
-    for i in range(0, f_sorted.size, _CDF_CHUNK):
-        loads = f_sorted[i : i + _CDF_CHUNK].tolist()
-        fitted_p[i : i + _CDF_CHUNK] = [_cdf(v, f0, beta) for v in loads]
-    return WeibullFit(f0=f0, beta=beta, r=r_parameter(p, fitted_p))
+    return WeibullFit(f0=f0, beta=beta, r=r_parameter(p, _cdf_of(f_sorted, f0, beta)))
+
+
+def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:
+    """:func:`_cdf` at every load, bit for bit, with no Python frame per load.
+
+    numpy's division is IEEE like Python's, and ``map`` puts each quotient
+    through the same libm ``pow`` and ``expm1`` as ``_cdf`` (numpy's own
+    ``**`` and ``expm1`` differ in the last bit); negation is exact.  A
+    chunk where ``pow`` overflows is done again by ``_cdf`` itself.
+    """
+    cdf = np.empty(loads.size)
+    for i in range(0, loads.size, _CDF_CHUNK):
+        part, out = loads[i : i + _CDF_CHUNK], cdf[i : i + _CDF_CHUNK]
+        try:
+            out[:] = np.fromiter(map(math.expm1, map(operator.neg, map(
+                pow, (part / f0).tolist(), repeat(beta)))), float, out.size)
+            np.negative(out, out=out)
+        except OverflowError:
+            out[:] = [_cdf(v, f0, beta) for v in part.tolist()]
+    return cdf
 
 
 def weibull_mean_std(fit: WeibullFit) -> tuple[float, float]:

@@ -65,12 +65,36 @@ def test_oversized_fleet_exits_two_and_writes_no_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     for fleet in (2**63, 10**400):
         config.write_text(f'{{"fleet": {fleet}}}')
-        for command in ("simulate-static", "report"):
+        for command in ("simulate-static", "simulate-dynamic", "report"):
             out = tmp_path / command
             assert run_cli(command, "--seed", "1", "--config", str(config),
                            "--out", str(out)) == 2
             assert "fleet" in capsys.readouterr().err
-            assert list(out.iterdir()) == []
+            assert not out.exists()
+
+
+def test_output_directory_is_required_before_the_config_is_cast(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"fleet": 0}')
+    for command in ("simulate-static", "simulate-dynamic", "report"):
+        assert run_cli(command, "--seed", "1", "--config", str(config)) == 2
+        assert "an output directory is required" in capsys.readouterr().err
+
+
+def test_drop_floor_below_the_noise_is_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"drop_floor_n": 0}')
+    out = tmp_path / "out"
+    assert run_cli("report", "--seed", "4", "--fleet", "3", "--config", str(config),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "drop_floor_n: 0.0 detects a first fracture at" in err
+    assert "not a positive force" in err
+    assert not out.exists()
+    # where every first fracture stays positive, a floor of 0 still works
+    data = tmp_path / "data"
+    assert run_cli("simulate-static", "--seed", "14", "--fleet", "5", "--out", str(data)) == 0
+    assert run_cli("analyze", str(data), "--config", str(config)) == 0
 
 
 @pytest.mark.parametrize("command, record", [

@@ -1,6 +1,7 @@
 """The CSV table codec: round trips, the writer, the parser, and its error and empty cases."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -416,6 +417,46 @@ def test_header_only_cycle_log_has_no_data_rows(tmp_path):
     path.write_text(CYCLE_HEADER + "\n")
     with pytest.raises(DataFormatError, match="empty.csv: no data rows$"):
         read_cycle_log_csv(path)
+
+
+# A force file's text -> its forces, or the end of its error message.  The
+# reader picks its parser by counting characters and line ends; these are
+# the edges of that count.
+FORCE_FILES = {
+    "": "f.csv: no numeric data",
+    "force_N": "f.csv: no numeric data",
+    "force_N\n": "f.csv: no numeric data",
+    "force_N\n\n\n": "f.csv: no numeric data",
+    "force_N\r\n\r\n": "f.csv: no numeric data",
+    "\n\n\n": "f.csv: no numeric data",
+    " \n \n": "f.csv: no numeric data",
+    "force_N\n\x0c": "f.csv: no numeric data",
+    "force_N\r\n1.5\r\n2.5\r\n": [1.5, 2.5],
+    "1.5\r2.5": [1.5, 2.5],
+    "1.5\n2.5": [1.5, 2.5],
+    "force_N\n1.5": [1.5],
+    "1.5": [1.5],
+    "\n1.5\n": [1.5],
+    "force_N\n\n1.5\n\n2.5\n\n": [1.5, 2.5],
+    "force_N\n1.5\x0c2\n2.5\n": [1.5, 2.0, 2.5],
+    "force_N\x0c1.5\n2.5\n": [1.5, 2.5],
+    "\x0c\n1\n": [1.0],
+    "force_N\n1.5\x0cabc\n": "f.csv:3: not a number: 'abc'",
+    "force_N\nabc\n": "f.csv:2: not a number: 'abc'",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, expected", list(FORCE_FILES.items()),
+                         ids=[repr(text) for text in FORCE_FILES])
+def test_force_file_edges(tmp_path, text, expected):
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError, match=re.escape(expected) + "$"):
+            read_force_column_csv(path)
+    else:
+        assert read_force_column_csv(path).tolist() == expected
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,6 +9,7 @@ them in the same change and say why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from forcebench.cli import main
@@ -65,3 +66,33 @@ def test_analysis_outputs_match_golden_digest(simulate, analyse, tmp_path, capsy
     assert main([arg.format(data) for arg in analyse] + ["--out", str(out)]) == 0
     (out / "stdout.txt").write_text(capsys.readouterr().out)
     assert output_digest(out) == PIPELINE_GOLDEN[(simulate, analyse)]
+
+
+# fit-weibull on seeded force files: (count, invert) -> digest of stdout,
+# the same with and without a header line.  65 537 loads is one past a
+# chunk of the fit's exact CDF loop.
+FIT_GOLDEN = {
+    (20, False): "2bcb2bcab3a1a8c775c1b1ddf4e4071cb505134c204bcd4d900ee9a0559dbd82",
+    (20, True): "f6103ae95ee02da5a3ec87afc9c044af2d3ac980631df64bb5b87112aba69c22",
+    (65537, False): "0dad0f89a921b86936da70cb238a3320bfbe9fbfb161a27981dfd7119e8996ee",
+    (65537, True): "ff1c8384683af21986f1f7bd109df9f2fe5595febfb9a5519ad6c838c08bfa48",
+    (200000, False): "e7f3d620c60edd669227ef10c1cc007aa72a28805331edca9167bacf68b15a61",
+    (200000, True): "f2d82e5b1238694cdf9595a77553593bbdf732f5128204756fee1cff4ac90f24",
+}
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["bare", "header"])
+@pytest.mark.parametrize(
+    "count, invert", list(FIT_GOLDEN),
+    ids=lambda a: {False: "fit", True: "invert"}.get(a, a),
+)
+def test_fit_weibull_stdout_matches_golden_digest(count, invert, header, tmp_path, capsys):
+    forces = 1.22 * np.random.default_rng(count).weibull(10.69, count)
+    path = tmp_path / "forces.csv"
+    with open(path, "w") as fh:
+        fh.write("force_N\n" if header else "")
+        np.savetxt(fh, forces, fmt="%.10g")
+    argv = ["fit-weibull", str(path)] + (["--invert", "1e-6,1e-5,1e-4"] if invert else [])
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FIT_GOLDEN[(count, invert)]

@@ -14,6 +14,7 @@ from forcebench import (
     weibull_cdf,
     weibull_mean_std,
 )
+from forcebench.weibull import _CDF_CHUNK, _cdf, _cdf_of
 
 FRONT = WeibullFit(f0=1.22, beta=10.69)
 BACK = WeibullFit(f0=0.77, beta=7.21)
@@ -70,6 +71,31 @@ def test_cdf_monotone():
 def test_cdf_saturates_for_extreme_loads():
     assert weibull_cdf(FRONT, 1e300) == 1.0
     assert weibull_cdf(FRONT, 50.0) == 1.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("f0, beta, loads", [
+    # one chunk and a part of the next; numpy's vector law is off in the
+    # last bit on some of these loads where its pow and expm1 are not libm's
+    (1.22, 10.69, np.random.default_rng(5).uniform(0.3, 1.6, _CDF_CHUNK + 999)),
+    # saturated: (f/f0)**beta >= 38, where 1 - exp(-t) rounds to 1
+    (1.22, 10.69, 1.22 * np.linspace(38 ** (1 / 10.69), 2.0, 5000)),
+    # pow overflows in the second chunk only: that chunk falls back to _cdf
+    (1.0, 10.69, np.append(np.linspace(0.5, 2.0, _CDF_CHUNK + 10), [1e30, 1e300])),
+], ids=["chunk-boundary", "saturated", "overflow"])
+def test_vector_cdf_has_the_bits_of_scalar_cdf(f0, beta, loads):
+    expected = [_cdf(v, f0, beta) for v in loads.tolist()]
+    assert np.array_equal(_bits(_cdf_of(loads, f0, beta)), _bits(expected))
+
+
+def test_vector_cdf_is_one_where_saturated_or_overflowing():
+    saturated = 1.22 * np.linspace(38 ** (1 / 10.69), 2.0, 50)
+    assert np.all(_cdf_of(saturated, 1.22, 10.69) == 1.0)
+    assert _cdf_of(np.array([0.5, 1e300]), 1.0, 10.69).tolist() == [
+        _cdf(0.5, 1.0, 10.69), 1.0]
 
 
 # ------------------------------------------------------------------- inversion
