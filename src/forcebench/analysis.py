@@ -359,6 +359,8 @@ def degradation_report(
             f"need at least 10 log entries, got {len(log)}"
         )
     cycles = log.cycles.astype(float)
+    centred = cycles - cycles.mean()
+    sxx = float(np.sum(centred**2))
     total_cycles = int(log.cycles[-1] - log.cycles[0] + log.record_interval)
     channels: dict[str, ChannelStats] = {}
     degraded = False
@@ -366,15 +368,14 @@ def degradation_report(
     for j, arm in enumerate(ARMS):
         series[f"voff{arm}_mV"] = log.voff_mv[:, j]
     for name, values in series.items():
-        mean = float(values.mean())
+        v_mean = values.mean()
+        mean = float(v_mean)
         std = float(values.std(ddof=1))
         rel = abs(std / mean) * 100.0 if mean != 0.0 else float("inf")
-        c_mean = cycles.mean()
-        sxx = float(np.sum((cycles - c_mean) ** 2))
-        slope = float(np.sum((cycles - c_mean) * (values - values.mean()))) / sxx
+        slope = float(np.sum(centred * (values - v_mean))) / sxx
         channels[name] = ChannelStats(mean, std, rel, slope)
         if name != "force_N":
-            residual = values - (values.mean() + slope * (cycles - c_mean))
+            residual = values - (v_mean + slope * centred)
             resid_std = float(residual.std(ddof=1))
             if abs(slope) * total_cycles > sigma_multiple * resid_std:
                 degraded = True

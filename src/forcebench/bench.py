@@ -29,6 +29,7 @@ from .sensor import (
     SensorSpec,
     SensorState,
     bridge_gains,
+    bridge_offsets_at_load,
     failure_threshold_force,
     hinge_breaks,
     intact_force,
@@ -274,7 +275,9 @@ def run_dynamic(
     One entry per ``record_interval`` cycles, taken at the upper hold
     force: the logged force is the (slightly biased, noisy) reference
     sensor reading, the offsets are the bridge response to the true hold
-    force plus noise and an optional linear drift ramp.
+    force plus noise and an optional linear drift ramp.  A hold force at
+    or above the specimen's failure threshold, with its current damage,
+    raises ``OverloadError``.
     """
     if protocol.f_max_n > rig.max_force_n:
         raise ProtocolLimitError(
@@ -284,7 +287,9 @@ def run_dynamic(
         raise ProtocolLimitError(
             f"frequency {protocol.frequency_hz} Hz exceeds rig limit {rig.max_frequency_hz} Hz"
         )
-    fracture_force = state.first_fracture_force(spec, protocol.side)
+    fracture_force = failure_threshold_force(
+        spec, state.hinge_strength, state.intact, protocol.side
+    )
     if protocol.f_max_n >= fracture_force:
         raise OverloadError(
             f"hold force {protocol.f_max_n} N would fracture the specimen "
@@ -293,8 +298,8 @@ def run_dynamic(
 
     n_records = protocol.n_cycles // protocol.record_interval
     cycles = (np.arange(n_records) + 1) * protocol.record_interval
-    base_offsets = (
-        bridge_gains(spec, state.intact, protocol.side) * protocol.f_max_n * protocol.v_ges
+    base_offsets = bridge_offsets_at_load(
+        spec, protocol.f_max_n, protocol.side, protocol.v_ges, state
     )
 
     force = (

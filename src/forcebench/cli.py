@@ -332,10 +332,7 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
             raise ConfigError("--params expects 'f0,beta'") from exc
         fit = WeibullFit(f0=f0, beta=beta)
     elif args.input:
-        forces = read_force_column_csv(Path(args.input))
-        if np.any(forces <= 0):
-            raise ConfigError("fracture forces must be positive")
-        fit = fit_weibull(forces)
+        fit = fit_weibull(read_force_column_csv(Path(args.input)))
     else:
         raise ConfigError("provide an input CSV or --params f0,beta")
     payload = {"fit": _fit_payload(fit)}

@@ -16,12 +16,9 @@ The module provides
     coefficients,
   * per-specimen hinge strengths plus the tensile-fracture criterion,
     including load redistribution inside a hinge ring and the load-path
-    inversion once a full ring has broken away.
+    inversion once a full ring has broken away,
   * the validation rules that the fields of the config dataclasses
     declare as metadata, and the one checker that applies them.
-
-Each of these laws is written down once, here; the virtual rig and the
-analyser call these functions rather than restating them.
 
 Inside the model a hinge is its index i = 2*arm + ring into ``ALL_HINGES``
 (arms A..D = 0..3, rings inner/outer = 0/1): a ``SensorState`` keeps the
@@ -29,6 +26,18 @@ eight strengths and the intact flags as arrays in that order.  The kernel
 functions take those arrays with any leading batch shape, (8,) for one
 specimen or (m, 8) for a block of them, and work on them with masked
 array expressions.  ``HingeId`` labels are the public face of an index.
+
+Each law is written down once, in a kernel function that the virtual rig
+and the analyser call: the force law in ``intact_force``, the stiffness
+knockdown in ``stiffness_factor``, the bridge gains in ``bridge_gains``,
+and the fracture criterion in ``effective_stresses``,
+``failure_threshold_force`` and ``hinge_breaks``.
+The per-specimen entry points ``force_at_displacement``,
+``bridge_offsets_at_load`` and ``check_hinge_failures`` check their scalar
+arguments and apply a kernel to one specimen, and ``displacement_at_force``
+inverts ``intact_force``; they hold no law of their own.  They stay as the
+library's per-specimen API, whose names the benchmark harness in
+``perfbench/`` traces.
 
 Conventions: displacements in micrometers, forces in newtons, stresses in
 MPa unless a name says otherwise.  Positive hinge stress means tension on
@@ -234,9 +243,10 @@ class SensorState:
     indexed like ``ALL_HINGES``; ``intact`` starts all True.  A hinge
     never returns to intact within a test; ``failure_order`` records the
     hinges in the order they broke (ground truth for the analysis layer's
-    classification tests).  ``mark_failed`` and the ramp of
-    ``bench.run_static``/``run_fleet``, which writes back the outcome of a
-    whole ramp, are their only writers.
+    classification tests).  Their only writers are :func:`check_hinge_failures`
+    and the ramp of ``bench.run_static``/``run_fleet``, which writes back
+    the outcome of a whole ramp: both clear the broken hinges in
+    ``intact`` and append them to ``failure_order``.
     """
 
     hinge_strength: np.ndarray
@@ -250,24 +260,6 @@ class SensorState:
             raise ValueError("strengths and status must be given for all eight hinges")
         if not np.all((self.hinge_strength > 0) & (self.hinge_strength < math.inf)):
             raise ValueError("hinge strengths must be finite and strictly positive")
-
-    @classmethod
-    def intact_with_strengths(cls, strengths: dict[HingeId, float]) -> "SensorState":
-        if set(strengths) != set(ALL_HINGES):
-            raise ValueError("strengths must be given for all eight hinges")
-        return cls(np.array([strengths[h] for h in ALL_HINGES]))
-
-    def mark_failed(self, hinge: HingeId) -> None:
-        i = ALL_HINGES.index(hinge)
-        if self.intact[i]:
-            self.intact[i] = False
-            self.failure_order.append(hinge)
-
-    def first_fracture_force(self, spec: SensorSpec, side: str) -> float:
-        """Force [N] at which the weakest tensile-ring hinge breaks."""
-        ring = POSITIONS.index(spec.tensile_position(side))
-        weakest = self.hinge_strength.reshape(_ARM_RING)[:, ring].min()
-        return float(weakest) / spec.tensile_gain(side)
 
 
 def resistivity_change(coeffs: PiezoCoefficients, stress: StressState) -> float:
@@ -327,11 +319,6 @@ def stiffness_factor(intact: np.ndarray) -> np.ndarray:
     return _KNOCKDOWN[intact.sum(axis=-1)]
 
 
-def degradation_factor(state: SensorState | None) -> float:
-    """:func:`stiffness_factor` of one sensor; ``state`` None is intact."""
-    return 1.0 if state is None else float(stiffness_factor(state.intact))
-
-
 def intact_force(spec: SensorSpec, side: str, dz):
     """Force [N] of an intact sensor: the hardening cubic k1*dz + k3*dz^3.
 
@@ -340,17 +327,15 @@ def intact_force(spec: SensorSpec, side: str, dz):
     return spec.k1(side) * dz + spec.k3(side) * dz**3
 
 
-def force_at_displacement(
-    spec: SensorSpec, side: str, dz: float, state: SensorState | None = None
-) -> float:
-    """Normal force [N] at displacement ``dz`` [um] of the cross center.
+def force_at_displacement(spec: SensorSpec, side: str, dz: float) -> float:
+    """Normal force [N] of an intact sensor at displacement ``dz`` [um].
 
-    The intact law is :func:`intact_force`; broken hinges scale it by
-    :func:`degradation_factor`.
+    :func:`intact_force` with its arguments checked; broken hinges scale
+    the force by :func:`stiffness_factor`.
     """
     _check_side(side)
     _check_value("dz", dz, NONNEGATIVE)
-    return degradation_factor(state) * intact_force(spec, side, dz)
+    return intact_force(spec, side, dz)
 
 
 def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
@@ -483,17 +468,20 @@ def _ratio(strength: np.ndarray, stress: np.ndarray, where: np.ndarray) -> np.nd
 def check_hinge_failures(
     spec: SensorSpec, state: SensorState, f_z: float, side: str
 ) -> list[HingeId]:
-    """Mark and return every intact hinge broken by the force ``f_z``.
+    """Break and return every intact hinge of ``state`` broken by the force ``f_z``.
 
-    A single pass against the entry state: each intact hinge whose
-    effective tensile stress meets or exceeds its strength fails, in the
-    order of :func:`hinge_breaks`.  Compressed hinges never fail.  Load
-    redistribution from failures in this call only takes effect on the
-    next call, so cascades play out step by step.
+    The per-specimen face of :func:`hinge_breaks`: a single pass against
+    the entry state, in which each intact hinge whose effective tensile
+    stress meets or exceeds its strength fails, most overloaded first.
+    Compressed hinges never fail.  The broken hinges are cleared in
+    ``state.intact`` and appended to ``state.failure_order``, the same
+    write the ramp kernel makes.  Load redistribution from failures in
+    this call only takes effect on the next call, so cascades play out
+    step by step.
     """
     _check_value("f_z", f_z, NONNEGATIVE)
     hit, order = hinge_breaks(spec, state.hinge_strength, state.intact, f_z, side)
     newly_failed = [ALL_HINGES[i] for i in order[: np.count_nonzero(hit)]]
-    for hinge in newly_failed:
-        state.mark_failed(hinge)
+    state.intact &= ~hit
+    state.failure_order += newly_failed
     return newly_failed

@@ -225,7 +225,7 @@ def test_fracture_point_of_mean_strength_specimen():
     spec = SensorSpec()
     strengths = {h: 5000.0 for h in ALL_HINGES}
     strengths[HingeId("B", "outer")] = 978.0 * 1.16
-    state = SensorState.intact_with_strengths(strengths)
+    state = SensorState([strengths[h] for h in ALL_HINGES])
     rng = np.random.default_rng(0)
     curve = run_static(state, spec, StaticProtocol(side="front"), QUIET_RIG, rng)
     force, disp = fracture_point(curve)

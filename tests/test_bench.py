@@ -33,9 +33,9 @@ from forcebench.sensor import (
     POSITIONS,
     bridge_gains,
     check_hinge_failures,
-    degradation_factor,
     failure_threshold_force,
     intact_force,
+    stiffness_factor,
 )
 from forcebench.weibull import WeibullFit
 
@@ -46,7 +46,15 @@ QUIET_RIG = RigConfig(
 
 
 def infinite_state():
-    return SensorState.intact_with_strengths({h: 1e9 for h in ALL_HINGES})
+    return SensorState(np.full(len(ALL_HINGES), 1e9))
+
+
+def first_fracture_forces(states, spec=SPEC, side="front"):
+    """Failure threshold of each specimen: its first fracture when intact."""
+    return failure_threshold_force(
+        spec, np.array([s.hinge_strength for s in states]),
+        np.array([s.intact for s in states]), side,
+    )
 
 
 # ------------------------------------------------------------ specimen sampling
@@ -65,8 +73,8 @@ def test_sample_specimen_honours_custom_spec():
     params = FleetParams(count=3, master_seed=4)
     state = sample_specimen(params, "front", np.random.default_rng(7), custom)
     default = sample_specimen(params, "front", np.random.default_rng(7))
-    assert state.first_fracture_force(custom, "front") == pytest.approx(
-        default.first_fracture_force(SPEC, "front"), rel=1e-12
+    assert first_fracture_forces([state], custom) == pytest.approx(
+        first_fracture_forces([default]), rel=1e-12
     )
     protocol = StaticProtocol(side="front")
     for a, b in zip(run_fleet(params, custom, protocol, QUIET_RIG),
@@ -77,11 +85,8 @@ def test_sample_specimen_honours_custom_spec():
 def test_first_fracture_distribution_front():
     params = FleetParams()
     rng = np.random.default_rng(50)
-    forces = np.array(
-        [
-            sample_specimen(params, "front", rng).first_fracture_force(SPEC, "front")
-            for _ in range(10_000)
-        ]
+    forces = first_fracture_forces(
+        [sample_specimen(params, "front", rng) for _ in range(10_000)]
     )
     fit = fit_weibull(forces)
     assert fit.f0 == pytest.approx(1.22, rel=0.02)
@@ -91,12 +96,9 @@ def test_first_fracture_distribution_front():
 def test_first_fracture_kolmogorov_smirnov():
     params = FleetParams()
     rng = np.random.default_rng(51)
-    forces = np.sort(
-        [
-            sample_specimen(params, "front", rng).first_fracture_force(SPEC, "front")
-            for _ in range(10_000)
-        ]
-    )
+    forces = np.sort(first_fracture_forces(
+        [sample_specimen(params, "front", rng) for _ in range(10_000)]
+    ))
     n = forces.size
     reference = WeibullFit(f0=1.22, beta=10.69)
     cdf = np.array([weibull_cdf(reference, f) for f in forces])
@@ -131,7 +133,7 @@ def test_static_intact_specimen_smooth_cubic():
 def test_static_mean_strength_specimen_fracture_point():
     strengths = {h: 1e9 for h in ALL_HINGES}
     strengths[HingeId("A", "outer")] = 978.0 * 1.16
-    state = SensorState.intact_with_strengths(strengths)
+    state = SensorState([strengths[h] for h in ALL_HINGES])
     rng = np.random.default_rng(61)
     curve = run_static(state, SPEC, StaticProtocol(), QUIET_RIG, rng)
     events = detect_failures(curve)
@@ -144,7 +146,7 @@ def test_static_mean_strength_specimen_fracture_point():
 def test_static_failure_shows_one_step_later():
     strengths = {h: 1e9 for h in ALL_HINGES}
     strengths[HingeId("D", "outer")] = 500.0
-    state = SensorState.intact_with_strengths(strengths)
+    state = SensorState([strengths[h] for h in ALL_HINGES])
     rng = np.random.default_rng(62)
     curve = run_static(state, SPEC, StaticProtocol(), QUIET_RIG, rng)
     events = detect_failures(curve)
@@ -160,7 +162,7 @@ def test_static_failure_shows_one_step_later():
 def test_static_bridge_tracks_failures():
     strengths = {h: 1e9 for h in ALL_HINGES}
     strengths[HingeId("B", "outer")] = 600.0
-    state = SensorState.intact_with_strengths(strengths)
+    state = SensorState([strengths[h] for h in ALL_HINGES])
     rng = np.random.default_rng(63)
     curve = run_static(state, SPEC, StaticProtocol(), QUIET_RIG, rng)
     events = detect_failures(curve)
@@ -226,7 +228,7 @@ def test_no_failure_below_weakest_link_force():
     for seed in range(50):
         rng = np.random.default_rng(90_000 + seed)
         state = sample_specimen(params, "front", rng)
-        weakest = state.first_fracture_force(SPEC, "front")
+        weakest = first_fracture_forces([state])[0]
         curve = run_static(state, SPEC, StaticProtocol(), QUIET_RIG, rng)
         events = detect_failures(curve)
         assert events
@@ -297,9 +299,26 @@ def test_dynamic_stable_verdict_over_seeds():
 def test_dynamic_overload_error():
     strengths = {h: 1e9 for h in ALL_HINGES}
     strengths[HingeId("A", "outer")] = 978.0 * 0.3  # fractures at 0.3 N
-    state = SensorState.intact_with_strengths(strengths)
+    state = SensorState([strengths[h] for h in ALL_HINGES])
     with pytest.raises(OverloadError):
         run_dynamic(state, SPEC, DynamicProtocol(), RigConfig(), np.random.default_rng(0))
+
+
+def test_dynamic_overload_counts_damage_and_load_sharing():
+    # the outer ring at 978 MPa breaks at 1.0 N when intact; with B-outer
+    # broken its three survivors carry 4/3 of the load and break at 0.75 N
+    strengths = {h: 1e9 for h in ALL_HINGES}
+    for arm in "ABCD":
+        strengths[HingeId(arm, "outer")] = 978.0
+    intact = [h != HingeId("B", "outer") for h in ALL_HINGES]
+    state = SensorState([strengths[h] for h in ALL_HINGES], intact)
+    with pytest.raises(OverloadError, match="0.750 N"):
+        run_dynamic(state, SPEC, DynamicProtocol(f_max_n=0.9), RigConfig(),
+                    np.random.default_rng(0))
+    log = run_dynamic(state, SPEC, DynamicProtocol(f_max_n=0.7), RigConfig(),
+                      np.random.default_rng(0))
+    assert len(log) == 100
+    assert state.intact.tolist() == intact
 
 
 def test_dynamic_protocol_limits():
@@ -419,7 +438,7 @@ def reference_run_static(state, spec, protocol, rig, rng):
 
     start = 0
     while start < n_steps:
-        factor = degradation_factor(state)
+        factor = stiffness_factor(state.intact)
         seg_true = factor * base_force[start:]
         threshold = failure_threshold_force(
             spec, state.hinge_strength, state.intact, protocol.side
@@ -505,7 +524,8 @@ def test_static_kernel_matches_specimen_loop(
     rng = np.random.default_rng(seed)
     shared = sample_specimen(FleetParams(), protocol.side, rng, spec)
     for i in broken_first[:n_broken]:
-        shared.mark_failed(ALL_HINGES[i])
+        shared.intact[i] = False
+        shared.failure_order.append(ALL_HINGES[i])
     states = [SensorState(shared.hinge_strength, shared.intact, list(shared.failure_order))
               for _ in range(2)]
     state_rng = rng.bit_generator.state

@@ -406,10 +406,13 @@ def test_fit_weibull_names_bad_line(tmp_path, capsys):
     assert "forces.csv:5: not a number: '2.0x'" in capsys.readouterr().err
 
 
-def test_fit_weibull_rejects_nonpositive(tmp_path):
+def test_fit_weibull_rejects_nonpositive(tmp_path, capsys):
+    # one rule, in fit_weibull, whatever the reason a force is not positive
     data = tmp_path / "nonpositive.csv"
-    data.write_text("1.0\n-2.0\n1.5\n")
-    assert run_cli("fit-weibull", str(data)) == 2
+    for bad in ("0", "-2.0", "nan"):
+        data.write_text(f"1.0\n{bad}\n1.5\n")
+        assert run_cli("fit-weibull", str(data)) == 2
+        assert capsys.readouterr().err == "error: fracture loads must be finite and positive\n"
 
 
 # ---------------------------------------------------- simulate-dynamic + verdict

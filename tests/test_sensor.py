@@ -27,9 +27,10 @@ from forcebench.sensor import (
     POSITIONS,
     STRESS_GAIN_INNER_FRONT,
     STRESS_GAIN_OUTER_FRONT,
-    degradation_factor,
     effective_stresses,
     failure_threshold_force,
+    intact_force,
+    stiffness_factor,
 )
 
 
@@ -38,12 +39,14 @@ def spec():
     return SensorSpec()
 
 
-def make_state(strength_mpa=5000.0, **overrides):
+def make_state(strength_mpa=5000.0, broken=(), **overrides):
+    """A specimen with the given strengths whose hinges named in ``broken`` are gone."""
     strengths = {h: strength_mpa for h in ALL_HINGES}
     for key, value in overrides.items():
         arm, pos = key.split("_")
         strengths[HingeId(arm, pos)] = value
-    return SensorState.intact_with_strengths(strengths)
+    intact = [str(h) not in broken for h in ALL_HINGES]
+    return SensorState([strengths[h] for h in ALL_HINGES], intact)
 
 
 # ---------------------------------------------------------------- transduction
@@ -191,15 +194,13 @@ def test_displacement_residual_below_tolerance(spec):
 
 
 def test_degraded_sensor_is_softer(spec):
-    state = make_state()
-    state.mark_failed(HingeId("B", "outer"))
-    factor = degradation_factor(state)
-    assert factor == pytest.approx(7 / 8)
-    assert force_at_displacement(spec, "front", 50.0, state) == pytest.approx(
-        factor * force_at_displacement(spec, "front", 50.0)
-    )
-    state.mark_failed(HingeId("A", "outer"))
-    assert degradation_factor(state) == pytest.approx((6 / 8) ** 2)
+    # one factor of intact/8 per failed hinge, one factor per row of a block
+    intact = np.array([make_state(broken=broken).intact for broken in (
+        (), ("B-outer",), ("B-outer", "A-outer"), tuple(map(str, ALL_HINGES)),
+    )])
+    assert stiffness_factor(intact) == pytest.approx([1.0, 7 / 8, (6 / 8) ** 2, 0.0])
+    assert stiffness_factor(intact[1]) == pytest.approx(7 / 8)
+    assert force_at_displacement(spec, "front", 50.0) == intact_force(spec, "front", 50.0)
 
 
 # -------------------------------------------------------------- bridge signals
@@ -231,8 +232,7 @@ def test_offsets_back_side_reverses_sign(spec):
 
 
 def test_failed_hinge_halves_arm_offset(spec):
-    state = make_state()
-    state.mark_failed(HingeId("B", "outer"))
+    state = make_state(broken=("B-outer",))
     intact = bridge_offsets_at_load(spec, 0.5, "front", 1.0)
     damaged = bridge_offsets_at_load(spec, 0.5, "front", 1.0, state)
     assert damaged[ARMS.index("B")] == pytest.approx(0.5 * intact[ARMS.index("B")])
@@ -241,8 +241,7 @@ def test_failed_hinge_halves_arm_offset(spec):
 
 
 def test_arm_c_failure_invalidates_all_signals(spec):
-    state = make_state()
-    state.mark_failed(HingeId("C", "outer"))
+    state = make_state(broken=("C-outer",))
     offsets = bridge_offsets_at_load(spec, 0.5, "front", 1.0, state)
     assert np.isnan(offsets).all()
 
@@ -317,7 +316,7 @@ def test_failure_threshold_is_least_breaking_force(spec, side):
     # inversion: each threshold breaks a hinge, slightly less breaks none
     rng = np.random.default_rng(3)
     strengths = rng.uniform(300.0, 900.0, size=len(ALL_HINGES))
-    state = SensorState.intact_with_strengths(dict(zip(ALL_HINGES, strengths)))
+    state = SensorState(strengths)
     while (threshold := failure_threshold_force(
         spec, state.hinge_strength, state.intact, side
     )) < math.inf:
@@ -376,10 +375,12 @@ def test_model_functions_name_a_bad_argument(spec, name, call, value):
 
 
 def test_state_requires_positive_strengths():
-    strengths = {h: 1000.0 for h in ALL_HINGES}
-    strengths[HingeId("A", "inner")] = 0.0
-    with pytest.raises(ValueError):
-        SensorState.intact_with_strengths(strengths)
+    strengths = np.full(len(ALL_HINGES), 1000.0)
+    strengths[ALL_HINGES.index(HingeId("A", "inner"))] = 0.0
+    with pytest.raises(ValueError, match="strictly positive"):
+        SensorState(strengths)
+    with pytest.raises(ValueError, match="all eight hinges"):
+        SensorState(strengths[:7] + 1.0)
 
 
 def test_hinge_id_validation():
@@ -391,10 +392,10 @@ def test_hinge_id_validation():
 
 def test_state_rejects_non_finite_strengths():
     for bad in (math.nan, math.inf):
-        strengths = {h: 1000.0 for h in ALL_HINGES}
-        strengths[HingeId("C", "outer")] = bad
+        strengths = np.full(len(ALL_HINGES), 1000.0)
+        strengths[ALL_HINGES.index(HingeId("C", "outer"))] = bad
         with pytest.raises(ValueError, match="finite"):
-            SensorState.intact_with_strengths(strengths)
+            SensorState(strengths)
 
 
 # ------------------------------------------- array kernel against the dict loop
@@ -464,13 +465,9 @@ def test_array_kernel_matches_dict_loop(
 ):
     spec = SensorSpec(stress_gain_inner=gains[0], stress_gain_outer=gains[1])
     by_label = dict(zip(ALL_HINGES, strengths))
-    state = SensorState.intact_with_strengths(by_label)
-    status = {h: True for h in ALL_HINGES}
-    order = []
-    for i in broken_first[:n_broken]:
-        state.mark_failed(ALL_HINGES[i])
-        status[ALL_HINGES[i]] = False
-        order.append(ALL_HINGES[i])
+    order = [ALL_HINGES[i] for i in broken_first[:n_broken]]
+    status = {h: h not in order for h in ALL_HINGES}
+    state = SensorState(strengths, list(status.values()), list(order))
     force = 1.0
     for factor in factors:
         threshold = failure_threshold_force(spec, state.hinge_strength, state.intact, side)
