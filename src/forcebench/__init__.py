@@ -16,6 +16,7 @@ from .analysis import (
     degradation_report,
     detect_failures,
     extract_stiffness,
+    first_failures,
     fleet_summary,
     fracture_point,
     overload_factors,
@@ -25,6 +26,7 @@ from .bench import (
     FleetParams,
     RigConfig,
     StaticProtocol,
+    fleet_blocks,
     iter_fleet,
     run_dynamic,
     run_fleet,
@@ -40,6 +42,7 @@ from .errors import (
     NoFailureError,
     OverloadError,
     ProtocolLimitError,
+    SupplyLossError,
 )
 from .sensor import (
     HingeId,

@@ -2,7 +2,10 @@
 
 Works purely on recorded data (:class:`LoadCurve`, :class:`CycleLog`); the
 only model knowledge used is the calibrated force-displacement law needed
-to translate budget forces into displacements.
+to translate budget forces into displacements.  The fleet summary reduces
+blocks of curves on one displacement grid, such as ``bench.RampBlock``, a
+:class:`LoadCurve` being a block of one, with the drop rule of
+:func:`detect_failures` and the ring rule of :func:`classify_failures`.
 """
 
 from __future__ import annotations
@@ -178,6 +181,24 @@ def extract_stiffness(curve: LoadCurve, dz_limit_um: float = 20.0) -> float:
     return slope * 1e3
 
 
+def _drops(
+    dz: np.ndarray, force: np.ndarray, drop_fraction: float, drop_floor_n: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The drop rule: force drops between consecutive samples, and which are failures.
+
+    ``force`` is (..., n) and ``dz`` (n,) or of the same shape.  The drop
+    from sample i to i+1 is a failure when it exceeds
+    max(drop_fraction * f_i, drop_floor_n) while the displacement is
+    increasing.
+    """
+    _check_value("drop_fraction", drop_fraction, NONNEGATIVE)
+    _check_value("drop_floor_n", drop_floor_n, NONNEGATIVE)
+    drop = force[..., :-1] - force[..., 1:]
+    hits = (dz[..., 1:] > dz[..., :-1]) & (
+        drop > np.maximum(drop_fraction * force[..., :-1], drop_floor_n))
+    return drop, hits
+
+
 def detect_failures(
     curve: LoadCurve,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
@@ -189,14 +210,36 @@ def detect_failures(
     i+1 by more than max(drop_fraction * f_i, drop_floor_n) while the
     displacement is increasing.  Smooth curves yield an empty list.
     """
-    _check_value("drop_fraction", drop_fraction, NONNEGATIVE)
-    _check_value("drop_floor_n", drop_floor_n, NONNEGATIVE)
-    f = curve.force_n
-    dz = curve.dz_um
-    drop = f[:-1] - f[1:]
-    hits = (dz[1:] > dz[:-1]) & (drop > np.maximum(drop_fraction * f[:-1], drop_floor_n))
+    drop, hits = _drops(curve.dz_um, curve.force_n, drop_fraction, drop_floor_n)
     return [FailureEvent(sample_index=i, force_drop_n=d)
             for i, d in zip(np.flatnonzero(hits).tolist(), drop[hits].tolist())]
+
+
+def first_failures(
+    block,
+    drop_fraction: float = DEFAULT_DROP_FRACTION,
+    drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a block of curves to its first failures, one entry per curve.
+
+    ``block`` is a :class:`LoadCurve` (a block of one) or has its fields,
+    with one displacement grid ``dz_um`` (n,) and ``force_n`` and
+    ``valid`` of shape (m, n), such as a ``bench.RampBlock``.  Returns the
+    sample index of each curve's first failure event, the force [N] and
+    displacement [um] there (its :func:`fracture_point`), and its number
+    of events (those of :func:`detect_failures`).  A curve without events
+    has index -1 and NaN force and displacement.
+    """
+    force = np.atleast_2d(block.force_n)
+    _, hits = _drops(block.dz_um, force, drop_fraction, drop_floor_n)
+    events = hits.sum(axis=-1)
+    failed = events > 0
+    if not failed.any():  # also a curve of fewer than two samples, which has no drop
+        none = np.full(len(force), np.nan)
+        return np.full(len(force), -1), none, none.copy(), events
+    first = np.where(failed, hits.argmax(axis=-1), -1)
+    f_first = np.where(failed, force[np.arange(len(force)), first], np.nan)
+    return first, f_first, np.where(failed, block.dz_um[first], np.nan), events
 
 
 def fracture_point(
@@ -211,8 +254,22 @@ def fracture_point(
     return float(curve.force_n[i]), float(curve.dz_um[i])
 
 
-def _other_position(position: str) -> str:
-    return "inner" if position == "outer" else "outer"
+def ring_events(events, readable, side: str) -> dict[str, np.ndarray]:
+    """Events of each curve charged to each hinge ring: the tensile-ring rule.
+
+    ``events`` holds each curve's number of failure events and
+    ``readable`` whether it has any valid bridge data.  The position is
+    inferred from the load direction: the first four events of a curve
+    go to the tensile ring of ``side``, later ones to the other ring (the
+    tensile ring only holds four hinges).  Every event of a curve without
+    valid bridge data is unknown.  Keys are the tensile ring, the other
+    ring and ``UNKNOWN``, in the order a curve's events take them.
+    """
+    tensile = SensorSpec.tensile_position(side)
+    unknown = np.where(readable, 0, events)
+    first_four = np.minimum(events - unknown, len(ARMS))
+    other = "inner" if tensile == "outer" else "outer"
+    return {tensile: first_four, other: events - unknown - first_four, UNKNOWN: unknown}
 
 
 def classify_failures(
@@ -223,30 +280,21 @@ def classify_failures(
     The arm is the one whose offset magnitude changes most across the
     event; a valid-to-invalid transition identifies arm C (loss of the
     supply leads), and events after that keep an unknown arm.  The
-    position is inferred from the load direction: the first four events of
-    a curve are charged to the tensile ring, later ones to the other ring
-    (the tensile ring only holds four hinges).  A curve without any valid
+    position follows :func:`ring_events`.  A curve without any valid
     bridge data gives fully unknown events.
     """
-    if not any(curve.valid):
-        return [
-            FailureEvent(e.sample_index, e.force_drop_n, UNKNOWN, UNKNOWN)
-            for e in events
-        ]
-    tensile = SensorSpec.tensile_position(side)
+    rings = ring_events(len(events), curve.valid.any(), side)
+    positions = [ring for ring, count in rings.items() for _ in range(int(count))]
     classified: list[FailureEvent] = []
-    for ordinal, event in enumerate(events):
+    for event, position in zip(events, positions):
         i = event.sample_index
-        before_valid = bool(curve.valid[i])
-        after_valid = bool(curve.valid[i + 1])
-        if not before_valid:
+        if not curve.valid[i]:
             arm = UNKNOWN
-        elif not after_valid:
+        elif not curve.valid[i + 1]:
             arm = "C"  # supply lost across the event
         else:
             changes = np.abs(np.abs(curve.voff_mv[i + 1]) - np.abs(curve.voff_mv[i]))
             arm = ARMS[int(np.argmax(changes))]
-        position = tensile if ordinal < 4 else _other_position(tensile)
         classified.append(
             FailureEvent(event.sample_index, event.force_drop_n, arm, position)
         )
@@ -254,7 +302,7 @@ def classify_failures(
 
 
 def fleet_summary(
-    curves: Iterable[LoadCurve],
+    curves: Iterable,
     spec: SensorSpec | None = None,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
@@ -268,55 +316,60 @@ def fleet_summary(
     budget displacements come from the calibrated force-displacement law
     of ``spec`` (defaults to the standard design).
 
-    ``curves`` may be any iterable; it is read once, keeping only each
-    curve's fracture point and hinge positions.  A fleet that mixes load
-    sides is reported before the first error of a single curve, which is
-    held until the iterable is exhausted, so the iterable's own errors
-    come first.
+    ``curves`` may be any iterable of curves or blocks of curves (see
+    :func:`first_failures`); it is read once, keeping only each curve's
+    fracture point and hinge-ring counts.  A fleet that mixes load sides is
+    reported before the first error of a single curve, which is held until
+    the iterable is exhausted, so the iterable's own errors come first.
     """
     if spec is None:
         spec = SensorSpec()
     sides: set[str] = set()
-    forces, dzs = [], []
-    counts = {"inner": 0, "outer": 0, UNKNOWN: 0}
+    # per curve: first-fracture force and displacement, events, any valid bridge data
+    columns: tuple[list, ...] = ([], [], [], [])
     error = None
-    for curve in curves:
-        sides.add(curve.side)
+    for block in curves:
+        sides.add(block.side)
         if error is not None:
             continue
         try:
-            if len(curve) < 10:
+            if block.dz_um.size < 10:
                 raise InsufficientDataError("curves need at least 10 samples")
-            events = detect_failures(curve, drop_fraction, drop_floor_n)
-            if events:
-                f, dz = fracture_point(curve, events)
-                if not f > 0:  # a floor below the noise finds drops at rest
-                    raise ValueError(
-                        f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
-                        f" {f!r} N, not a positive force; set it above the force noise")
-                forces.append(f)
-                dzs.append(dz)
-                for event in classify_failures(curve, events, curve.side):
-                    counts[event.position] += 1
+            _, f, dz, events = first_failures(block, drop_fraction, drop_floor_n)
+            readable = np.atleast_2d(block.valid).any(axis=-1)
+            reduced = [values.tolist() for values in (f, dz, events, readable)]
+            # a floor below the noise finds drops at rest; NaN (no failure) is not <= 0
+            nonpositive = next((x for x in reduced[0] if x <= 0), None)
+            if nonpositive is not None:
+                raise ValueError(
+                    f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
+                    f" {nonpositive!r} N, not a positive force; set it above the force noise")
+            for column, values in zip(columns, reduced):
+                column += values
         except ValueError as exc:  # ForceBenchError included
             error = exc
+        del block  # before the next one is made
     if len(sides) > 1:
         raise ValueError(f"fleet mixes load sides: {sorted(sides)}")
     if error is not None:
         raise error
-    if len(forces) < 3:
+    f, dz, events, readable = map(np.array, columns)
+    failed = events > 0
+    n_failed = int(np.count_nonzero(failed))
+    if n_failed < 3:
         raise InsufficientDataError(
-            f"need at least 3 curves with detected failures, got {len(forces)}"
+            f"need at least 3 curves with detected failures, got {n_failed}"
         )
 
-    forces_arr = np.asarray(forces)
-    dz_arr = np.asarray(dzs)
+    (side,) = sides
+    forces_arr, dz_arr = f[failed], dz[failed]
+    rings = ring_events(events, readable, side)
+    counts = {ring: int(rings[ring].sum()) for ring in ("inner", "outer", UNKNOWN)}
     try:
         fit = fit_weibull(forces_arr)
     except DegenerateDataError:
         fit = None  # e.g. duplicated curves; stats are still meaningful
 
-    (side,) = sides
     budget = []
     if fit is not None:
         for p in sorted(probabilities):
@@ -331,7 +384,7 @@ def fleet_summary(
 
     return FleetSummary(
         side=side,
-        n_curves=len(forces),
+        n_curves=n_failed,
         fracture_force_mean_n=float(forces_arr.mean()),
         fracture_force_std_n=float(forces_arr.std(ddof=1)),
         fracture_dz_mean_um=float(dz_arr.mean()),

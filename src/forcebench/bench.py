@@ -5,6 +5,12 @@ fixed reference force sensor (5 mN resolution) for destructive ramps, and
 cycles the load with a nanopositioner for long-term tests.  All
 randomness flows through a caller-supplied numpy generator, so every run
 is a pure function of its inputs and seed.
+
+Destructive ramps run in blocks: one array kernel turns (m, 8) strength
+and intact arrays into a :class:`RampBlock`, with no object per specimen.
+:func:`iter_fleet` is a view that cuts the blocks of :func:`fleet_blocks`
+into ``(SensorState, LoadCurve)`` pairs; :func:`run_static` is the kernel
+on a batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import CycleLog, LoadCurve
-from .errors import OverloadError, ProtocolLimitError
+from .errors import OverloadError, ProtocolLimitError, SupplyLossError
 from .sensor import (
     ALL_HINGES,
     FINITE,
@@ -124,6 +130,15 @@ class FleetParams:
         return self.f0_back_n, self.beta_back
 
 
+def _draw_strengths(
+    params: FleetParams, side: str, spec: SensorSpec, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """The strength law of :func:`sample_specimen`, one (8,) row per generator."""
+    f0, beta = params.side_params(side)
+    scale_mpa = spec.tensile_gain(side) * f0 * 4.0 ** (1.0 / beta)
+    return scale_mpa * np.array([rng.weibull(beta, size=N_HINGES) for rng in rngs])
+
+
 def sample_specimen(
     params: FleetParams,
     side: str,
@@ -138,11 +153,46 @@ def sample_specimen(
     tensile-ring strengths then makes the first-fracture force exactly
     Weibull(f0, beta) distributed (weakest link).
     """
-    f0, beta = params.side_params(side)
-    if spec is None:
-        spec = SensorSpec()
-    scale_mpa = spec.tensile_gain(side) * f0 * 4.0 ** (1.0 / beta)
-    return SensorState(scale_mpa * rng.weibull(beta, size=N_HINGES))
+    return SensorState(_draw_strengths(params, side, spec or SensorSpec(), [rng])[0])
+
+
+@dataclass
+class RampBlock:
+    """A block of m destructive ramps, as the fleet kernel makes them.
+
+    It has the recorded fields of a :class:`LoadCurve`, so
+    ``analysis.fleet_summary`` reduces it as it does a curve: ``dz_um``
+    (n,), shared by every ramp, ``force_n`` and ``valid`` (m, n).  The
+    offsets come from the true force ``true_force_n`` (m, n), the bridge
+    gains of each kernel pass ``pass_gains`` (p, m, 4) and the pass of
+    each sample ``passes`` (m, n).  Ground truth, (m, 8) each:
+    ``hinge_strength``, ``intact`` after the ramp, and ``failure_order``,
+    the ``ALL_HINGES`` indices of the hinges broken in order, then -1.
+    """
+
+    side: str
+    dz_um: np.ndarray
+    force_n: np.ndarray
+    valid: np.ndarray
+    true_force_n: np.ndarray
+    pass_gains: np.ndarray
+    passes: np.ndarray
+    v_ges: float
+    hinge_strength: np.ndarray
+    intact: np.ndarray
+    failure_order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.force_n)
+
+    def specimen(self, i: int) -> tuple[SensorState, LoadCurve]:
+        """Row ``i`` as a state and a curve that own copies of its arrays."""
+        order = [ALL_HINGES[h] for h in self.failure_order[i].tolist() if h >= 0]
+        voff = self.true_force_n[i, :, None] * self.pass_gains[self.passes[i], i]
+        voff *= self.v_ges
+        return SensorState(self.hinge_strength[i], self.intact[i], order), LoadCurve(
+            side=self.side, dz_um=self.dz_um.copy(), force_n=self.force_n[i].copy(),
+            voff_mv=voff, valid=self.valid[i].copy())
 
 
 def run_static(
@@ -161,23 +211,27 @@ def run_static(
     the following sample.  ``state`` ends with the ramp's damage.  This is
     the fleet kernel on a batch of one.
     """
-    return next(_run_block([state], [rng], spec, protocol, rig))
+    block = _ramp_block(state.hinge_strength[None], state.intact[None], [rng],
+                        spec, protocol, rig)
+    ramped, curve = block.specimen(0)
+    state.intact[:] = ramped.intact
+    state.failure_order += ramped.failure_order
+    return curve
 
 
-def _run_block(
-    states: list[SensorState],
+def _ramp_block(
+    strength: np.ndarray,
+    intact: np.ndarray,
     rngs: list[np.random.Generator],
     spec: SensorSpec,
     protocol: StaticProtocol,
     rig: RigConfig,
-) -> Iterator[LoadCurve]:
-    """Ramp each specimen with its own generator; yield one curve per specimen.
+) -> RampBlock:
+    """Ramp each specimen (a row of ``strength`` and ``intact``) with its own generator.
 
     Each generator draws the contact offset, the jitter and the force
     noise of its ramp, in that order; the physics then advances the
-    whole block at once (see :func:`_ramp`) before the first curve is
-    yielded.  Each curve owns copies of its rows, so a curve that is kept
-    does not keep the block's arrays alive.
+    whole block at once (see :func:`_ramp`).
     """
     if protocol.dz_max_um > rig.dz_max_um:
         raise ProtocolLimitError(
@@ -186,49 +240,55 @@ def _run_block(
     n_steps = int(np.floor(protocol.dz_max_um / protocol.step_um + 1e-9)) + 1
     dz_cmd = np.arange(n_steps) * protocol.step_um
 
-    dz_true = np.empty((len(rngs), n_steps))
-    force_noise = np.empty((len(rngs), n_steps))
-    for i, rng in enumerate(rngs):
-        contact_offset = rng.normal(0.0, rig.stage_accuracy_um / 2.0)
-        jitter = rng.normal(0.0, rig.nano_accuracy_um / 2.0, size=n_steps)
-        dz_true[i] = dz_cmd + contact_offset + jitter
-        force_noise[i] = rng.normal(0.0, rig.force_resolution_n / 2.0, size=n_steps)
+    # one standard-normal draw per sample of the contact offset, the jitter
+    # and the force noise; numpy's normal(0, sigma) is 0.0 + sigma * that draw
+    z = np.empty((len(rngs), 2 * n_steps + 1))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    dz_true = dz_cmd + (0.0 + rig.stage_accuracy_um / 2.0 * z[:, :1])
+    dz_true += 0.0 + rig.nano_accuracy_um / 2.0 * z[:, 1:n_steps + 1]
+    force_noise = 0.0 + rig.force_resolution_n / 2.0 * z[:, n_steps + 1:]
+    del z
 
     base_force = intact_force(spec, protocol.side, np.clip(dz_true, 0.0, None, out=dz_true))
     del dz_true
-    true_force, gains = _ramp(states, spec, protocol.side, base_force)
-
-    # in place, to keep the block's peak memory down: gains become offsets
-    valid = ~np.isnan(gains[..., 0])
-    voff = np.multiply(true_force[..., None], gains, out=gains)
-    voff *= protocol.v_ges
-    force = np.add(true_force, force_noise, out=force_noise)
-    for f, v, ok in zip(force, voff, valid):
-        yield LoadCurve(side=protocol.side, dz_um=dz_cmd.copy(), force_n=f.copy(),
-                        voff_mv=v.copy(), valid=ok.copy())
+    true_force, pass_gains, passes, intact, order = _ramp(
+        strength, intact, spec, protocol.side, base_force
+    )
+    return RampBlock(
+        side=protocol.side, dz_um=dz_cmd,
+        force_n=np.add(true_force, force_noise, out=force_noise),
+        valid=~np.isnan(pass_gains[..., 0])[passes, np.arange(len(rngs))[:, None]],
+        true_force_n=true_force, pass_gains=pass_gains, passes=passes,
+        v_ges=protocol.v_ges, hinge_strength=strength, intact=intact, failure_order=order,
+    )
 
 
 def _ramp(
-    states: list[SensorState], spec: SensorSpec, side: str, base_force: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    strength: np.ndarray, intact: np.ndarray, spec: SensorSpec, side: str,
+    base_force: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance a block of specimens along their ramps, segment by segment.
 
-    Row i of ``base_force`` [N] is the intact-sensor force of specimen
-    ``states[i]`` at each sample.  A segment runs from a specimen's start
-    sample up to the first sample whose force, under the current damage,
-    reaches the failure threshold; the hinges that force breaks change the
-    damage of the next segment.  Each pass advances every specimen still
-    ramping by one segment.  Returns the true force and the bridge gains
-    (NaN after an arm-C loss) at every sample; the states end with the
-    ramp's damage and failure order.
+    Row i of ``base_force`` [N] is the intact-sensor force of the
+    specimen with strengths ``strength[i]`` and intact flags ``intact[i]``
+    at each sample.  A segment runs from a specimen's start sample up to
+    the first sample whose force, under the current damage, reaches the
+    failure threshold; the hinges that force breaks change the damage of
+    the next segment.  Each pass advances every specimen still ramping by
+    one segment.  Returns the true force at every sample, the bridge
+    gains of every specimen in every pass (NaN after an arm-C loss), the
+    pass that made each sample, the intact flags after the ramp, and the
+    hinges it broke in order (-1 padded), leaving ``intact`` as given.
     """
-    strength = np.array([state.hinge_strength for state in states])
-    intact = np.array([state.intact for state in states])
-    orders: list[list] = [[] for _ in states]
+    intact = intact.copy()
     m, n = base_force.shape
     cols = np.arange(n)
+    hinges = np.arange(N_HINGES)
     start = np.zeros(m, dtype=np.intp)
     ramping = np.arange(m)
+    order = np.full((m, N_HINGES), -1, dtype=np.intp)
+    broken = np.zeros(m, dtype=np.intp)
     # new_segment[i, j] is 1 where specimen i's damage changed just before
     # sample j; the extra column takes breaks at the last sample
     new_segment = np.zeros((m, n + 1), dtype=np.int8)
@@ -242,25 +302,25 @@ def _ramp(
         end = over.argmax(axis=1)
         crossed = over[np.arange(ramping.size), end]
         rows, end = ramping[crossed], end[crossed]
-        hit, order = hinge_breaks(
+        hit, hit_order = hinge_breaks(
             spec, strength[rows], intact[rows], seg_force[crossed, end], side
         )
         intact[rows] &= ~hit
-        for i, hinges, k in zip(rows.tolist(), order.tolist(), hit.sum(axis=1).tolist()):
-            orders[i] += [ALL_HINGES[h] for h in hinges[:k]]
+        # append each row's k hits, in their order, after its earlier breaks
+        k = hit.sum(axis=1)
+        first_k = hinges < k[:, None]
+        order[np.repeat(rows, k), (broken[rows, None] + hinges)[first_k]] = hit_order[first_k]
+        broken[rows] += k
         new_segment[rows, end + 1] = 1
         start[rows] = end + 1
         ramping = rows[end + 1 < n]
 
-    for state, row, order in zip(states, intact, orders):
-        state.intact[:] = row
-        state.failure_order += order
     # the pass that filled each sample, as the smallest integer type that holds it
     passes = np.cumsum(new_segment[:, :n], axis=1, dtype=np.min_scalar_type(len(factors)))
     at = passes, np.arange(m)[:, None]
     true_force = np.array(factors)[at]
     true_force *= base_force
-    return true_force, np.array(gains)[at]
+    return true_force, np.array(gains), passes, intact, order
 
 
 def run_dynamic(
@@ -277,7 +337,9 @@ def run_dynamic(
     sensor reading, the offsets are the bridge response to the true hold
     force plus noise and an optional linear drift ramp.  A hold force at
     or above the specimen's failure threshold, with its current damage,
-    raises ``OverloadError``.
+    raises ``OverloadError``; a specimen whose arm C has lost a hinge has
+    no readable bridge and raises ``SupplyLossError``.  Both are raised
+    before ``rng`` draws.
     """
     if protocol.f_max_n > rig.max_force_n:
         raise ProtocolLimitError(
@@ -291,17 +353,20 @@ def run_dynamic(
         spec, state.hinge_strength, state.intact, protocol.side
     )
     if protocol.f_max_n >= fracture_force:
+        which = "first" if state.intact.all() else "next"
         raise OverloadError(
             f"hold force {protocol.f_max_n} N would fracture the specimen "
-            f"(first fracture at {fracture_force:.3f} N)"
+            f"({which} fracture at {fracture_force:.3f} N)"
         )
-
-    n_records = protocol.n_cycles // protocol.record_interval
-    cycles = (np.arange(n_records) + 1) * protocol.record_interval
     base_offsets = bridge_offsets_at_load(
         spec, protocol.f_max_n, protocol.side, protocol.v_ges, state
     )
+    if np.isnan(base_offsets).any():
+        raise SupplyLossError("arm C has lost a hinge: the bridge supply is cut, so no"
+                              " bridge can be read at the hold point")
 
+    n_records = protocol.n_cycles // protocol.record_interval
+    cycles = (np.arange(n_records) + 1) * protocol.record_interval
     force = (
         protocol.f_max_n * rig.force_read_bias
         + rng.normal(0.0, rig.hold_force_noise_n, size=n_records)
@@ -326,6 +391,32 @@ def specimen_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in children]
 
 
+def fleet_blocks(
+    params: FleetParams,
+    spec: SensorSpec,
+    protocol: StaticProtocol,
+    rig: RigConfig,
+) -> Iterator[RampBlock]:
+    """Destructively test a fleet; yield it as ``RampBlock``s of ``FLEET_BLOCK`` specimens.
+
+    Specimen seeds are spawned deterministically from the master seed, so
+    repeated runs are bit-identical and specimens are independent.  Each
+    specimen draws from its own generator its eight strengths (the law of
+    :func:`sample_specimen`), then its contact offset, jitter and force
+    noise (the order of :func:`run_static`), so every row equals the curve
+    and the damage that ``run_static`` gives.  Only the current block is
+    held: each block spawns its generators from one shared seed sequence,
+    which hands out the same children as spawning the whole fleet at once.
+    """
+    seeds = np.random.SeedSequence(params.master_seed)
+    for first in range(0, params.count, FLEET_BLOCK):
+        size = min(FLEET_BLOCK, params.count - first)
+        rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
+        strength = _draw_strengths(params, protocol.side, spec, rngs)
+        yield _ramp_block(strength, np.ones(strength.shape, dtype=bool), rngs, spec,
+                          protocol, rig)
+
+
 def iter_fleet(
     params: FleetParams,
     spec: SensorSpec,
@@ -334,22 +425,13 @@ def iter_fleet(
 ) -> Iterator[tuple[SensorState, LoadCurve]]:
     """Destructively test a fleet; yield each specimen's state and curve.
 
-    Specimen seeds are spawned deterministically from the master seed, so
-    repeated runs are bit-identical and specimens are independent.  The
-    ramps run ``FLEET_BLOCK`` specimens at a time through the kernel of
-    :func:`run_static`, each drawing from its own generator in the same
-    order, so every curve equals the one ``run_static`` gives and every
-    state ends with the damage and failure order ``run_static`` leaves.
-    Only the current block is held: each block spawns its generators from
-    one shared seed sequence, which hands out the same children as
-    spawning the whole fleet at once.
+    A view that cuts each block of :func:`fleet_blocks` into its rows;
+    each curve equals the one :func:`run_static` gives for that specimen.
     """
-    seeds = np.random.SeedSequence(params.master_seed)
-    for first in range(0, params.count, FLEET_BLOCK):
-        size = min(FLEET_BLOCK, params.count - first)
-        rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
-        states = [sample_specimen(params, protocol.side, rng, spec) for rng in rngs]
-        yield from zip(states, _run_block(states, rngs, spec, protocol, rig))
+    for block in fleet_blocks(params, spec, protocol, rig):
+        for i in range(len(block)):
+            yield block.specimen(i)
+        del block  # before the next one is made
 
 
 def run_fleet(

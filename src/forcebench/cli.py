@@ -24,7 +24,6 @@ from .analysis import (
     DEFAULT_SIGMA_MULTIPLE,
     DegradationReport,
     FleetSummary,
-    LoadCurve,
     degradation_report,
     fleet_summary,
     overload_factors,
@@ -34,6 +33,7 @@ from .bench import (
     FleetParams,
     RigConfig,
     StaticProtocol,
+    fleet_blocks,
     iter_fleet,
     run_dynamic,
     sample_specimen,
@@ -161,10 +161,10 @@ def _fit_payload(fit: WeibullFit | None) -> dict | None:
 
 
 class _Fleet:
-    """A fleet's curves, made one at a time as they are iterated; ``len``
-    is the fleet size, known up front (perfbench counts curves by it)."""
+    """A fleet's curves, or blocks of them, made as they are iterated;
+    ``len`` is the fleet size, known up front (perfbench counts curves by it)."""
 
-    def __init__(self, curves: Iterable[LoadCurve], count: int):
+    def __init__(self, curves: Iterable, count: int):
         self.curves, self.count = curves, count
 
     def __iter__(self):
@@ -377,8 +377,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         side_config = dict(config, side=side, seed=int(side_seed))
         params = _from_config(FleetParams, side_config)
         protocol = _from_config(StaticProtocol, side_config)
-        curves = (curve for _, curve in iter_fleet(params, spec, protocol, rig))
-        sides_payload[side] = _fleet_payload(_Fleet(curves, params.count), spec, config)
+        blocks = fleet_blocks(params, spec, protocol, rig)
+        sides_payload[side] = _fleet_payload(_Fleet(blocks, params.count), spec, config)
         print()
     dyn_rng = np.random.default_rng(np.random.SeedSequence(int(sub_seeds[2])))
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))

@@ -29,5 +29,9 @@ class OverloadError(ForceBenchError, ValueError):
     """A cyclic protocol would fracture the specimen at its hold force."""
 
 
+class SupplyLossError(ForceBenchError, ValueError):
+    """Arm C has lost a hinge: the bridge supply leads are cut and no bridge can be read."""
+
+
 class DataFormatError(ForceBenchError, ValueError):
     """A data file is malformed or violates a schema invariant."""

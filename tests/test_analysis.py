@@ -23,7 +23,16 @@ from forcebench import (
     run_static,
     sample_specimen,
 )
-from forcebench.analysis import FailureEvent, FleetSummary
+from collections import Counter
+from types import SimpleNamespace
+
+from forcebench.analysis import (
+    UNKNOWN,
+    FailureEvent,
+    FleetSummary,
+    first_failures,
+    ring_events,
+)
 from forcebench.weibull import WeibullFit
 
 QUIET_RIG = RigConfig(
@@ -197,6 +206,84 @@ def test_detect_drop_equal_to_threshold_is_no_failure():
     # 0.5 -> 0.25 drops by exactly 0.5 * 0.5; 0.25 -> 0.125 by exactly the floor
     curve = make_curve([0, 1, 2, 3], [0.5, 0.25, 0.125, -0.25])
     assert [e.sample_index for e in detect_failures(curve, 0.5, 0.125)] == [2]
+
+
+# ------------------------------------------------ block reduction, row by row
+#
+# The per-curve path that fleet_summary took before it reduced whole blocks,
+# kept as the reference: the drop loop above, the fracture point of its first
+# event, and the positions classify_failures gave before the tensile-ring rule
+# became one helper.
+
+def positions_reference(curve, n_events, side):
+    if not any(curve.valid):
+        return [UNKNOWN] * n_events
+    tensile = SensorSpec.tensile_position(side)
+    other = "inner" if tensile == "outer" else "outer"
+    return [tensile if ordinal < 4 else other for ordinal in range(n_events)]
+
+
+def sawtooth(n, teeth):
+    """1 N with ``teeth`` dips to 0.5 N at the odd samples from sample 1 on."""
+    force = np.ones(n)
+    force[1:2 * teeth:2] = 0.5
+    return force
+
+
+@st.composite
+def curve_blocks(draw):
+    """(side, dz, forces, valid): rows that share one displacement grid."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    rows, valid = [], []
+    for _ in range(m):
+        teeth = draw(st.sampled_from([None, 0, 1, 4, 5, 9]))
+        if teeth is None or 2 * teeth > n:
+            rows.append(draw(st.lists(FORCES, min_size=n, max_size=n)))
+        else:
+            rows.append(sawtooth(n, teeth))
+        flags = draw(st.sampled_from(["all", "none", "some"]))
+        if flags == "some":
+            valid.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            valid.append([flags == "all"] * n)
+    side = draw(st.sampled_from(["front", "back"]))
+    return side, np.cumsum(steps), np.array(rows, dtype=float), np.array(valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=curve_blocks(), drop_fraction=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+       drop_floor_n=st.sampled_from([0.0, 0.05, 0.125, 0.25, 1.0]))
+@example(block=("front", np.arange(24.0), np.array([sawtooth(24, k) for k in (0, 1, 4, 5, 9)]),
+                np.array([[True] * 24] * 4 + [[False] * 24])),
+         drop_fraction=0.1, drop_floor_n=0.05)
+@example(block=("back", np.array([0.0, 1.0, 2.0, 3.0]),  # ties at both thresholds
+                np.array([[0.5, 0.25, 0.125, -0.25]]), np.ones((1, 4), dtype=bool)),
+         drop_fraction=0.5, drop_floor_n=0.125)
+def test_block_reduction_matches_curve_by_curve_path(block, drop_fraction, drop_floor_n):
+    side, dz, forces, valid = block
+    reduced = first_failures(SimpleNamespace(side=side, dz_um=dz, force_n=forces, valid=valid),
+                             drop_fraction, drop_floor_n)
+    first, force, disp, events = reduced
+    rings = ring_events(events, valid.any(axis=-1), side)
+    for r, row in enumerate(forces):
+        curve = make_curve(dz, row, side, valid=valid[r])
+        expected = detect_failures_reference(curve, drop_fraction, drop_floor_n)
+        assert events[r] == len(expected)
+        if expected:
+            i = expected[0].sample_index
+            assert first[r] == i
+            assert (force[r], disp[r]) == fracture_point(curve, expected) == (row[i], dz[i])
+        else:
+            assert first[r] == -1 and np.isnan(force[r]) and np.isnan(disp[r])
+        positions = positions_reference(curve, len(expected), side)
+        assert {ring: count[r] for ring, count in rings.items() if count[r]} == Counter(positions)
+        events_now = detect_failures(curve, drop_fraction, drop_floor_n)
+        assert [e.position for e in classify_failures(curve, events_now, side)] == positions
+        # a curve is a block of one
+        for alone, in_block in zip(first_failures(curve, drop_fraction, drop_floor_n), reduced):
+            np.testing.assert_array_equal(alone, in_block[r:r + 1])
 
 
 # -------------------------------------------------------------- fracture point
@@ -378,6 +465,28 @@ def test_curve_errors_held_until_the_iterable_ends(front_fleet_curves):
         fleet_summary([*front_fleet_curves[:3], make_curve(dz, f)])
     with pytest.raises(ValueError, match="drop_fraction"):
         fleet_summary(iter(front_fleet_curves), drop_fraction=-1.0)
+
+
+def test_block_errors_keep_their_precedence(front_fleet_curves):
+    # three failed curves as one block, then a short curve, then a back-side one
+    block = SimpleNamespace(
+        side="front", dz_um=front_fleet_curves[0].dz_um,
+        force_n=np.array([c.force_n for c in front_fleet_curves[:3]]),
+        valid=np.array([c.valid for c in front_fleet_curves[:3]]))
+    dz, f = smooth_front_curve(9)
+    assert fleet_summary([block]).n_curves == 3
+    with pytest.raises(ValueError, match="mixes load sides"):
+        fleet_summary([block, make_curve(dz, f), front_fleet_curves[0], make_curve(dz, f, "back")])
+    with pytest.raises(InsufficientDataError, match="10 samples"):
+        fleet_summary([block, make_curve(dz, f), block])
+
+    def blocks():
+        yield block
+        yield make_curve(dz, f)
+        raise OSError("the iterable's own error")
+
+    with pytest.raises(OSError, match="own error"):
+        fleet_summary(blocks())
 
 
 def test_fleet_summary_needs_three_failed_curves():

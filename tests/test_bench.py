@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from forcebench import (
     DynamicProtocol,
     FleetParams,
+    ForceBenchError,
     HingeId,
     OverloadError,
     ProtocolLimitError,
@@ -18,6 +19,7 @@ from forcebench import (
     degradation_report,
     detect_failures,
     fit_weibull,
+    fleet_summary,
     fracture_point,
     iter_fleet,
     run_dynamic,
@@ -27,7 +29,7 @@ from forcebench import (
     weibull_cdf,
 )
 from forcebench.analysis import LoadCurve
-from forcebench.bench import FLEET_BLOCK, specimen_rngs
+from forcebench.bench import FLEET_BLOCK, fleet_blocks, specimen_rngs
 from forcebench.sensor import (
     ALL_HINGES,
     POSITIONS,
@@ -321,6 +323,36 @@ def test_dynamic_overload_counts_damage_and_load_sharing():
     assert state.intact.tolist() == intact
 
 
+def test_dynamic_overload_names_first_or_next_fracture():
+    strengths = {h: 1e9 for h in ALL_HINGES}
+    for arm in "ABCD":
+        strengths[HingeId(arm, "outer")] = 978.0
+    values = [strengths[h] for h in ALL_HINGES]
+    with pytest.raises(OverloadError) as intact_error:
+        run_dynamic(SensorState(values), SPEC, DynamicProtocol(f_max_n=1.5), RigConfig(),
+                    np.random.default_rng(0))
+    assert str(intact_error.value) == (
+        "hold force 1.5 N would fracture the specimen (first fracture at 1.000 N)")
+    damaged = SensorState(values, [h != HingeId("B", "outer") for h in ALL_HINGES])
+    with pytest.raises(OverloadError) as damaged_error:
+        run_dynamic(damaged, SPEC, DynamicProtocol(f_max_n=0.9), RigConfig(),
+                    np.random.default_rng(0))
+    assert str(damaged_error.value) == (
+        "hold force 0.9 N would fracture the specimen (next fracture at 0.750 N)")
+
+
+def test_dynamic_refuses_specimen_without_bridge_supply():
+    # a broken arm-C hinge cuts the supply leads: no bridge can be read
+    intact = [h != HingeId("C", "outer") for h in ALL_HINGES]
+    state = SensorState(np.full(len(ALL_HINGES), 5000.0), intact)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ForceBenchError, match="arm C has lost a hinge: the bridge supply is"
+                       " cut, so no bridge can be read"):
+        run_dynamic(state, SPEC, DynamicProtocol(), RigConfig(), rng)
+    assert rng.bit_generator.state == before
+
+
 def test_dynamic_protocol_limits():
     with pytest.raises(ProtocolLimitError):
         run_dynamic(
@@ -597,6 +629,16 @@ def test_iter_fleet_matches_run_fleet_and_run_static():
         assert state.hinge_strength.tobytes() == alone.hinge_strength.tobytes()
         assert state.intact.tolist() == alone.intact.tolist()
         assert state.failure_order == alone.failure_order
+
+
+@pytest.mark.parametrize("side", ["front", "back"])
+def test_fleet_summary_of_blocks_matches_the_curves(side):
+    params = FleetParams(count=2 * FLEET_BLOCK + 44, master_seed=17)
+    protocol, rig = StaticProtocol(side=side), RigConfig()
+    blocks = list(fleet_blocks(params, SPEC, protocol, rig))
+    assert [len(b) for b in blocks] == [FLEET_BLOCK, FLEET_BLOCK, 44]
+    curves = run_fleet(params, SPEC, protocol, rig)
+    assert fleet_summary(blocks, SPEC) == fleet_summary(curves, SPEC)
 
 
 def test_fleet_size_bounded_by_numpy_index_type():

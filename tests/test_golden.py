@@ -2,7 +2,8 @@
 
 The digests were taken before the hinge physics was gathered into one
 kernel in ``forcebench.sensor`` (the analysis digests before the hinge
-state became arrays); refactors must leave them unchanged.  A
+state became arrays, the fleet-300 ones before the fleet summary
+reduced whole ramp blocks); refactors must leave them unchanged.  A
 deliberate change of an output format or of the physics has to update
 them in the same change and say why.
 """
@@ -23,6 +24,9 @@ GOLDEN = {
         "c92e1ec62e5d09a02e43994e57105f8a64c73b3ddd121d0654ec85d8a7ca5f4e",
     ("report", "--seed", "3", "--fleet", "50"):
         "6cb9c7cbefcd8f243a404be10d2a776284f91ed79895e14b11890669970964bb",
+    # three ramp blocks per side, the last one partial
+    ("report", "--seed", "21", "--fleet", "300"):
+        "febbac46e3166e20127cb167786dcfa0edab7c8f0f60c42c232d1592e12f89b8",
 }
 
 # Analysis of simulated data: (simulation argv, analysis argv) -> digest of
@@ -33,6 +37,8 @@ PIPELINE_GOLDEN = {
         "2b3c83972e022d2d08342d16b0d1b83d17ca1a9994688689ddadd4b1ca01ecb6",
     (("simulate-static", "--seed", "14", "--fleet", "50", "--side", "back"), ("analyze", "{}")):
         "ff0d555f5b8c444a0ab1fb2f2fc306beab481210f6fecb4ae87136daccd9e69c",
+    (("simulate-static", "--seed", "21", "--fleet", "300", "--side", "back"), ("analyze", "{}")):
+        "6d24379adbcd53208c72c93c86a78ba4fd60ff734fe74cd5c8fae120c36e4b57",
     (("simulate-dynamic", "--seed", "5"), ("degradation", "{}/cycles.csv")):
         "4bad7540ee7e18fa2e114b8f6b546c848afe5a030dd1d00da1f107aeeb7c7c47",
     (("simulate-dynamic", "--seed", "5", "--drift", "1.5"), ("degradation", "{}/cycles.csv")):
