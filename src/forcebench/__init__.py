@@ -27,7 +27,6 @@ from .bench import (
     RigConfig,
     StaticProtocol,
     fleet_blocks,
-    iter_fleet,
     run_dynamic,
     run_fleet,
     run_static,

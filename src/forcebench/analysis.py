@@ -130,7 +130,7 @@ class ChannelStats:
 
     mean: float
     std: float
-    rel_std_pct: float
+    rel_std_pct: float | None  # None where it is undefined: a mean of exactly 0
     slope_per_cycle: float
 
 
@@ -424,7 +424,7 @@ def degradation_report(
         v_mean = values.mean()
         mean = float(v_mean)
         std = float(values.std(ddof=1))
-        rel = abs(std / mean) * 100.0 if mean != 0.0 else float("inf")
+        rel = abs(std / mean) * 100.0 if mean != 0.0 else None
         slope = float(np.sum(centred * (values - v_mean))) / sxx
         channels[name] = ChannelStats(mean, std, rel, slope)
         if name != "force_N":

@@ -8,9 +8,9 @@ is a pure function of its inputs and seed.
 
 Destructive ramps run in blocks: one array kernel turns (m, 8) strength
 and intact arrays into a :class:`RampBlock`, with no object per specimen.
-:func:`iter_fleet` is a view that cuts the blocks of :func:`fleet_blocks`
-into ``(SensorState, LoadCurve)`` pairs; :func:`run_static` is the kernel
-on a batch of one.
+:func:`fleet_blocks` is the one way a fleet is made; :func:`run_fleet`
+reads one curve per row off its blocks, and :func:`run_static` is the
+kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .sensor import (
     _check_side,
 )
 
-# Specimens that iter_fleet advances through one kernel call.  Large enough
+# Specimens that fleet_blocks advances through one kernel call.  Large enough
 # to spread numpy's per-call cost over many specimens, small enough that a
 # block's working arrays stay a few MB and do not raise peak memory.
 FLEET_BLOCK = 128
@@ -160,14 +160,14 @@ def sample_specimen(
 class RampBlock:
     """A block of m destructive ramps, as the fleet kernel makes them.
 
-    It has the recorded fields of a :class:`LoadCurve`, so
-    ``analysis.fleet_summary`` reduces it as it does a curve: ``dz_um``
-    (n,), shared by every ramp, ``force_n`` and ``valid`` (m, n).  The
-    offsets come from the true force ``true_force_n`` (m, n), the bridge
-    gains of each kernel pass ``pass_gains`` (p, m, 4) and the pass of
-    each sample ``passes`` (m, n).  Ground truth, (m, 8) each:
-    ``hinge_strength``, ``intact`` after the ramp, and ``failure_order``,
-    the ``ALL_HINGES`` indices of the hinges broken in order, then -1.
+    It has the recorded fields of a :class:`LoadCurve` (``curve(i)`` is row
+    i as one), so ``analysis.fleet_summary`` reduces it as it does a curve:
+    ``dz_um`` (n,), shared by every ramp, ``force_n`` and ``valid`` (m, n).
+    The offsets come from the true force ``true_force_n`` (m, n), the bridge
+    gains of each kernel pass ``pass_gains`` (p, m, 4) and the pass of each
+    sample ``passes`` (m, n).  Ground truth, (m, 8) each: ``hinge_strength``,
+    ``intact`` after the ramp, and ``failure_order``, the ``ALL_HINGES``
+    indices of the hinges broken in order, then -1.
     """
 
     side: str
@@ -185,14 +185,12 @@ class RampBlock:
     def __len__(self) -> int:
         return len(self.force_n)
 
-    def specimen(self, i: int) -> tuple[SensorState, LoadCurve]:
-        """Row ``i`` as a state and a curve that own copies of its arrays."""
-        order = [ALL_HINGES[h] for h in self.failure_order[i].tolist() if h >= 0]
+    def curve(self, i: int) -> LoadCurve:
+        """Row ``i`` as a curve that owns copies of its arrays."""
         voff = self.true_force_n[i, :, None] * self.pass_gains[self.passes[i], i]
         voff *= self.v_ges
-        return SensorState(self.hinge_strength[i], self.intact[i], order), LoadCurve(
-            side=self.side, dz_um=self.dz_um.copy(), force_n=self.force_n[i].copy(),
-            voff_mv=voff, valid=self.valid[i].copy())
+        return LoadCurve(side=self.side, dz_um=self.dz_um.copy(), force_n=self.force_n[i].copy(),
+                         voff_mv=voff, valid=self.valid[i].copy())
 
 
 def run_static(
@@ -213,10 +211,9 @@ def run_static(
     """
     block = _ramp_block(state.hinge_strength[None], state.intact[None], [rng],
                         spec, protocol, rig)
-    ramped, curve = block.specimen(0)
-    state.intact[:] = ramped.intact
-    state.failure_order += ramped.failure_order
-    return curve
+    state.intact[:] = block.intact[0]
+    state.failure_order += [ALL_HINGES[h] for h in block.failure_order[0].tolist() if h >= 0]
+    return block.curve(0)
 
 
 def _ramp_block(
@@ -417,28 +414,12 @@ def fleet_blocks(
                           protocol, rig)
 
 
-def iter_fleet(
-    params: FleetParams,
-    spec: SensorSpec,
-    protocol: StaticProtocol,
-    rig: RigConfig,
-) -> Iterator[tuple[SensorState, LoadCurve]]:
-    """Destructively test a fleet; yield each specimen's state and curve.
-
-    A view that cuts each block of :func:`fleet_blocks` into its rows;
-    each curve equals the one :func:`run_static` gives for that specimen.
-    """
-    for block in fleet_blocks(params, spec, protocol, rig):
-        for i in range(len(block)):
-            yield block.specimen(i)
-        del block  # before the next one is made
-
-
 def run_fleet(
     params: FleetParams,
     spec: SensorSpec,
     protocol: StaticProtocol,
     rig: RigConfig,
 ) -> list[LoadCurve]:
-    """Destructively test a whole fleet; one curve per specimen (see :func:`iter_fleet`)."""
-    return [curve for _, curve in iter_fleet(params, spec, protocol, rig)]
+    """Destructively test a whole fleet; one curve per specimen (see :func:`fleet_blocks`)."""
+    return [block.curve(i) for block in fleet_blocks(params, spec, protocol, rig)
+            for i in range(len(block))]

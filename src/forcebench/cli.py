@@ -34,13 +34,13 @@ from .bench import (
     RigConfig,
     StaticProtocol,
     fleet_blocks,
-    iter_fleet,
     run_dynamic,
     sample_specimen,
 )
 from .errors import ForceBenchError
 from .fileio import (
     config_hash,
+    json_text,
     read_cycle_log_csv,
     read_force_column_csv,
     read_load_curve_csv,
@@ -245,10 +245,8 @@ def _print_degradation_table(report: DegradationReport) -> None:
     print(f"Cycle log over {report.total_cycles} cycles: verdict {report.verdict}")
     print("  channel          mean        std   rel.std[%]")
     for name, stats in report.channels.items():
-        print(
-            f"  {name:<12} {stats.mean:>10.5f} {stats.std:>10.5f}"
-            f" {stats.rel_std_pct:>11.4f}"
-        )
+        rel = "undefined" if stats.rel_std_pct is None else f"{stats.rel_std_pct:.4f}"
+        print(f"  {name:<12} {stats.mean:>10.5f} {stats.std:>10.5f} {rel:>11}")
 
 
 def cmd_simulate_static(args: argparse.Namespace) -> int:
@@ -260,10 +258,11 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     params = _from_config(FleetParams, config)
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    for i, (_, curve) in enumerate(iter_fleet(params, SensorSpec(), protocol, rig)):
-        name = f"specimen_{i:03d}.csv"
-        write_load_curve_csv(out / name, curve)
-        files.append(name)
+    for block in fleet_blocks(params, SensorSpec(), protocol, rig):
+        for i in range(len(block)):
+            files.append(f"specimen_{len(files):03d}.csv")
+            write_load_curve_csv(out / files[-1], block.curve(i))
+        del block  # before the next one is made
     write_manifest(out, "static-fleet", seed, protocol, rig, _hashed(config), files,
                    fleet=params.count)
     print(f"wrote {len(files)} curves and manifest.json to {out}")
@@ -297,6 +296,9 @@ def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
         if p.is_dir():
             if (p / "manifest.json").exists():
                 files, manifest_side = read_manifest(p)
+                if side and manifest_side and manifest_side != side:
+                    raise ConfigError(f"manifests name different load sides: {side!r}"
+                                      f" and {manifest_side!r} (in {p / 'manifest.json'})")
                 side = manifest_side or side
                 paths.extend(p / name for name in files)
             else:
@@ -320,7 +322,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "analysis.json", payload)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     return 0
 
 
@@ -345,7 +347,7 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
             {"probability": p, "f_max_N": invert_failure_probability(fit, p)}
             for p in probabilities
         ]
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     return 0
 
 
@@ -356,7 +358,7 @@ def cmd_degradation(args: argparse.Namespace) -> int:
         log, sigma_multiple=_config_value(config, "sigma_multiple")
     )
     payload = dataclasses.asdict(report)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     if getattr(args, "out", None):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -410,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, seed: bool = False, side: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--side", choices=("front", "back"), default=None)
+        if side:
+            p.add_argument("--side", choices=("front", "back"), default=None)
         p.add_argument("--out", help="output directory")
         if seed:
             p.add_argument("--seed", type=int, default=None)
@@ -436,11 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert", help="comma-separated probabilities to invert")
 
     p = sub.add_parser("degradation", help="degradation verdict from a cycle-log CSV")
-    add_common(p)
+    add_common(p, side=False)
     p.add_argument("input", help="cycle-log CSV")
 
     p = sub.add_parser("report", help="full simulate-and-analyze chain, both sides")
-    add_common(p, seed=True)
+    add_common(p, seed=True, side=False)
     p.add_argument("--fleet", type=int, default=None)
     p.add_argument("--cycles", type=int, default=None)
     p.add_argument("--drift", type=float, default=None)

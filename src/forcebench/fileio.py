@@ -75,8 +75,13 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def json_text(payload: dict) -> str:
+    """``payload`` as indented, key-sorted JSON; NaN and inf (not JSON) are a ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(payload) + "\n")
 
 
 def config_hash(config: dict) -> str:

@@ -244,9 +244,9 @@ class SensorState:
     never returns to intact within a test; ``failure_order`` records the
     hinges in the order they broke (ground truth for the analysis layer's
     classification tests).  Their only writers are :func:`check_hinge_failures`
-    and the ramp of ``bench.run_static``/``run_fleet``, which writes back
-    the outcome of a whole ramp: both clear the broken hinges in
-    ``intact`` and append them to ``failure_order``.
+    and ``bench.run_static``, which writes back the outcome of a ramp: both
+    clear the broken hinges in ``intact`` and append them to ``failure_order``.
+    A fleet writes no state; its ground truth is each ``bench.RampBlock``'s.
     """
 
     hinge_strength: np.ndarray

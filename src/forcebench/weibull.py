@@ -72,11 +72,17 @@ def _cdf(f: float, f0: float, beta: float) -> float:
 def invert_failure_probability(fit: WeibullFit, p: float) -> float:
     """Load [N] at which the failure probability reaches ``p``.
 
-    Exact inverse of :func:`weibull_cdf`; requires 0 < p < 1.
+    Exact inverse of :func:`weibull_cdf`; requires 0 < p < 1 and a finite load.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
-    return fit.f0 * (-math.log1p(-p)) ** (1.0 / fit.beta)
+    try:
+        load = fit.f0 * (-math.log1p(-p)) ** (1.0 / fit.beta)
+    except OverflowError:
+        load = math.inf
+    if not math.isfinite(load):
+        raise ValueError(f"probability {p!r} inverts to a load beyond the float range")
+    return load
 
 
 def r_parameter(y: Sequence[float], y_prime: Sequence[float]) -> float:

@@ -21,7 +21,6 @@ from forcebench import (
     fit_weibull,
     fleet_summary,
     fracture_point,
-    iter_fleet,
     run_dynamic,
     run_fleet,
     run_static,
@@ -614,21 +613,25 @@ def test_protocol_limit_raised_before_any_draw():
 
 # ------------------------------------------------------------- streamed fleets
 
-def test_iter_fleet_matches_run_fleet_and_run_static():
+def test_fleet_blocks_match_run_fleet_and_run_static():
     # three blocks, the last one partial: each block spawns its own seeds
     params = FleetParams(count=2 * FLEET_BLOCK + 44, master_seed=31)
     protocol, rig = StaticProtocol(side="back"), RigConfig()
-    streamed = list(iter_fleet(params, SPEC, protocol, rig))
+    rows = [(block, i) for block in fleet_blocks(params, SPEC, protocol, rig)
+            for i in range(len(block))]
     fleet = run_fleet(params, SPEC, protocol, rig)
-    assert len(streamed) == len(fleet) == params.count
+    assert len(rows) == len(fleet) == params.count
     rngs = specimen_rngs(params.master_seed, params.count)
-    for (state, curve), fleet_curve, rng in zip(streamed, fleet, rngs):
+    for (block, i), fleet_curve, rng in zip(rows, fleet, rngs):
+        curve = block.curve(i)
         assert_same_curve(curve, fleet_curve)
         alone = sample_specimen(params, protocol.side, rng, SPEC)
         assert_same_curve(curve, run_static(alone, SPEC, protocol, rig, rng))
-        assert state.hinge_strength.tobytes() == alone.hinge_strength.tobytes()
-        assert state.intact.tolist() == alone.intact.tolist()
-        assert state.failure_order == alone.failure_order
+        assert block.hinge_strength[i].tobytes() == alone.hinge_strength.tobytes()
+        assert block.intact[i].tolist() == alone.intact.tolist()
+        order = block.failure_order[i]
+        assert [ALL_HINGES[h] for h in order[order >= 0]] == alone.failure_order
+        assert (order[len(alone.failure_order):] == -1).all()
 
 
 @pytest.mark.parametrize("side", ["front", "back"])

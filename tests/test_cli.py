@@ -9,6 +9,7 @@ from forcebench.cli import main
 from forcebench.fileio import (
     read_cycle_log_csv,
     read_load_curve_csv,
+    write_json,
     write_load_curve_csv,
 )
 
@@ -262,6 +263,21 @@ def test_analyze_rejects_malformed_manifest(fleet_dir, tmp_path, capsys, content
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [("front", "back"), ("back", "front")])
+def test_analyze_refuses_manifests_of_different_sides(tmp_path, capsys, order):
+    for side in ("front", "back"):
+        assert run_cli("simulate-static", "--seed", "14", "--fleet", "3", "--side", side,
+                       "--out", str(tmp_path / side)) == 0
+        # a curve that cannot be read shows that no curve is read first
+        (tmp_path / side / "specimen_000.csv").write_text("not a curve\n")
+    capsys.readouterr()
+    assert run_cli("analyze", *(str(tmp_path / side) for side in order)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: manifests name different load sides:"
+                                   f" {order[0]!r} and {order[1]!r}")
+
+
 @pytest.mark.filterwarnings("error")
 def test_header_only_files_exit_two_without_warning(tmp_path, capsys):
     curve, log, forces = tmp_path / "curve.csv", tmp_path / "cycles.csv", tmp_path / "f.csv"
@@ -361,6 +377,14 @@ def test_fit_weibull_invert_with_params(capsys):
     payload = json.loads(capsys.readouterr().out)
     rounded = [round(row["f_max_N"], 2) for row in payload["inversions"]]
     assert rounded == [0.34, 0.42, 0.52]
+
+
+@pytest.mark.parametrize("params", ["1,1e-300", "1e308,0.5"], ids=["overflow", "infinite"])
+def test_fit_weibull_refuses_a_load_beyond_the_float_range(params, capsys):
+    assert run_cli("fit-weibull", "--params", params, "--invert", "0.9") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: probability 0.9 inverts to a load beyond")
 
 
 @pytest.mark.parametrize("params", ["inf,2", "nan,2", "1.22,inf", "1.22,nan"])
@@ -467,6 +491,39 @@ def test_degradation_rejects_bad_cycle_log(tmp_path, capsys, defect, message):
     capsys.readouterr()
     assert run_cli("degradation", str(out / "cycles.csv")) == 2
     assert message in capsys.readouterr().err
+
+
+def test_degradation_writes_undefined_relative_std_as_null(tmp_path, capsys):
+    out = tmp_path / "dyn"
+    assert run_cli("simulate-dynamic", "--seed", "5", "--out", str(out)) == 0
+    lines = (out / "cycles.csv").read_text().splitlines()
+    # voffA_mV all zero: its mean is 0, so its relative std is undefined
+    lines[1:] = [",".join(row[:2] + ["0"] + row[3:])
+                 for row in (line.split(",") for line in lines[1:])]
+    (out / "cycles.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("degradation", str(out / "cycles.csv"), "--out", str(out)) == 0
+    strict = dict(parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    for text in (capsys.readouterr().out, (out / "degradation.json").read_text()):
+        channels = json.loads(text, **strict)["channels"]
+        assert channels["voffA_mV"]["rel_std_pct"] is None
+        assert channels["voffB_mV"]["rel_std_pct"] < 0.2
+
+
+def test_json_output_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "out.json", {"x": float("inf")})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["report", "degradation"])
+def test_side_flag_is_a_usage_error_where_no_side_is_read(tmp_path, capsys, command):
+    args = ["--seed", "3"] if command == "report" else [str(tmp_path / "cycles.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, "--side", "back", "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --side back" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dynamic_rerun_byte_identical(tmp_path):

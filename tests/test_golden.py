@@ -3,9 +3,10 @@
 The digests were taken before the hinge physics was gathered into one
 kernel in ``forcebench.sensor`` (the analysis digests before the hinge
 state became arrays, the fleet-300 ones before the fleet summary
-reduced whole ramp blocks); refactors must leave them unchanged.  A
-deliberate change of an output format or of the physics has to update
-them in the same change and say why.
+reduced whole ramp blocks, and the fleet-300 ``simulate-static`` one
+before it wrote curves straight off the ramp blocks); refactors must
+leave them unchanged.  A deliberate change of an output format or of the
+physics has to update them in the same change and say why.
 """
 
 import hashlib
@@ -20,6 +21,9 @@ GOLDEN = {
         "d8122074e557ec9d665261c7bb468c9023cdd36e8a361108854b9204492b2199",
     ("simulate-static", "--seed", "14", "--fleet", "50", "--side", "back"):
         "1bc70c4f0db17f2964dd2211810ab0e472af17b9fbaa7ada5754d64a4d74985a",
+    # three ramp blocks, the last one partial
+    ("simulate-static", "--seed", "21", "--fleet", "300", "--side", "back"):
+        "93ead9af3df817e38dce12434733a7c26d452219aed0c3b83b2853b348949abc",
     ("simulate-dynamic", "--seed", "5"):
         "c92e1ec62e5d09a02e43994e57105f8a64c73b3ddd121d0654ec85d8a7ca5f4e",
     ("report", "--seed", "3", "--fleet", "50"):

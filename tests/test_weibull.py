@@ -119,6 +119,12 @@ def test_invert_domain_error(p):
         invert_failure_probability(FRONT, p)
 
 
+@pytest.mark.parametrize("f0, beta", [(1.0, 1e-300), (1e308, 0.5)], ids=["overflow", "inf"])
+def test_invert_refuses_a_load_beyond_the_float_range(f0, beta):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        invert_failure_probability(WeibullFit(f0=f0, beta=beta), 0.9)
+
+
 def test_cdf_inverse_round_trip():
     # restricted to probabilities where 1-p is still resolvable in float64;
     # closer to 1 the round trip through p loses digits by representation
