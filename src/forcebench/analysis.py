@@ -5,7 +5,9 @@ only model knowledge used is the calibrated force-displacement law needed
 to translate budget forces into displacements.  The fleet summary reduces
 blocks of curves on one displacement grid, such as ``bench.RampBlock``, a
 :class:`LoadCurve` being a block of one, with the drop rule of
-:func:`detect_failures` and the ring rule of :func:`classify_failures`.
+:func:`detect_failures` and the ring rule of :func:`classify_failures`;
+:func:`fracture_point` is that reduction of one curve.  A cycle log's
+record interval is its cycle spacing.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .sensor import (
     ARMS,
     NONNEGATIVE,
     POSITIVE,
-    POSITIVE_INT,
     SensorSpec,
-    _check_fields,
     _check_value,
     displacement_at_force,
     force_at_displacement,
@@ -38,7 +38,8 @@ UNKNOWN = "unknown"
 DEFAULT_DROP_FRACTION = 0.10
 DEFAULT_DROP_FLOOR_N = 0.050  # ten times the rig's 5 mN force resolution
 DEFAULT_SIGMA_MULTIPLE = 3.0
-BUDGET_PROBABILITIES = (1e-6, 1e-5, 1e-4)
+BUDGET_PROBABILITIES = (1e-6, 1e-5, 1e-4)  # ascending, as the budget table lists them
+STIFFNESS_WINDOW_UM = 20.0
 
 
 @dataclass
@@ -84,13 +85,12 @@ class FailureEvent:
     position: str = UNKNOWN
 
     def __post_init__(self) -> None:
-        if self.force_drop_n <= 0:
-            raise ValueError("a failure event needs a positive force drop")
+        _check_value("force_drop_n", self.force_drop_n, POSITIVE)
 
 
 @dataclass
 class CycleLog:
-    """Long-term test record sampled every ``record_interval`` cycles.
+    """Long-term test record; its constant cycle spacing is the record interval.
 
     Forces and offsets must be finite: unlike a load curve, a cycle log
     has no validity flag to mark a lost reading.  Cycle indices lie within
@@ -100,11 +100,8 @@ class CycleLog:
     cycles: np.ndarray
     force_n: np.ndarray
     voff_mv: np.ndarray
-    v_ges: float = field(metadata=POSITIVE)
-    record_interval: int = field(metadata=POSITIVE_INT)
 
     def __post_init__(self) -> None:
-        _check_fields(self)
         self.cycles = np.asarray(self.cycles, dtype=int)
         self.force_n = np.asarray(self.force_n, dtype=float)
         self.voff_mv = np.asarray(self.voff_mv, dtype=float)
@@ -159,17 +156,17 @@ class FleetSummary:
     budget: list[dict] = field(default_factory=list)
 
 
-def extract_stiffness(curve: LoadCurve, dz_limit_um: float = 20.0) -> float:
+def extract_stiffness(curve: LoadCurve) -> float:
     """Initial stiffness [mN/um] from the low-displacement region.
 
     Free-intercept least-squares slope of force versus displacement over
-    all samples with dz <= ``dz_limit_um``; the intercept absorbs any
-    contact-detection offset.
+    all samples with dz <= ``STIFFNESS_WINDOW_UM``; the intercept absorbs
+    any contact-detection offset.
     """
-    mask = curve.dz_um <= dz_limit_um
+    mask = curve.dz_um <= STIFFNESS_WINDOW_UM
     if int(mask.sum()) < 3:
         raise InsufficientDataError(
-            f"need at least 3 samples below {dz_limit_um} um, got {int(mask.sum())}"
+            f"need at least 3 samples below {STIFFNESS_WINDOW_UM} um, got {int(mask.sum())}"
         )
     z = curve.dz_um[mask]
     f = curve.force_n[mask]
@@ -242,16 +239,13 @@ def first_failures(
     return first, f_first, np.where(failed, block.dz_um[first], np.nan), events
 
 
-def fracture_point(
-    curve: LoadCurve, events: list[FailureEvent] | None = None
-) -> tuple[float, float]:
-    """(force [N], displacement [um]) right before the first failure."""
-    if events is None:
-        events = detect_failures(curve)
-    if not events:
+def fracture_point(curve: LoadCurve) -> tuple[float, float]:
+    """(force [N], displacement [um]) right before the first failure: the
+    :func:`first_failures` of a block of one, at the default thresholds."""
+    _, f, dz, events = first_failures(curve)
+    if not events[0]:
         raise NoFailureError("curve has no detected failure event")
-    i = events[0].sample_index
-    return float(curve.force_n[i]), float(curve.dz_um[i])
+    return float(f[0]), float(dz[0])
 
 
 def ring_events(events, readable, side: str) -> dict[str, np.ndarray]:
@@ -281,8 +275,10 @@ def classify_failures(
     event; a valid-to-invalid transition identifies arm C (loss of the
     supply leads), and events after that keep an unknown arm.  The
     position follows :func:`ring_events`.  A curve without any valid
-    bridge data gives fully unknown events.
+    bridge data gives fully unknown events.  ``side`` must be the curve's.
     """
+    if side != curve.side:
+        raise ValueError(f"side {side!r} is not the curve's load side {curve.side!r}")
     rings = ring_events(len(events), curve.valid.any(), side)
     positions = [ring for ring, count in rings.items() for _ in range(int(count))]
     classified: list[FailureEvent] = []
@@ -306,13 +302,12 @@ def fleet_summary(
     spec: SensorSpec | None = None,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
-    probabilities: tuple[float, ...] = BUDGET_PROBABILITIES,
 ) -> FleetSummary:
     """Aggregate fracture statistics over a fleet of destructive tests.
 
     Computes mean/std of the first-fracture points, tallies classified
     hinge positions, fits the Weibull law to the first-fracture forces and
-    evaluates the tolerable-load budget at the given probabilities.  The
+    evaluates the tolerable-load budget at ``BUDGET_PROBABILITIES``.  The
     budget displacements come from the calibrated force-displacement law
     of ``spec`` (defaults to the standard design).
 
@@ -372,7 +367,7 @@ def fleet_summary(
 
     budget = []
     if fit is not None:
-        for p in sorted(probabilities):
+        for p in BUDGET_PROBABILITIES:
             f_max = invert_failure_probability(fit, p)
             budget.append(
                 {
@@ -404,7 +399,8 @@ def degradation_report(
     relative standard deviation and the least-squares trend slope per
     cycle.  The verdict is ``degraded`` when, for any offset channel, the
     trend accumulated over the full run exceeds ``sigma_multiple`` times
-    the detrended (residual) scatter of that channel.
+    the detrended (residual) scatter of that channel.  The run lasts the
+    span of the cycle indices plus one record interval, the cycle spacing.
     """
     _check_value("sigma_multiple", sigma_multiple, POSITIVE)
     if len(log) < 10:
@@ -414,7 +410,8 @@ def degradation_report(
     cycles = log.cycles.astype(float)
     centred = cycles - cycles.mean()
     sxx = float(np.sum(centred**2))
-    total_cycles = int(log.cycles[-1] - log.cycles[0] + log.record_interval)
+    spacing = log.cycles[1] - log.cycles[0]  # the record interval
+    total_cycles = int(log.cycles[-1] - log.cycles[0] + spacing)
     channels: dict[str, ChannelStats] = {}
     degraded = False
     series = {"force_N": log.force_n}

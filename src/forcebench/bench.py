@@ -373,13 +373,7 @@ def run_dynamic(
         + rng.normal(0.0, rig.hold_offset_noise_mv, size=(n_records, 4))
         + protocol.drift_mv * (cycles / protocol.n_cycles)[:, None]
     )
-    return CycleLog(
-        cycles=cycles,
-        force_n=force,
-        voff_mv=voff,
-        v_ges=protocol.v_ges,
-        record_interval=protocol.record_interval,
-    )
+    return CycleLog(cycles=cycles, force_n=force, voff_mv=voff)
 
 
 def specimen_rngs(master_seed: int, count: int) -> list[np.random.Generator]:

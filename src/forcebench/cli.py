@@ -311,7 +311,10 @@ def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args)
     paths, manifest_side = _collect_curve_paths(args.inputs)
-    side = args.side or manifest_side or config["side"]
+    if args.side and manifest_side and args.side != manifest_side:
+        raise ConfigError(f"--side {args.side!r} disagrees with the manifest's load side"
+                          f" {manifest_side!r}")
+    side = manifest_side or config["side"]  # the flag, if given, is in the config
     curves = _Fleet((read_load_curve_csv(p, side) for p in paths), len(paths))
     if len(curves) < 3:
         curves.drain()  # a file's own error comes first
@@ -353,7 +356,7 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
 
 def cmd_degradation(args: argparse.Namespace) -> int:
     config = load_config(args)
-    log = read_cycle_log_csv(Path(args.input), v_ges=_config_value(config, "v_ges"))
+    log = read_cycle_log_csv(Path(args.input))
     report = degradation_report(
         log, sigma_multiple=_config_value(config, "sigma_multiple")
     )

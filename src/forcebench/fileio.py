@@ -11,6 +11,7 @@ the ``nan`` offsets of a supply-loss row: each row's text is picked from
 its data, and only forces and present offsets are formatted, with the
 same bytes as formatting every field.  Fields are read by numpy's C
 parser: ASCII decimal numbers, ``nan`` and ``inf``, and no digit separators.
+A cycle log holds only its columns: its record interval is its cycle spacing.
 All writes go through a temp-then-rename so output files are atomic; a
 failed write removes its temp file.
 Error messages name the file and its physical line, blank lines counted.
@@ -264,7 +265,7 @@ def write_cycle_log_csv(path: Path, log: CycleLog) -> None:
                  _float_table([log.force_n, log.voff_mv]).ravel())
 
 
-def read_cycle_log_csv(path: Path, v_ges: float = 1.0) -> CycleLog:
+def read_cycle_log_csv(path: Path) -> CycleLog:
     """Parse one cycle-log CSV; errors name the file and line."""
     table, _, linenos = _read_table(path, CYCLE_HEADER)
     cycles = table[:, 0]  # NaN, infinite and beyond-int64 indices fail the bound
@@ -272,11 +273,8 @@ def read_cycle_log_csv(path: Path, v_ges: float = 1.0) -> CycleLog:
                   "cycle index must be an integer")
     if len(cycles) < 1:
         raise DataFormatError(f"{path}: no data rows")
-    cycles = cycles.astype(int)
-    interval = cycles[1] - cycles[0] if len(cycles) >= 2 else cycles[0]
     try:
-        return CycleLog(cycles=cycles, force_n=table[:, 1], voff_mv=table[:, 2:],
-                        v_ges=v_ges, record_interval=int(interval))
+        return CycleLog(cycles=cycles.astype(int), force_n=table[:, 1], voff_mv=table[:, 2:])
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

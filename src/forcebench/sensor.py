@@ -302,8 +302,7 @@ def hinge_stress(spec: SensorSpec, f_z: float, side: str, position: str) -> floa
     _check_side(side)
     if position not in POSITIONS:
         raise ValueError(f"position must be one of {POSITIONS}, got {position!r}")
-    if f_z < 0:
-        raise ValueError("normal force must be nonnegative")
+    _check_value("f_z", f_z, NONNEGATIVE)
     gain = spec.stress_gain_inner if position == "inner" else spec.stress_gain_outer
     if side == "back":
         gain = -gain

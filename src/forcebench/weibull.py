@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
+from .sensor import NONNEGATIVE, _check_value
 
 
 # Loads that _cdf_of turns into Python floats at a time: libm's pow and
@@ -54,8 +55,7 @@ def median_ranks(n: int) -> np.ndarray:
 
 def weibull_cdf(fit: WeibullFit, f: float) -> float:
     """Failure probability at load ``f`` [N]; 0 at 0, 1 - 1/e at f0."""
-    if f < 0:
-        raise ValueError("load must be nonnegative")
+    _check_value("f", f, NONNEGATIVE)
     return _cdf(f, fit.f0, fit.beta)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from forcebench import (
     CycleLog,
+    DynamicProtocol,
     FleetParams,
     InsufficientDataError,
     LoadCurve,
@@ -20,6 +21,7 @@ from forcebench import (
     force_at_displacement,
     fracture_point,
     overload_factors,
+    run_dynamic,
     run_static,
     sample_specimen,
 )
@@ -208,6 +210,12 @@ def test_detect_drop_equal_to_threshold_is_no_failure():
     assert [e.sample_index for e in detect_failures(curve, 0.5, 0.125)] == [2]
 
 
+@pytest.mark.parametrize("drop", [np.nan, np.inf, 0.0, -0.1])
+def test_failure_event_needs_a_positive_finite_drop(drop):
+    with pytest.raises(ValueError, match="^force_drop_n: expected positive finite number"):
+        FailureEvent(3, drop)
+
+
 # ------------------------------------------------ block reduction, row by row
 #
 # The per-curve path that fleet_summary took before it reduced whole blocks,
@@ -274,7 +282,7 @@ def test_block_reduction_matches_curve_by_curve_path(block, drop_fraction, drop_
         if expected:
             i = expected[0].sample_index
             assert first[r] == i
-            assert (force[r], disp[r]) == fracture_point(curve, expected) == (row[i], dz[i])
+            assert (force[r], disp[r]) == (row[i], dz[i])
         else:
             assert first[r] == -1 and np.isnan(force[r]) and np.isnan(disp[r])
         positions = positions_reference(curve, len(expected), side)
@@ -395,6 +403,12 @@ def test_classify_late_events_assigned_to_other_ring():
         assert all(p == "outer" for p in positions[4:])
 
 
+def test_classify_refuses_a_side_other_than_the_curves():
+    _, curve = simulate_specimen(3, "front")
+    with pytest.raises(ValueError, match="'back' is not the curve's load side 'front'"):
+        classify_failures(curve, detect_failures(curve), "back")
+
+
 # --------------------------------------------------------------- fleet summary
 
 @pytest.fixture(scope="module")
@@ -509,8 +523,6 @@ def constant_log(n=100, force=0.5, voff=-190.0):
         cycles=(np.arange(n) + 1) * 500,
         force_n=np.full(n, force),
         voff_mv=np.full((n, 4), voff),
-        v_ges=1.0,
-        record_interval=500,
     )
 
 
@@ -532,8 +544,6 @@ def test_degradation_flags_linear_drift():
         voff_mv=log.voff_mv
         + rng.normal(0, 0.28, (n, 4))
         + 2.0 * (log.cycles / 50_000)[:, None],
-        v_ges=1.0,
-        record_interval=500,
     )
     assert degradation_report(drifted).verdict == "degraded"
 
@@ -546,10 +556,37 @@ def test_degradation_tolerates_pure_noise():
         cycles=log.cycles,
         force_n=log.force_n + rng.normal(0, 0.00037, n),
         voff_mv=log.voff_mv + rng.normal(0, 0.28, (n, 4)),
-        v_ges=1.0,
-        record_interval=500,
     )
     assert degradation_report(noisy).verdict == "stable"
+
+
+def test_total_cycles_is_read_off_the_cycle_spacing():
+    n = 20
+    log = CycleLog(cycles=np.arange(n) * 500 + 7, force_n=np.full(n, 0.5),
+                   voff_mv=np.full((n, 4), -190.0))
+    assert degradation_report(log).total_cycles == n * 500
+
+
+def flagged_runs(drift_mv, n_records, seeds):
+    """How many seeded ``simulate-dynamic`` runs of 50 000 cycles, with
+    ``n_records`` records and ``drift_mv`` of injected drift, read degraded."""
+    protocol = DynamicProtocol(drift_mv=drift_mv, record_interval=50_000 // n_records)
+    flagged = 0
+    for seed in seeds:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        state = sample_specimen(FleetParams(), protocol.side, rng)
+        log = run_dynamic(state, SensorSpec(), protocol, RigConfig(), rng)
+        flagged += degradation_report(log).verdict == "degraded"
+    return flagged
+
+
+@pytest.mark.parametrize("n_records", [100, 1000])
+def test_degradation_verdict_scored_against_injected_drift(n_records):
+    # The rule flags a full-run trend beyond 3x the residual scatter, about
+    # 0.84 mV at the rig's 0.28 mV noise, whatever the number of records.
+    seeds = range(300)
+    assert flagged_runs(0.0, n_records, seeds) <= 3  # false alarms at most 1 %
+    assert flagged_runs(1.0, n_records, seeds) >= 297  # detections at least 99 %
 
 
 def test_degradation_requires_ten_entries():
@@ -563,8 +600,6 @@ def test_cycle_log_requires_constant_spacing():
             cycles=[500, 1000, 2500],
             force_n=[0.5, 0.5, 0.5],
             voff_mv=np.zeros((3, 4)),
-            v_ges=1.0,
-            record_interval=500,
         )
 
 
@@ -586,18 +621,20 @@ def test_degradation_rejects_bad_sigma_multiple(value):
     ("record_interval", 1.5),
 ])
 def test_cycle_log_rejects_bad_scalars(name, value):
-    log = constant_log(n=3)
-    scalars = {"v_ges": 1.0, "record_interval": 500, name: value}
+    # A log holds data only: its interval is its cycle spacing, and the
+    # scalars it is recorded with are the protocol's, refused there by name.
+    with pytest.raises(TypeError):
+        CycleLog(cycles=[500, 1000], force_n=[0.5, 0.5], voff_mv=np.zeros((2, 4)),
+                 **{name: value})
     with pytest.raises(ValueError, match=f"^{name}: expected"):
-        CycleLog(cycles=log.cycles, force_n=log.force_n, voff_mv=log.voff_mv, **scalars)
+        DynamicProtocol(**{name: value})
 
 
 @pytest.mark.parametrize("first", [2**53 - 1, -(2**53) - 4])
 def test_cycle_log_rejects_indices_beyond_float64(first):
     # float64, which the writer formats cycles from, holds integers exactly up to 2**53
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        CycleLog(cycles=[first, first + 2], force_n=[0.5, 0.5], voff_mv=np.zeros((2, 4)),
-                 v_ges=1.0, record_interval=2)
+        CycleLog(cycles=[first, first + 2], force_n=[0.5, 0.5], voff_mv=np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------- overload

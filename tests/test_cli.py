@@ -278,6 +278,23 @@ def test_analyze_refuses_manifests_of_different_sides(tmp_path, capsys, order):
                                    f" {order[0]!r} and {order[1]!r}")
 
 
+def test_analyze_refuses_a_side_flag_the_manifest_contradicts(fleet_dir, tmp_path, capsys):
+    run_cli("analyze", str(fleet_dir))
+    plain = capsys.readouterr().out
+    assert run_cli("analyze", str(fleet_dir), "--side", "front") == 0  # an agreeing flag
+    assert capsys.readouterr().out == plain
+    copy_curves(fleet_dir, tmp_path, 20)
+    (tmp_path / "manifest.json").write_bytes((fleet_dir / "manifest.json").read_bytes())
+    # a curve that cannot be read shows that no curve is read first
+    (tmp_path / "specimen_000.csv").write_text("not a curve\n")
+    assert run_cli("analyze", str(tmp_path), "--side", "back",
+                   "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out").exists()
+    assert captured.err.startswith(
+        "error: --side 'back' disagrees with the manifest's load side 'front'")
+
+
 @pytest.mark.filterwarnings("error")
 def test_header_only_files_exit_two_without_warning(tmp_path, capsys):
     curve, log, forces = tmp_path / "curve.csv", tmp_path / "cycles.csv", tmp_path / "f.csv"
@@ -473,6 +490,24 @@ def test_dynamic_too_few_records_exit_two(tmp_path):
     assert run_cli("simulate-dynamic", "--seed", "5", "--cycles", "500",
                    "--out", str(out)) == 0
     assert run_cli("degradation", str(out / "cycles.csv")) == 2
+
+
+@pytest.mark.parametrize("cycle", [0, -500])
+def test_one_row_cycle_log_is_too_short_for_a_verdict(tmp_path, capsys, cycle):
+    log = tmp_path / "cycles.csv"
+    log.write_text(f"cycle,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV\n{cycle},0.5,1,2,3,4\n")
+    assert run_cli("degradation", str(log)) == 2
+    assert "need at least 10 log entries, got 1" in capsys.readouterr().err
+
+
+def test_degradation_reads_no_supply_voltage(tmp_path, capsys):
+    # a cycle log's offsets are recorded voltages: v_ges is a key of simulate-dynamic only
+    out, config = tmp_path / "dyn", tmp_path / "config.json"
+    assert run_cli("simulate-dynamic", "--seed", "5", "--out", str(out)) == 0
+    config.write_text('{"v_ges": -1.0}')
+    capsys.readouterr()
+    assert run_cli("degradation", str(out / "cycles.csv"), "--config", str(config)) == 0
+    assert json.loads(capsys.readouterr().out)["total_cycles"] == 50_000
 
 
 @pytest.mark.parametrize("defect, message", [

@@ -63,13 +63,12 @@ def load_curves(draw):
 @st.composite
 def cycle_logs(draw):
     n = draw(st.integers(1, 12))
-    start = draw(st.integers(int(n == 1), 10**12))  # a one-row log's interval is its cycle
+    start = draw(st.integers(-10**12, 10**12))
     step = draw(st.integers(1, 10**6))
     cycles = np.arange(n) * step + start
     force = draw(st.lists(TEN_DIGITS, min_size=n, max_size=n))
     voff = draw(st.lists(TEN_DIGITS, min_size=4 * n, max_size=4 * n))
-    return CycleLog(cycles=cycles, force_n=force, voff_mv=np.reshape(voff, (n, 4)),
-                    v_ges=1.0, record_interval=int(step if n >= 2 else start))
+    return CycleLog(cycles=cycles, force_n=force, voff_mv=np.reshape(voff, (n, 4)))
 
 
 @ROUND_TRIP
@@ -93,15 +92,13 @@ def test_cycle_log_round_trip(tmp_path, log):
     assert np.array_equal(again.cycles, log.cycles)
     assert np.array_equal(again.force_n, log.force_n)
     assert np.array_equal(again.voff_mv, log.voff_mv)
-    assert again.record_interval == log.record_interval
 
 
 def test_cycle_indices_up_to_two_to_the_53_round_trip(tmp_path):
     log = CycleLog(cycles=[2**53 - 4, 2**53 - 2, 2**53], force_n=[0.5] * 3,
-                   voff_mv=np.zeros((3, 4)), v_ges=1.0, record_interval=2)
+                   voff_mv=np.zeros((3, 4)))
     again = write_twice(tmp_path, write_cycle_log_csv, read_cycle_log_csv, log)
     assert again.cycles.tolist() == [2**53 - 4, 2**53 - 2, 2**53]
-    assert again.record_interval == 2
 
 
 def test_cycle_indices_beyond_two_to_the_53_name_the_file(tmp_path):
@@ -236,8 +233,7 @@ def test_cycle_log_bytes_equal_per_row_writer(tmp_path, n, start, step, data):
     log = CycleLog(cycles=np.arange(n) * step + start,
                    force_n=data.draw(st.lists(FINITE, min_size=n, max_size=n)),
                    voff_mv=np.reshape(data.draw(st.lists(FINITE, min_size=4 * n, max_size=4 * n)),
-                                      (n, 4)),
-                   v_ges=1.0, record_interval=step)
+                                      (n, 4)))
     path = tmp_path / "cycles.csv"
     write_cycle_log_csv(path, log)
     assert path.read_bytes() == reference_cycle_log_bytes(log)

@@ -10,6 +10,7 @@ physics has to update them in the same change and say why.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -76,6 +77,22 @@ def test_analysis_outputs_match_golden_digest(simulate, analyse, tmp_path, capsy
     assert main([arg.format(data) for arg in analyse] + ["--out", str(out)]) == 0
     (out / "stdout.txt").write_text(capsys.readouterr().out)
     assert output_digest(out) == PIPELINE_GOLDEN[(simulate, analyse)]
+
+
+# A cycle log recorded every 250 cycles, not the default 500: the
+# degradation step reads the interval off the file's own cycle column.
+INTERVAL_250_GOLDEN = "1558b011fc3a078b0e1890d55105398f00dda60cda08d0c11cd4e1780ea7b0b7"
+
+
+def test_degradation_of_a_non_default_interval_matches_golden_digest(tmp_path, capsys):
+    config, data, out = tmp_path / "config.json", tmp_path / "data", tmp_path / "out"
+    config.write_text(json.dumps({"record_interval": 250}))
+    assert main(["simulate-dynamic", "--seed", "5", "--config", str(config),
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["degradation", str(data / "cycles.csv"), "--out", str(out)]) == 0
+    (out / "stdout.txt").write_text(capsys.readouterr().out)
+    assert output_digest(out) == INTERVAL_250_GOLDEN
 
 
 # fit-weibull on seeded force files: (count, invert) -> digest of stdout,

@@ -140,6 +140,12 @@ def test_hinge_stress_rejects_negative_force(spec):
         hinge_stress(spec, -0.1, "front", "outer")
 
 
+@pytest.mark.parametrize("f_z", [np.nan, np.inf])
+def test_hinge_stress_rejects_non_finite_force(spec, f_z):
+    with pytest.raises(ValueError, match="^f_z: expected nonnegative finite number"):
+        hinge_stress(spec, f_z, "front", "outer")
+
+
 # ------------------------------------------------------- force <-> displacement
 
 def test_force_zero_displacement(spec):

@@ -37,8 +37,7 @@ RULED = {
     PiezoCoefficients: {},
     StressState: {},
     HingeId: {"arm": "C", "position": "outer"},
-    CycleLog: {"cycles": [500, 1000], "force_n": [0.5, 0.5], "voff_mv": np.zeros((2, 4)),
-               "v_ges": 1.0, "record_interval": 500},
+    CycleLog: {"cycles": [500, 1000], "force_n": [0.5, 0.5], "voff_mv": np.zeros((2, 4))},
 }
 RULED_FIELDS = [
     (cls, f.name, f.metadata["rule"][0])

@@ -68,6 +68,12 @@ def test_cdf_monotone():
     assert np.all(np.diff(p) >= 0)
 
 
+@pytest.mark.parametrize("load", [-0.1, math.nan, math.inf])
+def test_cdf_rejects_negative_or_non_finite_load(load):
+    with pytest.raises(ValueError, match="^f: expected nonnegative finite number"):
+        weibull_cdf(FRONT, load)
+
+
 def test_cdf_saturates_for_extreme_loads():
     assert weibull_cdf(FRONT, 1e300) == 1.0
     assert weibull_cdf(FRONT, 50.0) == 1.0
