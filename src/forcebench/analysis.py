@@ -26,6 +26,7 @@ from .sensor import (
     ARMS,
     NONNEGATIVE,
     POSITIVE,
+    Ruled,
     SensorSpec,
     _check_value,
     displacement_at_force,
@@ -76,16 +77,13 @@ class LoadCurve:
 
 
 @dataclass
-class FailureEvent:
+class FailureEvent(Ruled):
     """A detected force discontinuity, attributed to one membrane hinge."""
 
     sample_index: int
-    force_drop_n: float
+    force_drop_n: float = field(metadata=POSITIVE)
     arm: str = UNKNOWN
     position: str = UNKNOWN
-
-    def __post_init__(self) -> None:
-        _check_value("force_drop_n", self.force_drop_n, POSITIVE)
 
 
 @dataclass
@@ -93,8 +91,8 @@ class CycleLog:
     """Long-term test record; its constant cycle spacing is the record interval.
 
     Forces and offsets must be finite: unlike a load curve, a cycle log
-    has no validity flag to mark a lost reading.  Cycle indices lie within
-    +-2**53, where float64, which the writer formats them from, is exact.
+    has no validity flag to mark a lost reading.  Cycle indices are integers
+    within +-2**53, where float64, which the writer formats them from, is exact.
     """
 
     cycles: np.ndarray
@@ -102,16 +100,20 @@ class CycleLog:
     voff_mv: np.ndarray
 
     def __post_init__(self) -> None:
-        self.cycles = np.asarray(self.cycles, dtype=int)
+        cycles = np.asarray(self.cycles)
         self.force_n = np.asarray(self.force_n, dtype=float)
         self.voff_mv = np.asarray(self.voff_mv, dtype=float)
-        n = self.cycles.size
+        n = cycles.size
         if self.force_n.size != n or self.voff_mv.shape != (n, 4):
             raise ValueError("cycle log arrays must agree in length")
         if not (np.isfinite(self.force_n).all() and np.isfinite(self.voff_mv).all()):
             raise ValueError("cycle log forces and offsets must be finite")
-        if np.any((self.cycles < -(2**53)) | (self.cycles > 2**53)):
+        # before the int cast: it truncates fractions, and fails on NaN or huge values
+        if not np.all((cycles >= -(2**53)) & (cycles <= 2**53)):
             raise ValueError("cycle indices must lie within +-2**53")
+        if np.any(cycles % 1 != 0):
+            raise ValueError("cycle indices must be integers")
+        self.cycles = cycles.astype(int)
         if n >= 2:
             spacing = np.diff(self.cycles)
             if np.any(spacing <= 0) or np.any(spacing != spacing[0]):

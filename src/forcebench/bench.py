@@ -10,7 +10,8 @@ Destructive ramps run in blocks: one array kernel turns (m, 8) strength
 and intact arrays into a :class:`RampBlock`, with no object per specimen.
 :func:`fleet_blocks` is the one way a fleet is made; :func:`run_fleet`
 reads one curve per row off its blocks, and :func:`run_static` is the
-kernel on a batch of one.
+kernel on a batch of one.  :func:`cycle_log` is the one way a seeded
+specimen is cycled.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .sensor import (
     POSITIVE,
     POSITIVE_INT,
     SIDE,
+    Ruled,
     SensorSpec,
     SensorState,
     bridge_gains,
@@ -40,7 +42,6 @@ from .sensor import (
     hinge_breaks,
     intact_force,
     stiffness_factor,
-    _check_fields,
     _check_side,
 )
 
@@ -51,7 +52,7 @@ FLEET_BLOCK = 128
 
 
 @dataclass(frozen=True)
-class RigConfig:
+class RigConfig(Ruled):
     """Instrument characteristics and hard limits of the test rig.
 
     Gaussian measurement noise uses sigma = resolution/2 (force) and
@@ -71,12 +72,9 @@ class RigConfig:
     hold_force_noise_n: float = field(default=0.00037, metadata=NONNEGATIVE)
     hold_offset_noise_mv: float = field(default=0.28, metadata=NONNEGATIVE)
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
-class StaticProtocol:
+class StaticProtocol(Ruled):
     """Destructive ramp: step the displacement from 0 to ``dz_max_um``."""
 
     side: str = field(default="front", metadata=SIDE)
@@ -84,12 +82,9 @@ class StaticProtocol:
     step_um: float = field(default=0.5, metadata=POSITIVE)
     v_ges: float = field(default=1.0, metadata=POSITIVE)
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
-class DynamicProtocol:
+class DynamicProtocol(Ruled):
     """Cyclic load between ``f_min_n`` and ``f_max_n``, logged at the hold point."""
 
     side: str = field(default="front", metadata=SIDE)
@@ -102,7 +97,7 @@ class DynamicProtocol:
     drift_mv: float = field(default=0.0, metadata=FINITE)
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        super().__post_init__()
         if not self.f_min_n < self.f_max_n:
             raise ValueError("need 0 < f_min < f_max")
         if self.n_cycles % self.record_interval != 0:
@@ -110,7 +105,7 @@ class DynamicProtocol:
 
 
 @dataclass(frozen=True)
-class FleetParams:
+class FleetParams(Ruled):
     """Per-side first-fracture Weibull parameters and the fleet size."""
 
     f0_front_n: float = field(default=1.22, metadata=POSITIVE)
@@ -119,9 +114,6 @@ class FleetParams:
     beta_back: float = field(default=7.21, metadata=POSITIVE)
     count: int = field(default=20, metadata=FLEET_SIZE)
     master_seed: int = field(default=0, metadata=NONNEGATIVE_INT)
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
     def side_params(self, side: str) -> tuple[float, float]:
         _check_side(side)
@@ -374,6 +366,16 @@ def run_dynamic(
         + protocol.drift_mv * (cycles / protocol.n_cycles)[:, None]
     )
     return CycleLog(cycles=cycles, force_n=force, voff_mv=voff)
+
+
+def cycle_log(params: FleetParams, spec: SensorSpec, protocol: DynamicProtocol,
+              rig: RigConfig, seed: int) -> CycleLog:
+    """Cycle one specimen of the protocol's side: one generator, seeded with
+    ``SeedSequence(seed)``, draws its strengths (:func:`sample_specimen`) and
+    then the noise of :func:`run_dynamic`."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    state = sample_specimen(params, protocol.side, rng, spec)
+    return run_dynamic(state, spec, protocol, rig, rng)
 
 
 def specimen_rngs(master_seed: int, count: int) -> list[np.random.Generator]:

@@ -33,14 +33,13 @@ from .bench import (
     FleetParams,
     RigConfig,
     StaticProtocol,
+    cycle_log,
     fleet_blocks,
-    run_dynamic,
-    sample_specimen,
 )
 from .errors import ForceBenchError
 from .fileio import (
-    config_hash,
     json_text,
+    provenance,
     read_cycle_log_csv,
     read_force_column_csv,
     read_load_curve_csv,
@@ -50,7 +49,7 @@ from .fileio import (
     write_load_curve_csv,
     write_manifest,
 )
-from .sensor import SensorSpec
+from .sensor import SIDES, SensorSpec
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
 
 # Config keys of the FleetParams fields that the config names differently.
@@ -77,7 +76,9 @@ class ConfigError(ForceBenchError):
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, an optional config file and flags; flags win."""
+    """Merge defaults, an optional config file and flags; flags win.
+
+    A flag that sets a config key stores its value under that key's name."""
     config = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -91,16 +92,8 @@ def load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    for flag, key in [
-        ("seed", "seed"),
-        ("side", "side"),
-        ("fleet", "fleet"),
-        ("drift", "drift_mv"),
-        ("cycles", "n_cycles"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[key] = value
+    config.update((key, value) for key, value in vars(args).items()
+                  if key in config and value is not None)
     return config
 
 
@@ -276,9 +269,7 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     protocol = _from_config(DynamicProtocol, config)
     rig = RigConfig()
     params = _from_config(FleetParams, config)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    state = sample_specimen(params, protocol.side, rng)
-    log = run_dynamic(state, SensorSpec(), protocol, rig, rng)
+    log = cycle_log(params, SensorSpec(), protocol, rig, seed)
     out.mkdir(parents=True, exist_ok=True)
     write_cycle_log_csv(out / "cycles.csv", log)
     write_manifest(out, "cycle-log", seed, protocol, rig, _hashed(config),
@@ -378,25 +369,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     rig = RigConfig()
     sub_seeds = np.random.SeedSequence(seed).generate_state(3)
     sides_payload = {}
-    for side, side_seed in zip(("front", "back"), sub_seeds[:2]):
+    for side, side_seed in zip(SIDES, sub_seeds[:2]):
         side_config = dict(config, side=side, seed=int(side_seed))
         params = _from_config(FleetParams, side_config)
         protocol = _from_config(StaticProtocol, side_config)
         blocks = fleet_blocks(params, spec, protocol, rig)
         sides_payload[side] = _fleet_payload(_Fleet(blocks, params.count), spec, config)
         print()
-    dyn_rng = np.random.default_rng(np.random.SeedSequence(int(sub_seeds[2])))
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
-    state = sample_specimen(_from_config(FleetParams, config), "front", dyn_rng)
-    log = run_dynamic(state, spec, dyn_protocol, rig, dyn_rng)
+    log = cycle_log(_from_config(FleetParams, config), spec, dyn_protocol, rig,
+                    int(sub_seeds[2]))
     degradation = degradation_report(
         log, sigma_multiple=_config_value(config, "sigma_multiple")
     )
     _print_degradation_table(degradation)
     report = {
-        "version": __version__,
-        "seed": seed,
-        "config_sha256": config_hash(_hashed(config)),
+        **provenance(seed, _hashed(config)),
         "sides": sides_payload,
         "dynamic": dataclasses.asdict(degradation),
     }
@@ -418,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, seed: bool = False, side: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
         if side:
-            p.add_argument("--side", choices=("front", "back"), default=None)
+            p.add_argument("--side", choices=SIDES, default=None)
         p.add_argument("--out", help="output directory")
         if seed:
             p.add_argument("--seed", type=int, default=None)
@@ -429,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-dynamic", help="long-term cycling run")
     add_common(p, seed=True)
-    p.add_argument("--cycles", type=int, default=None, help="total load cycles")
-    p.add_argument("--drift", type=float, default=None, help="injected drift [mV] over the run")
+    p.add_argument("--cycles", dest="n_cycles", metavar="CYCLES", type=int, default=None,
+                   help="total load cycles")
+    p.add_argument("--drift", dest="drift_mv", metavar="DRIFT", type=float, default=None,
+                   help="injected drift [mV] over the run")
 
     p = sub.add_parser("analyze", help="fleet statistics from load-curve CSVs")
     add_common(p)
@@ -448,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full simulate-and-analyze chain, both sides")
     add_common(p, seed=True, side=False)
     p.add_argument("--fleet", type=int, default=None)
-    p.add_argument("--cycles", type=int, default=None)
-    p.add_argument("--drift", type=float, default=None)
+    p.add_argument("--cycles", dest="n_cycles", metavar="CYCLES", type=int, default=None)
+    p.add_argument("--drift", dest="drift_mv", metavar="DRIFT", type=float, default=None)
 
     return parser
 

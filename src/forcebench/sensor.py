@@ -18,7 +18,7 @@ The module provides
     including load redistribution inside a hinge ring and the load-path
     inversion once a full ring has broken away,
   * the validation rules that the fields of the config dataclasses
-    declare as metadata, and the one checker that applies them.
+    declare as metadata, and the base class ``Ruled`` that checks them.
 
 Inside the model a hinge is its index i = 2*arm + ring into ``ALL_HINGES``
 (arms A..D = 0..3, rings inner/outer = 0/1): a ``SensorState`` keeps the
@@ -127,44 +127,39 @@ def _check_value(name: str, value, rule: dict) -> None:
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
-def _check_fields(obj) -> None:
-    """Check every field of the dataclass ``obj`` that declares a rule."""
-    for f in fields(obj):
-        if "rule" in f.metadata:
-            _check_value(f.name, getattr(obj, f.name), f.metadata)
+class Ruled:
+    """Base of the dataclasses whose fields declare rules: construction checks
+    every field that declares one.  A subclass with cross-field checks runs
+    them after ``super().__post_init__()``."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if "rule" in f.metadata:
+                _check_value(f.name, getattr(self, f.name), f.metadata)
 
 
 @dataclass(frozen=True)
-class PiezoCoefficients:
+class PiezoCoefficients(Ruled):
     """Longitudinal and transversal piezoresistive coefficients [1/Pa]."""
 
     pi_l: float = field(default=71.8e-11, metadata=FINITE)
     pi_t: float = field(default=-66.3e-11, metadata=FINITE)
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
-class StressState:
+class StressState(Ruled):
     """In-plane stress at a resistor, split along its orientation [Pa]."""
 
     sigma_l: float = field(default=0.0, metadata=FINITE)
     sigma_t: float = field(default=0.0, metadata=FINITE)
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
-class HingeId:
+class HingeId(Ruled):
     """One of the eight membrane hinges: cross arm A..D, inner or outer."""
 
     arm: str = field(metadata=_rule(f"one of {ARMS}", str, lambda v: v in ARMS))
     position: str = field(metadata=_rule(f"one of {POSITIONS}", str, lambda v: v in POSITIONS))
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
     def __str__(self) -> str:
         return f"{self.arm}-{self.position}"
@@ -189,7 +184,7 @@ def _check_side(side: str) -> None:
 
 
 @dataclass(frozen=True)
-class SensorSpec:
+class SensorSpec(Ruled):
     """Calibrated description of one sensor design.
 
     The fields are what the model reads: the stiffness coefficients (force
@@ -209,9 +204,6 @@ class SensorSpec:
     offset_gain_mv: dict[str, float] = field(
         default_factory=lambda: dict(OFFSET_GAIN_MV), metadata=ARM_GAINS
     )
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
     def k1(self, side: str) -> float:
         _check_side(side)

@@ -637,6 +637,16 @@ def test_cycle_log_rejects_indices_beyond_float64(first):
         CycleLog(cycles=[first, first + 2], force_n=[0.5, 0.5], voff_mv=np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("cycles, message", [
+    ([0.5, 1.5, 2.5], "be integers"),  # the int cast would truncate them to 0, 1, 2
+    ([500, np.nan, 1500], "lie within \\+-2\\*\\*53"),
+    ([1e30, 2e30, 3e30], "lie within \\+-2\\*\\*53"),  # beyond int64 too
+], ids=["fractional", "nan", "huge"])
+def test_cycle_log_refuses_cycles_the_int_cast_would_change(cycles, message):
+    with pytest.raises(ValueError, match=f"^cycle indices must {message}$"):
+        CycleLog(cycles=cycles, force_n=[0.5] * 3, voff_mv=np.zeros((3, 4)))
+
+
 # ---------------------------------------------------------------- overload
 
 def reference_summary(side="front"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from forcebench.analysis import LoadCurve
-from forcebench.cli import main
+from forcebench.bench import DynamicProtocol, FleetParams, StaticProtocol
+from forcebench.cli import _CONFIG_KEY, main
 from forcebench.fileio import (
     read_cycle_log_csv,
     read_load_curve_csv,
@@ -128,6 +130,17 @@ def test_unknown_config_key_rejected(tmp_path):
     config.write_text(json.dumps({"sample_rate": 10}))
     assert run_cli("simulate-static", "--seed", "1", "--config", str(config),
                    "--out", str(tmp_path / "x")) == 2
+
+
+def test_a_config_key_has_one_default_and_type():
+    # a key that several config dataclasses declare (side, v_ges) must agree in
+    # all of them: the merged config defaults keep one of them only
+    declared = {}
+    for cls in (StaticProtocol, DynamicProtocol, FleetParams):
+        for f in dataclasses.fields(cls):
+            declared.setdefault(_CONFIG_KEY.get(f.name, f.name), set()).add(
+                (f.default, type(f.default), f.type))
+    assert {key: found for key, found in declared.items() if len(found) > 1} == {}
 
 
 @pytest.mark.parametrize(

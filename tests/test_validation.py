@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from forcebench import (
     CycleLog,
     DynamicProtocol,
+    FailureEvent,
     FleetParams,
     HingeId,
     PiezoCoefficients,
@@ -38,6 +39,7 @@ RULED = {
     StressState: {},
     HingeId: {"arm": "C", "position": "outer"},
     CycleLog: {"cycles": [500, 1000], "force_n": [0.5, 0.5], "voff_mv": np.zeros((2, 4))},
+    FailureEvent: {"sample_index": 3, "force_drop_n": 0.1},
 }
 RULED_FIELDS = [
     (cls, f.name, f.metadata["rule"][0])
