@@ -283,20 +283,14 @@ def classify_failures(
         raise ValueError(f"side {side!r} is not the curve's load side {curve.side!r}")
     rings = ring_events(len(events), curve.valid.any(), side)
     positions = [ring for ring, count in rings.items() for _ in range(int(count))]
-    classified: list[FailureEvent] = []
-    for event, position in zip(events, positions):
-        i = event.sample_index
-        if not curve.valid[i]:
-            arm = UNKNOWN
-        elif not curve.valid[i + 1]:
-            arm = "C"  # supply lost across the event
-        else:
-            changes = np.abs(np.abs(curve.voff_mv[i + 1]) - np.abs(curve.voff_mv[i]))
-            arm = ARMS[int(np.argmax(changes))]
-        classified.append(
-            FailureEvent(event.sample_index, event.force_drop_n, arm, position)
-        )
-    return classified
+    i = np.array([event.sample_index for event in events], dtype=np.intp)
+    changes = np.abs(np.abs(curve.voff_mv[i + 1]) - np.abs(curve.voff_mv[i]))
+    # unknown without a reading at i, C (the supply leads) where it is lost at i + 1
+    arms = np.where(~curve.valid[i], len(ARMS),
+                    np.where(~curve.valid[i + 1], ARMS.index("C"), changes.argmax(axis=-1)))
+    labels = (*ARMS, UNKNOWN)
+    return [FailureEvent(event.sample_index, event.force_drop_n, labels[arm], position)
+            for event, arm, position in zip(events, arms.tolist(), positions)]
 
 
 def fleet_summary(

@@ -36,13 +36,13 @@ from .sensor import (
     Ruled,
     SensorSpec,
     SensorState,
+    _check_value,
     bridge_gains,
     bridge_offsets_at_load,
     failure_threshold_force,
     hinge_breaks,
     intact_force,
     stiffness_factor,
-    _check_side,
 )
 
 # Specimens that fleet_blocks advances through one kernel call.  Large enough
@@ -116,7 +116,7 @@ class FleetParams(Ruled):
     master_seed: int = field(default=0, metadata=NONNEGATIVE_INT)
 
     def side_params(self, side: str) -> tuple[float, float]:
-        _check_side(side)
+        _check_value("side", side, SIDE)
         if side == "front":
             return self.f0_front_n, self.beta_front
         return self.f0_back_n, self.beta_back

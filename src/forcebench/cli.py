@@ -49,7 +49,7 @@ from .fileio import (
     write_load_curve_csv,
     write_manifest,
 )
-from .sensor import SIDES, SensorSpec
+from .sensor import NONNEGATIVE_INT, SIDES, SensorSpec, _check_value
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
 
 # Config keys of the FleetParams fields that the config names differently.
@@ -78,7 +78,9 @@ class ConfigError(ForceBenchError):
 def load_config(args: argparse.Namespace) -> dict:
     """Merge defaults, an optional config file and flags; flags win.
 
-    A flag that sets a config key stores its value under that key's name."""
+    A flag that sets a config key stores its value under that key's name.
+    Each value is :func:`_cast` to its key's type, so the commands read and
+    hash ``5.0`` and ``5`` for an integer alike; the reader refuses the rest."""
     config = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -94,53 +96,53 @@ def load_config(args: argparse.Namespace) -> dict:
         config.update(loaded)
     config.update((key, value) for key, value in vars(args).items()
                   if key in config and value is not None)
-    return config
+    return {key: _cast(key, value) for key, value in config.items()}
 
 
 def _cast(key: str, value):
-    """``value`` cast to the type of ``key``, or None unless it is a JSON
-    number of that type (ints integral); strings pass unchanged."""
+    """``value`` cast to the type of ``key`` where it is a JSON number of that
+    type (ints integral), else unchanged."""
     kind = CONFIG_TYPES[key]
-    if kind is str:
+    if kind is str or type(value) not in (int, float):
         return value
     try:
-        cast = kind(value) if type(value) in (int, float) else None
+        cast = kind(value)
     except (ValueError, OverflowError):  # int of nan or inf, float of a huge int
-        return None
-    return None if kind is int and cast != value else cast
+        return value
+    return value if kind is int and cast != value else cast
 
 
 def _config_value(config: dict, key: str):
-    """``config[key]`` cast to the type of ``key``, or a ``ConfigError``."""
-    cast = _cast(key, config[key])
-    if cast is None:
+    """``config[key]``, or a ``ConfigError`` unless :func:`load_config` cast
+    it to the type of ``key``; a string (the side) is left to its rule."""
+    value, kind = config[key], CONFIG_TYPES[key]
+    if value is None or (kind is not str and type(value) is not kind):
         raise ConfigError(f"config key {key!r}: expected a JSON number"
-                          f" ({CONFIG_TYPES[key].__name__}), got {config[key]!r}")
-    return cast
-
-
-def _hashed(config: dict) -> dict:
-    """The config as the commands read it, for its hash: each value that casts
-    to its key's type is cast, so ``5.0`` and ``5`` for an integer hash alike."""
-    return {key: value if (cast := _cast(key, value)) is None else cast
-            for key, value in config.items()}
+                          f" ({kind.__name__}), got {value!r}")
+    return value
 
 
 def _from_config(cls: type, config: dict):
-    """An instance of a config dataclass, each value cast to its field's type."""
-    return cls(**{f.name: _config_value(config, _CONFIG_KEY.get(f.name, f.name))
-                  for f in dataclasses.fields(cls)})
+    """An instance of a config dataclass; a value its field's rule refuses
+    is named by its config key."""
+    keys = {f.name: _CONFIG_KEY.get(f.name, f.name) for f in dataclasses.fields(cls)}
+    values = {name: _config_value(config, key) for name, key in keys.items()}
+    for f in dataclasses.fields(cls):
+        _check_value(keys[f.name], values[f.name], f.metadata)
+    return cls(**values)
 
 
 def require_seed(config: dict) -> int:
     if config["seed"] is None:
         raise ConfigError("a seed is required (--seed or config file)")
-    return _config_value(config, "seed")
+    seed = _config_value(config, "seed")
+    _check_value("seed", seed, NONNEGATIVE_INT)
+    return seed
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
     """The required ``--out`` directory, not yet made: a command makes it
-    once its config is cast and checked, so a refused one leaves none."""
+    once its config values are checked, so a refused one leaves none."""
     if not getattr(args, "out", None):
         raise ConfigError("an output directory is required (--out)")
     return Path(args.out)
@@ -256,7 +258,7 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
             files.append(f"specimen_{len(files):03d}.csv")
             write_load_curve_csv(out / files[-1], block.curve(i))
         del block  # before the next one is made
-    write_manifest(out, "static-fleet", seed, protocol, rig, _hashed(config), files,
+    write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
                    fleet=params.count)
     print(f"wrote {len(files)} curves and manifest.json to {out}")
     return 0
@@ -272,7 +274,7 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     log = cycle_log(params, SensorSpec(), protocol, rig, seed)
     out.mkdir(parents=True, exist_ok=True)
     write_cycle_log_csv(out / "cycles.csv", log)
-    write_manifest(out, "cycle-log", seed, protocol, rig, _hashed(config),
+    write_manifest(out, "cycle-log", seed, protocol, rig, config,
                    ["cycles.csv"])
     print(f"wrote cycles.csv ({len(log)} records) and manifest.json to {out}")
     return 0
@@ -384,7 +386,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     _print_degradation_table(degradation)
     report = {
-        **provenance(seed, _hashed(config)),
+        **provenance(seed, config),
         "sides": sides_payload,
         "dynamic": dataclasses.asdict(degradation),
     }

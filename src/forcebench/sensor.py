@@ -116,6 +116,7 @@ NONNEGATIVE_INT = _rule("non-negative integer", Integral, lambda v: v >= 0)  # n
 FLEET_SIZE = _rule(f"integer fleet size from 1 to {np.iinfo(np.intp).max}", Integral,
                    lambda v: 1 <= v <= np.iinfo(np.intp).max)
 SIDE = _rule(f"one of {SIDES}", str, lambda v: v in SIDES)
+POSITION = _rule(f"one of {POSITIONS}", str, lambda v: v in POSITIONS)
 ARM_GAINS = _rule("finite numbers for arms A..D", dict, lambda v: set(v) == set(ARMS)
                   and all(FINITE["rule"][1](x) for x in v.values()))
 
@@ -159,7 +160,7 @@ class HingeId(Ruled):
     """One of the eight membrane hinges: cross arm A..D, inner or outer."""
 
     arm: str = field(metadata=_rule(f"one of {ARMS}", str, lambda v: v in ARMS))
-    position: str = field(metadata=_rule(f"one of {POSITIONS}", str, lambda v: v in POSITIONS))
+    position: str = field(metadata=POSITION)
 
     def __str__(self) -> str:
         return f"{self.arm}-{self.position}"
@@ -175,12 +176,6 @@ _ARM_RING = (len(ARMS), len(POSITIONS))
 # intact, and FAILURE_JUMP_FACTOR ** n with n hinges of an arm failed.
 _KNOCKDOWN = np.array([(i / N_HINGES) ** (N_HINGES - i) for i in range(N_HINGES + 1)])
 _JUMP = np.array([FAILURE_JUMP_FACTOR ** n for n in range(len(POSITIONS) + 1)])
-
-
-def _check_side(side: str) -> None:
-    # the SIDE rule as a bare membership test: the ramp kernel calls it per pass
-    if side not in SIDES:
-        raise ValueError(f"load side must be one of {SIDES}, got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -205,13 +200,12 @@ class SensorSpec(Ruled):
         default_factory=lambda: dict(OFFSET_GAIN_MV), metadata=ARM_GAINS
     )
 
-    def k1(self, side: str) -> float:
-        _check_side(side)
-        return self.k1_front if side == "front" else self.k1_back
-
-    def k3(self, side: str) -> float:
-        _check_side(side)
-        return self.k3_front if side == "front" else self.k3_back
+    def force_law(self, side: str) -> tuple[float, float]:
+        """(k1, k3) of the force law on a load side."""
+        _check_value("side", side, SIDE)
+        if side == "front":
+            return self.k1_front, self.k3_front
+        return self.k1_back, self.k3_back
 
     @staticmethod
     def tensile_position(side: str) -> str:
@@ -219,7 +213,7 @@ class SensorSpec(Ruled):
 
         The validated gain signs fix it, so it needs no instance.
         """
-        _check_side(side)
+        _check_value("side", side, SIDE)
         return "outer" if side == "front" else "inner"
 
     def tensile_gain(self, side: str) -> float:
@@ -291,9 +285,8 @@ def hinge_stress(spec: SensorSpec, f_z: float, side: str, position: str) -> floa
     Linear in the force; back-side loading reverses the sign of the front
     gains.  Positive return values are tensile.
     """
-    _check_side(side)
-    if position not in POSITIONS:
-        raise ValueError(f"position must be one of {POSITIONS}, got {position!r}")
+    _check_value("side", side, SIDE)
+    _check_value("position", position, POSITION)
     _check_value("f_z", f_z, NONNEGATIVE)
     gain = spec.stress_gain_inner if position == "inner" else spec.stress_gain_outer
     if side == "back":
@@ -315,7 +308,8 @@ def intact_force(spec: SensorSpec, side: str, dz):
 
     ``dz`` [um] may be a float or a numpy array.
     """
-    return spec.k1(side) * dz + spec.k3(side) * dz**3
+    k1, k3 = spec.force_law(side)
+    return k1 * dz + k3 * dz**3
 
 
 def force_at_displacement(spec: SensorSpec, side: str, dz: float) -> float:
@@ -324,7 +318,7 @@ def force_at_displacement(spec: SensorSpec, side: str, dz: float) -> float:
     :func:`intact_force` with its arguments checked; broken hinges scale
     the force by :func:`stiffness_factor`.
     """
-    _check_side(side)
+    _check_value("side", side, SIDE)
     _check_value("dz", dz, NONNEGATIVE)
     return intact_force(spec, side, dz)
 
@@ -339,11 +333,10 @@ def displacement_at_force(spec: SensorSpec, side: str, f_z: float) -> float:
         ValueError: if the iteration ends with a larger or non-finite
             residual.
     """
-    _check_side(side)
+    k1, k3 = spec.force_law(side)
     _check_value("f_z", f_z, NONNEGATIVE)
     if f_z == 0.0:
         return 0.0
-    k1, k3 = spec.k1(side), spec.k3(side)
     z = f_z / k1  # overestimate: the cubic is convex through the origin
     for _ in range(100):
         residual = intact_force(spec, side, z) - f_z
@@ -367,7 +360,7 @@ def bridge_gains(spec: SensorSpec, intact: np.ndarray, side: str) -> np.ndarray:
     which carries the supply leads, has lost a hinge: no bridge can be
     read then.
     """
-    _check_side(side)
+    _check_value("side", side, SIDE)
     sign = 1.0 if side == "front" else -1.0
     failed = (~_arm_ring(intact)).sum(axis=-1)
     gains = sign * np.array([spec.offset_gain_mv[arm] for arm in ARMS]) * _JUMP[failed]

@@ -35,6 +35,7 @@ from forcebench.analysis import (
     first_failures,
     ring_events,
 )
+from forcebench.sensor import ARMS
 from forcebench.weibull import WeibullFit
 
 QUIET_RIG = RigConfig(
@@ -401,6 +402,62 @@ def test_classify_late_events_assigned_to_other_ring():
     assert positions[:4] == ["inner"] * min(4, len(positions))
     if len(events) > 4:
         assert all(p == "outer" for p in positions[4:])
+
+
+def classify_failures_reference(curve, events, side):
+    """The per-event loop that the array arm rule replaced."""
+    classified = []
+    for event, position in zip(events, positions_reference(curve, len(events), side)):
+        i = event.sample_index
+        if not curve.valid[i]:
+            arm = UNKNOWN
+        elif not curve.valid[i + 1]:
+            arm = "C"  # supply lost across the event
+        else:
+            changes = np.abs(np.abs(curve.voff_mv[i + 1]) - np.abs(curve.voff_mv[i]))
+            arm = ARMS[int(np.argmax(changes))]
+        classified.append(FailureEvent(i, event.force_drop_n, arm, position))
+    return classified
+
+
+# Few distinct magnitudes make ties between arms likely; NaN is a lost reading.
+OFFSETS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, np.nan]), st.floats(-100.0, 100.0))
+
+
+def event_curve(side, voff, valid, indices):
+    n = len(voff)
+    curve = make_curve(np.arange(n), np.zeros(n), side, np.array(voff, dtype=float), valid)
+    return curve, [FailureEvent(i, 0.125 * (k + 1)) for k, i in enumerate(indices)]
+
+
+@st.composite
+def classified_curves(draw):
+    """(curve, events): offsets with NaN and ties, validity in runs, with a
+    supply loss or at random, and events at samples that have a successor."""
+    n = draw(st.integers(2, 12))
+    voff = draw(st.lists(st.lists(OFFSETS, min_size=4, max_size=4), min_size=n, max_size=n))
+    flags = draw(st.sampled_from(["all", "none", "some", "lost", "runs"]))
+    if flags in ("lost", "runs"):  # valid before a supply loss at stop; a run from start
+        start, stop = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        valid = (np.arange(n) < stop) & ((np.arange(n) >= start) | (flags == "lost"))
+    elif flags == "some":
+        valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        valid = [flags == "all"] * n
+    indices = sorted(draw(st.sets(st.integers(0, n - 2), max_size=6)))
+    return event_curve(draw(st.sampled_from(["front", "back"])), voff, valid, indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=classified_curves())
+@example(case=event_curve("front", [[1, 2, 3, 4], [1, np.nan, 3, 9], [0, 0, 0, 0]],
+                          [True, True, False], [0, 1]))  # NaN offset; loss after sample 1
+@example(case=event_curve("back", [[1, 1, 1, 1]] * 3, [True] * 3, []))
+def test_classify_failures_matches_per_event_loop(case):
+    curve, events = case
+    classified = classify_failures(curve, events, curve.side)
+    assert classified == classify_failures_reference(curve, events, curve.side)
+    assert all(type(e.arm) is str and type(e.sample_index) is int for e in classified)
 
 
 def test_classify_refuses_a_side_other_than_the_curves():

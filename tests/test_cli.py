@@ -7,7 +7,7 @@ import pytest
 
 from forcebench.analysis import LoadCurve
 from forcebench.bench import DynamicProtocol, FleetParams, StaticProtocol
-from forcebench.cli import _CONFIG_KEY, main
+from forcebench.cli import _CONFIG_KEY, CONFIG_DEFAULTS, main
 from forcebench.fileio import (
     read_cycle_log_csv,
     read_load_curve_csv,
@@ -167,6 +167,44 @@ def test_malformed_config_rejected(tmp_path, capsys, command, content, message):
     assert run_cli(command, "--seed", "1", "--config", str(config),
                    "--out", str(tmp_path / "x")) == 2
     assert message in capsys.readouterr().err
+
+
+# A value each config key's rule refuses, and a command that reads the key.
+REFUSED = {
+    "side": ("x", "simulate-static"),
+    "dz_max_um": (0, "simulate-static"),
+    "step_um": (-0.5, "simulate-static"),
+    "v_ges": (0, "simulate-dynamic"),
+    "f_min_n": (0, "simulate-dynamic"),
+    "f_max_n": (-1, "simulate-dynamic"),
+    "frequency_hz": (0, "simulate-dynamic"),
+    "n_cycles": (0, "simulate-dynamic"),
+    "record_interval": (-500, "simulate-dynamic"),
+    "drift_mv": (float("nan"), "simulate-dynamic"),
+    "f0_front_n": (0, "simulate-static"),
+    "beta_front": (-1, "simulate-static"),
+    "f0_back_n": (0, "simulate-static"),
+    "beta_back": (0, "simulate-static"),
+    "fleet": (0, "simulate-static"),
+    "seed": (-1, "report"),
+    "drop_fraction": (-0.1, "report"),
+    "drop_floor_n": (-1, "report"),
+    "sigma_multiple": (0, "report"),
+}
+
+
+def test_every_config_key_has_a_refused_value():
+    assert set(REFUSED) == set(CONFIG_DEFAULTS)
+
+
+@pytest.mark.parametrize("key", REFUSED)
+def test_refused_config_value_is_named_by_its_key(tmp_path, capsys, key):
+    value, command = REFUSED[key]
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"seed": 1, "fleet": 5, key: value}))
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+    assert not out.exists()
 
 
 def test_boolean_seed_rejected(tmp_path, capsys):

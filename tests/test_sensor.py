@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from forcebench import (
     DegenerateBridgeError,
+    FleetParams,
     HingeId,
     PiezoCoefficients,
     SensorSpec,
@@ -27,6 +28,7 @@ from forcebench.sensor import (
     POSITIONS,
     STRESS_GAIN_INNER_FRONT,
     STRESS_GAIN_OUTER_FRONT,
+    bridge_gains,
     effective_stresses,
     failure_threshold_force,
     intact_force,
@@ -378,6 +380,28 @@ def test_model_functions_name_a_bad_argument(spec, name, call, value):
     # NaN forces and supply voltages used to pass the sign checks
     with pytest.raises(ValueError, match=f"^{name}: expected "):
         call(spec, value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: spec.force_law("x"),
+    lambda spec: spec.tensile_position("x"),
+    lambda spec: hinge_stress(spec, 0.5, "x", "outer"),
+    lambda spec: bridge_gains(spec, np.ones(len(ALL_HINGES), dtype=bool), "x"),
+    lambda spec: intact_force(spec, "x", 1.0),
+    lambda spec: force_at_displacement(spec, "x", 1.0),
+    lambda spec: displacement_at_force(spec, "x", 0.5),
+    lambda spec: FleetParams().side_params("x"),
+], ids=["force_law", "tensile_position", "hinge_stress", "bridge_gains", "intact_force",
+        "force_at_displacement", "displacement_at_force", "side_params"])
+def test_a_bad_side_is_refused_by_the_side_rule(spec, call):
+    with pytest.raises(ValueError, match=r"^side: expected one of \('front', 'back'\), got 'x'$"):
+        call(spec)
+
+
+def test_a_bad_position_is_refused_by_the_position_rule(spec):
+    with pytest.raises(ValueError,
+                       match=r"^position: expected one of \('inner', 'outer'\), got 'x'$"):
+        hinge_stress(spec, 0.5, "front", "x")
 
 
 def test_state_requires_positive_strengths():
