@@ -25,6 +25,7 @@ from .errors import (
 from .sensor import (
     ARMS,
     NONNEGATIVE,
+    NONNEGATIVE_INT,
     POSITIVE,
     Ruled,
     SensorSpec,
@@ -80,7 +81,7 @@ class LoadCurve:
 class FailureEvent(Ruled):
     """A detected force discontinuity, attributed to one membrane hinge."""
 
-    sample_index: int
+    sample_index: int = field(metadata=NONNEGATIVE_INT)
     force_drop_n: float = field(metadata=POSITIVE)
     arm: str = UNKNOWN
     position: str = UNKNOWN
@@ -155,7 +156,7 @@ class FleetSummary:
     fracture_dz_std_um: float
     hinge_counts: dict[str, int]
     fit: WeibullFit | None
-    budget: list[dict] = field(default_factory=list)
+    budget: list[dict] = field(default_factory=list)  # probability_ppm, f_max_N, dz_max_um
 
 
 def extract_stiffness(curve: LoadCurve) -> float:
@@ -277,13 +278,17 @@ def classify_failures(
     event; a valid-to-invalid transition identifies arm C (loss of the
     supply leads), and events after that keep an unknown arm.  The
     position follows :func:`ring_events`.  A curve without any valid
-    bridge data gives fully unknown events.  ``side`` must be the curve's.
+    bridge data gives fully unknown events.  ``side`` must be the curve's,
+    and each event needs a sample after it.
     """
     if side != curve.side:
         raise ValueError(f"side {side!r} is not the curve's load side {curve.side!r}")
     rings = ring_events(len(events), curve.valid.any(), side)
     positions = [ring for ring, count in rings.items() for _ in range(int(count))]
     i = np.array([event.sample_index for event in events], dtype=np.intp)
+    if i.size and i.max() >= len(curve) - 1:
+        raise ValueError(f"sample_index: expected an index below {len(curve) - 1}, the"
+                         f" curve's last sample, got {i.max()}")
     changes = np.abs(np.abs(curve.voff_mv[i + 1]) - np.abs(curve.voff_mv[i]))
     # unknown without a reading at i, C (the supply leads) where it is lost at i + 1
     arms = np.where(~curve.valid[i], len(ARMS),
@@ -368,7 +373,7 @@ def fleet_summary(
             budget.append(
                 {
                     "probability_ppm": p * 1e6,
-                    "f_max_n": f_max,
+                    "f_max_N": f_max,
                     "dz_max_um": displacement_at_force(spec, side, f_max),
                 }
             )
@@ -453,4 +458,4 @@ def overload_factors(
         raise ValueError("budget table has no 1 ppm row")
     _check_value("nominal_dz_um", nominal_dz_um, POSITIVE)
     nominal_force = force_at_displacement(spec, summary.side, nominal_dz_um)
-    return row["dz_max_um"] / nominal_dz_um, row["f_max_n"] / nominal_force
+    return row["dz_max_um"] / nominal_dz_um, row["f_max_N"] / nominal_force

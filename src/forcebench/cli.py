@@ -49,7 +49,7 @@ from .fileio import (
     write_load_curve_csv,
     write_manifest,
 )
-from .sensor import NONNEGATIVE_INT, SIDES, SensorSpec, _check_value
+from .sensor import NONNEGATIVE_INT, SIDE, SIDES, SensorSpec, _check_value
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
 
 # Config keys of the FleetParams fields that the config names differently.
@@ -112,32 +112,22 @@ def _cast(key: str, value):
     return value if kind is int and cast != value else cast
 
 
-def _config_value(config: dict, key: str):
-    """``config[key]``, or a ``ConfigError`` unless :func:`load_config` cast
-    it to the type of ``key``; a string (the side) is left to its rule."""
-    value, kind = config[key], CONFIG_TYPES[key]
-    if value is None or (kind is not str and type(value) is not kind):
-        raise ConfigError(f"config key {key!r}: expected a JSON number"
-                          f" ({kind.__name__}), got {value!r}")
-    return value
-
-
 def _from_config(cls: type, config: dict):
     """An instance of a config dataclass; a value its field's rule refuses
     is named by its config key."""
-    keys = {f.name: _CONFIG_KEY.get(f.name, f.name) for f in dataclasses.fields(cls)}
-    values = {name: _config_value(config, key) for name, key in keys.items()}
+    values = {}
     for f in dataclasses.fields(cls):
-        _check_value(keys[f.name], values[f.name], f.metadata)
+        key = _CONFIG_KEY.get(f.name, f.name)
+        _check_value(key, config[key], f.metadata)
+        values[f.name] = config[key]
     return cls(**values)
 
 
 def require_seed(config: dict) -> int:
     if config["seed"] is None:
         raise ConfigError("a seed is required (--seed or config file)")
-    seed = _config_value(config, "seed")
-    _check_value("seed", seed, NONNEGATIVE_INT)
-    return seed
+    _check_value("seed", config["seed"], NONNEGATIVE_INT)
+    return config["seed"]
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -168,40 +158,13 @@ class _Fleet:
     def __len__(self) -> int:
         return self.count
 
-    def drain(self) -> None:
-        """Make every curve and drop it: for the errors of making them."""
-        for _ in self:
-            pass
-
 
 def _fleet_payload(curves: _Fleet, spec: SensorSpec, config: dict) -> dict:
     """Summarise a fleet, print its table and return its JSON payload."""
-    try:
-        drop_fraction = _config_value(config, "drop_fraction")
-        drop_floor_n = _config_value(config, "drop_floor_n")
-    except ConfigError:
-        curves.drain()  # an error making a curve (a bad file, the rig limit) comes first
-        raise
-    summary = fleet_summary(curves, spec, drop_fraction=drop_fraction,
-                            drop_floor_n=drop_floor_n)
-    payload = {
-        "side": summary.side,
-        "n_curves": summary.n_curves,
-        "fracture_force_mean_n": summary.fracture_force_mean_n,
-        "fracture_force_std_n": summary.fracture_force_std_n,
-        "fracture_dz_mean_um": summary.fracture_dz_mean_um,
-        "fracture_dz_std_um": summary.fracture_dz_std_um,
-        "hinge_counts": dict(summary.hinge_counts),
-        "weibull": _fit_payload(summary.fit),
-        "budget": [
-            {
-                "probability_ppm": row["probability_ppm"],
-                "f_max_N": row["f_max_n"],
-                "dz_max_um": row["dz_max_um"],
-            }
-            for row in summary.budget
-        ],
-    }
+    summary = fleet_summary(curves, spec, drop_fraction=config["drop_fraction"],
+                            drop_floor_n=config["drop_floor_n"])
+    payload = dataclasses.asdict(summary) | {"weibull": _fit_payload(summary.fit)}
+    del payload["fit"]
     if summary.fit is not None:
         disp_factor, force_factor = overload_factors(summary, spec)
         payload["overload"] = {
@@ -231,7 +194,7 @@ def _print_summary_table(summary: FleetSummary) -> None:
         print("  probability [ppm]   F_max [N]   dz_max [um]")
         for row in summary.budget:
             print(
-                f"  {row['probability_ppm']:>17.0f}   {row['f_max_n']:>9.2f}"
+                f"  {row['probability_ppm']:>17.0f}   {row['f_max_N']:>9.2f}"
                 f"   {row['dz_max_um']:>11.2f}"
             )
 
@@ -308,10 +271,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"--side {args.side!r} disagrees with the manifest's load side"
                           f" {manifest_side!r}")
     side = manifest_side or config["side"]  # the flag, if given, is in the config
+    _check_value("side", side, SIDE)
     curves = _Fleet((read_load_curve_csv(p, side) for p in paths), len(paths))
-    if len(curves) < 3:
-        curves.drain()  # a file's own error comes first
-        raise ConfigError(f"need at least 3 curves to analyze, got {len(curves)}")
     payload = _fleet_payload(curves, SensorSpec(), config)
     if getattr(args, "out", None):
         out = Path(args.out)
@@ -350,9 +311,7 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
 def cmd_degradation(args: argparse.Namespace) -> int:
     config = load_config(args)
     log = read_cycle_log_csv(Path(args.input))
-    report = degradation_report(
-        log, sigma_multiple=_config_value(config, "sigma_multiple")
-    )
+    report = degradation_report(log, sigma_multiple=config["sigma_multiple"])
     payload = dataclasses.asdict(report)
     print(json_text(payload))
     if getattr(args, "out", None):
@@ -381,9 +340,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
     log = cycle_log(_from_config(FleetParams, config), spec, dyn_protocol, rig,
                     int(sub_seeds[2]))
-    degradation = degradation_report(
-        log, sigma_multiple=_config_value(config, "sigma_multiple")
-    )
+    degradation = degradation_report(log, sigma_multiple=config["sigma_multiple"])
     _print_degradation_table(degradation)
     report = {
         **provenance(seed, config),

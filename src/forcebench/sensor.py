@@ -47,6 +47,7 @@ the resistor surface; only tensile stress can fracture a hinge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
@@ -106,10 +107,12 @@ def _rule(expected: str, kind: type, test) -> dict:
     return {"rule": (expected, passes)}
 
 
-FINITE = _rule("finite number", Real, lambda v: -math.inf < v < math.inf)
-POSITIVE = _rule("positive finite number", Real, lambda v: 0 < v < math.inf)
-NONNEGATIVE = _rule("nonnegative finite number", Real, lambda v: 0 <= v < math.inf)
-NEGATIVE = _rule("negative finite number", Real, lambda v: -math.inf < v < 0)
+# A finite number is one within the float range: an int beyond it has no float.
+_FLOAT_MAX = sys.float_info.max
+FINITE = _rule("finite number", Real, lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX)
+POSITIVE = _rule("positive finite number", Real, lambda v: 0 < v <= _FLOAT_MAX)
+NONNEGATIVE = _rule("nonnegative finite number", Real, lambda v: 0 <= v <= _FLOAT_MAX)
+NEGATIVE = _rule("negative finite number", Real, lambda v: -_FLOAT_MAX <= v < 0)
 POSITIVE_INT = _rule("integer >= 1", Integral, lambda v: v >= 1)
 NONNEGATIVE_INT = _rule("non-negative integer", Integral, lambda v: v >= 0)  # numpy's seed wording
 # the largest length of a numpy array, or of one spawn of seeds

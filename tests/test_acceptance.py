@@ -103,7 +103,7 @@ def test_criterion_03_one_ppm_displacement_and_overload_factor():
             budget.append(
                 {
                     "probability_ppm": p * 1e6,
-                    "f_max_n": f,
+                    "f_max_N": f,
                     "dz_max_um": displacement_at_force(SPEC, "front", f),
                 }
             )

@@ -217,6 +217,12 @@ def test_failure_event_needs_a_positive_finite_drop(drop):
         FailureEvent(3, drop)
 
 
+@pytest.mark.parametrize("index", [-1, 2.5])
+def test_failure_event_needs_a_nonnegative_integer_index(index):
+    with pytest.raises(ValueError, match="^sample_index: expected non-negative integer"):
+        FailureEvent(index, 0.1)
+
+
 # ------------------------------------------------ block reduction, row by row
 #
 # The per-curve path that fleet_summary took before it reduced whole blocks,
@@ -460,6 +466,13 @@ def test_classify_failures_matches_per_event_loop(case):
     assert all(type(e.arm) is str and type(e.sample_index) is int for e in classified)
 
 
+@pytest.mark.parametrize("index", [4, 5])
+def test_classify_refuses_an_event_without_a_following_sample(index):
+    curve, events = event_curve("front", [[1, 2, 3, 4]] * 5, [True] * 5, [1, index])
+    with pytest.raises(ValueError, match=f"^sample_index: .* below 4, .* got {index}$"):
+        classify_failures(curve, events, "front")
+
+
 def test_classify_refuses_a_side_other_than_the_curves():
     _, curve = simulate_specimen(3, "front")
     with pytest.raises(ValueError, match="'back' is not the curve's load side 'front'"):
@@ -492,7 +505,7 @@ def test_fleet_summary_counts_match_event_total(front_fleet_curves):
 
 def test_fleet_budget_forces_increase_and_stay_below_observations(front_fleet_curves):
     summary = fleet_summary(front_fleet_curves)
-    forces = [row["f_max_n"] for row in summary.budget]
+    forces = [row["f_max_N"] for row in summary.budget]
     assert forces == sorted(forces) and forces[0] < forces[-1]
     min_fracture = min(fracture_point(c)[0] for c in front_fleet_curves)
     assert forces[-1] < min_fracture
@@ -717,7 +730,7 @@ def reference_summary(side="front"):
         budget.append(
             {
                 "probability_ppm": p * 1e6,
-                "f_max_n": f,
+                "f_max_N": f,
                 "dz_max_um": displacement_at_force(spec, side, f),
             }
         )

@@ -439,7 +439,7 @@ def test_budget_stays_below_minimum_fracture_over_seeds():
         curves = run_fleet(params, SPEC, StaticProtocol(), RigConfig())
         summary = fleet_summary(curves)
         min_observed = min(fracture_point(c)[0] for c in curves)
-        if all(row["f_max_n"] < min_observed for row in summary.budget):
+        if all(row["f_max_N"] < min_observed for row in summary.budget):
             hits += 1
     assert hits >= 95
 

@@ -7,7 +7,7 @@ import pytest
 
 from forcebench.analysis import LoadCurve
 from forcebench.bench import DynamicProtocol, FleetParams, StaticProtocol
-from forcebench.cli import _CONFIG_KEY, CONFIG_DEFAULTS, main
+from forcebench.cli import _CONFIG_KEY, CONFIG_DEFAULTS, CONFIG_TYPES, main
 from forcebench.fileio import (
     read_cycle_log_csv,
     read_load_curve_csv,
@@ -207,12 +207,37 @@ def test_refused_config_value_is_named_by_its_key(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", [key for key, kind in CONFIG_TYPES.items() if kind is float])
+def test_a_number_beyond_the_float_range_is_refused_by_its_key(tmp_path, capsys, key):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"seed": 1, "fleet": 5, key: 10**400}))
+    assert run_cli(REFUSED[key][1], "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["x", None])
+@pytest.mark.parametrize("command", ["simulate-static", "simulate-dynamic", "analyze"])
+def test_a_bad_config_side_is_refused_by_the_side_rule(tmp_path, capsys, command, side):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"seed": 1, "fleet": 5, "side": side}))
+    # analyze reads curves without a manifest; one that cannot be read shows
+    # that the side is checked before any curve is read
+    (tmp_path / "curve.csv").write_text("not a curve\n")
+    inputs = [str(tmp_path / "curve.csv")] * 3 if command == "analyze" else []
+    assert run_cli(command, *inputs, "--config", str(config), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: side: expected one of ('front', 'back'), got {side!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_boolean_seed_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"seed": true, "fleet": 2}')
     assert run_cli("simulate-static", "--config", str(config),
                    "--out", str(tmp_path / "x")) == 2
-    assert "'seed'" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: seed: expected non-negative integer, got True")
 
 
 # ------------------------------------------------------------------- analyze

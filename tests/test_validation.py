@@ -7,6 +7,7 @@ check that a broken rule raises ``ValueError`` naming the field.
 
 import ast
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -65,16 +66,17 @@ def accepts(expected: str, value) -> bool:
     """Whether ``value`` meets the rule that the text ``expected`` states."""
     number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     integer = number and isinstance(value, (int, np.integer))
+    finite = number and abs(value) <= sys.float_info.max  # an int beyond it has no float
     if expected.startswith("one of "):
         return isinstance(value, str) and value in ast.literal_eval(expected[len("one of "):])
     if expected == "finite numbers for arms A..D":
         return (isinstance(value, dict) and sorted(value) == list(ARMS)
                 and all(accepts("finite number", v) for v in value.values()))
     return {
-        "finite number": number and math.isfinite(value),
-        "positive finite number": number and math.isfinite(value) and value > 0,
-        "nonnegative finite number": number and math.isfinite(value) and value >= 0,
-        "negative finite number": number and math.isfinite(value) and value < 0,
+        "finite number": finite,
+        "positive finite number": finite and value > 0,
+        "nonnegative finite number": finite and value >= 0,
+        "negative finite number": finite and value < 0,
         "integer >= 1": integer and value >= 1,
         "non-negative integer": integer and value >= 0,
         f"integer fleet size from 1 to {INTP_MAX}": integer and 1 <= value <= INTP_MAX,
@@ -93,6 +95,8 @@ def accepts(expected: str, value) -> bool:
 @example(value=1.5)
 @example(value=True)
 @example(value="3")
+@example(value=10**400)
+@example(value=-10**400)
 def test_a_broken_rule_names_its_field(cls, name, expected, value):
     try:
         cls(**{**RULED[cls], name: value})
