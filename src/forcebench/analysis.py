@@ -28,6 +28,7 @@ from .sensor import (
     NONNEGATIVE_INT,
     POSITIVE,
     Ruled,
+    SIDE,
     SensorSpec,
     _check_value,
     displacement_at_force,
@@ -45,7 +46,7 @@ STIFFNESS_WINDOW_UM = 20.0
 
 
 @dataclass
-class LoadCurve:
+class LoadCurve(Ruled):
     """One static destructive test record.
 
     Column arrays over the samples: displacement ``dz_um`` (nondecreasing),
@@ -54,13 +55,14 @@ class LoadCurve:
     validity flag.
     """
 
-    side: str
+    side: str = field(metadata=SIDE)
     dz_um: np.ndarray
     force_n: np.ndarray
     voff_mv: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         self.dz_um = np.asarray(self.dz_um, dtype=float)
         self.force_n = np.asarray(self.force_n, dtype=float)
         self.voff_mv = np.asarray(self.voff_mv, dtype=float)

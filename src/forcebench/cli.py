@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -42,6 +41,7 @@ from .fileio import (
     provenance,
     read_cycle_log_csv,
     read_force_column_csv,
+    read_json_object,
     read_load_curve_csv,
     read_manifest,
     write_cycle_log_csv,
@@ -84,12 +84,7 @@ def load_config(args: argparse.Namespace) -> dict:
     config = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         path = Path(args.config)
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
+        loaded = read_json_object(path)
         unknown = set(loaded) - set(config)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")

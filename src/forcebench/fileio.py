@@ -14,7 +14,8 @@ parser: ASCII decimal numbers, ``nan`` and ``inf``, and no digit separators.
 A cycle log holds only its columns: its record interval is its cycle spacing.
 All writes go through a temp-then-rename so output files are atomic; a
 failed write removes its temp file.
-Error messages name the file and its physical line, blank lines counted.
+Every file is read as UTF-8 text by :func:`_read_text`.  Error messages
+name the file and its physical line, blank lines counted.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 from . import __version__
 from .analysis import CycleLog, LoadCurve
 from .errors import DataFormatError
-from .sensor import ARMS, SIDES
+from .sensor import ARMS
 
-# The line breaks of str.splitlines other than "\n" (read_text has turned
+# The line breaks of str.splitlines other than "\n" (_read_text has turned
 # "\r\n" and "\r" into "\n"): numpy's parser does not end a line at them.
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # numpy opens a file path with one of these suffixes as a compressed archive.
@@ -111,15 +112,30 @@ def write_manifest(
     })
 
 
+def _read_text(path: Path) -> str:
+    """The text of the file ``path``, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json_object(path: Path) -> dict:
+    """The JSON object that the file ``path`` holds."""
+    text = _read_text(path)
+    try:  # a JSONDecodeError, or an integer of more digits than int() takes
+        loaded = json.loads(text)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise DataFormatError(f"{path}: top level must be a JSON object")
+    return loaded
+
+
 def read_manifest(directory: Path) -> tuple[list[str], str | None]:
     """The file names and the load side (None if absent) of ``manifest.json``."""
     path = directory / "manifest.json"
-    try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{path}: top level must be a JSON object")
+    meta = read_json_object(path)
     files, side = meta.get("files", []), meta.get("side")
     if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
         raise DataFormatError(f"{path}: 'files' must be a list of strings")
@@ -218,7 +234,7 @@ def _read_table(path: Path, header: str) -> tuple[np.ndarray, list[str], np.ndar
     Returns the (rows x fields) table, the data rows as text and the
     physical line number of each row.
     """
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if all(map(str.strip, lines)):  # no blank line, the common case
         linenos = np.arange(1, len(lines) + 1)
     else:
@@ -248,8 +264,6 @@ def write_load_curve_csv(path: Path, curve: LoadCurve) -> None:
 
 def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
     """Parse one static-test CSV; errors name the file and line."""
-    if side not in SIDES:
-        raise DataFormatError(f"{path}: unknown load side {side!r}")
     table, rows, linenos = _read_table(path, CURVE_HEADER)
     text = "\n".join(rows) + "\n"  # a flag is exactly 0 or 1 iff its row ends in ",0" or ",1"
     if text.count(",0\n") + text.count(",1\n") != len(rows):
@@ -288,7 +302,7 @@ def read_force_column_csv(path: Path) -> np.ndarray:
     Only the first field of a line counts, and lines where it is empty are
     skipped.  A first line whose first field is not a number is the header.
     """
-    text = path.read_text()
+    text = _read_text(path)
     end = text.find("\n") if "\n" in text else len(text)  # the first line's end
     head = text[:end].splitlines()[:1]  # the first line as splitlines ends it
     first = head[0].split(",", 1)[0].strip() if head else ""

@@ -113,6 +113,9 @@ FINITE = _rule("finite number", Real, lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX)
 POSITIVE = _rule("positive finite number", Real, lambda v: 0 < v <= _FLOAT_MAX)
 NONNEGATIVE = _rule("nonnegative finite number", Real, lambda v: 0 <= v <= _FLOAT_MAX)
 NEGATIVE = _rule("negative finite number", Real, lambda v: -_FLOAT_MAX <= v < 0)
+PROBABILITY = _rule("probability strictly between 0 and 1", Real, lambda v: 0 < v < 1)
+AT_MOST_ONE = _rule("finite number at most 1, or nan", Real,  # only nan has v != v
+                    lambda v: -_FLOAT_MAX <= v <= 1 or v != v)
 POSITIVE_INT = _rule("integer >= 1", Integral, lambda v: v >= 1)
 NONNEGATIVE_INT = _rule("non-negative integer", Integral, lambda v: v >= 0)  # numpy's seed wording
 # the largest length of a numpy array, or of one spawn of seeds
@@ -318,10 +321,9 @@ def intact_force(spec: SensorSpec, side: str, dz):
 def force_at_displacement(spec: SensorSpec, side: str, dz: float) -> float:
     """Normal force [N] of an intact sensor at displacement ``dz`` [um].
 
-    :func:`intact_force` with its arguments checked; broken hinges scale
-    the force by :func:`stiffness_factor`.
+    :func:`intact_force` with ``dz`` checked (``force_law`` checks the
+    side); broken hinges scale the force by :func:`stiffness_factor`.
     """
-    _check_value("side", side, SIDE)
     _check_value("dz", dz, NONNEGATIVE)
     return intact_force(spec, side, dz)
 

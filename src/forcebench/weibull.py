@@ -3,42 +3,38 @@
 Rank-regression fitting of the two-parameter Weibull failure-probability
 law p(F) = 1 - exp(-(F/F0)^beta), its inversion for failure-probability
 budgets, the R goodness-of-fit statistic and the distribution moments.
+The law is computed one way, by :func:`_cdf_of`; a value that breaks its
+declared rule (see ``sensor``) raises a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .sensor import NONNEGATIVE, _check_value
+from .sensor import (AT_MOST_ONE, NONNEGATIVE, POSITIVE, POSITIVE_INT, PROBABILITY,
+                     Ruled, _check_value)
 
 
 # Loads that _cdf_of turns into Python floats at a time: libm's pow and
-# expm1 on Python floats, as in _cdf, are what fix the bits of the fitted
-# CDF, and a whole 1M-force list at once would add 32 MB to the fit's peak
-# memory.
+# expm1 on Python floats are what fix the bits of the fitted CDF, and a
+# whole 1M-force list at once would add 32 MB to the fit's peak memory.
 _CDF_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class WeibullFit:
+class WeibullFit(Ruled):
     """Scale ``f0`` [N], shape ``beta`` and fit quality ``r`` (1 = perfect)."""
 
-    f0: float
-    beta: float
-    r: float = float("nan")
-
-    def __post_init__(self) -> None:
-        if not (0 < self.f0 < math.inf and 0 < self.beta < math.inf):
-            raise ValueError("Weibull scale and shape must be positive and finite")
-        if self.r > 1 + 1e-12:
-            raise ValueError("fit quality r cannot exceed 1")
+    f0: float = field(metadata=POSITIVE)
+    beta: float = field(metadata=POSITIVE)
+    r: float = field(default=float("nan"), metadata=AT_MOST_ONE)
 
 
 def median_ranks(n: int) -> np.ndarray:
@@ -47,8 +43,7 @@ def median_ranks(n: int) -> np.ndarray:
     p_i = (i - 0.3) / (n + 0.4) for i = 1..n; strictly increasing, all in
     (0, 1), and symmetric: p_i + p_{n+1-i} = 1.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_value("n", n, POSITIVE_INT)
     i = np.arange(1, n + 1, dtype=float)
     return (i - 0.3) / (n + 0.4)
 
@@ -56,17 +51,7 @@ def median_ranks(n: int) -> np.ndarray:
 def weibull_cdf(fit: WeibullFit, f: float) -> float:
     """Failure probability at load ``f`` [N]; 0 at 0, 1 - 1/e at f0."""
     _check_value("f", f, NONNEGATIVE)
-    return _cdf(f, fit.f0, fit.beta)
-
-
-def _cdf(f: float, f0: float, beta: float) -> float:
-    """1 - exp(-(f/f0)^beta) in Python scalar math, which numpy's vector
-    ``**`` and ``expm1`` do not match to the last bit."""
-    try:
-        t = (f / f0) ** beta
-    except OverflowError:
-        return 1.0  # saturated anyway: 1 - exp(-t) rounds to 1 for t > ~37
-    return -math.expm1(-t)
+    return float(_cdf_of(np.array([f], dtype=float), fit.f0, fit.beta)[0])
 
 
 def invert_failure_probability(fit: WeibullFit, p: float) -> float:
@@ -74,8 +59,7 @@ def invert_failure_probability(fit: WeibullFit, p: float) -> float:
 
     Exact inverse of :func:`weibull_cdf`; requires 0 < p < 1 and a finite load.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("probability must lie strictly between 0 and 1")
+    _check_value("p", p, PROBABILITY)
     try:
         load = fit.f0 * (-math.log1p(-p)) ** (1.0 / fit.beta)
     except OverflowError:
@@ -111,8 +95,7 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     so the order of ties cannot show), assigned median ranks p_i, and
     y = ln(-ln(1 - p_i)) is regressed on x = ln(f_i).  beta is the slope
     and f0 = exp(-intercept/beta).  The reported r compares the empirical
-    ranks with the fitted CDF on the probability scale, which has the bits
-    of the scalar law :func:`_cdf` at every load (see :func:`_cdf_of`).
+    ranks with the fitted CDF :func:`_cdf_of` on the probability scale.
     """
     f = np.asarray(forces, dtype=float)
     if f.ndim != 1 or f.size < 3:
@@ -145,23 +128,23 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
 
 
 def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:
-    """:func:`_cdf` at every load, bit for bit, with no Python frame per load.
+    """1 - exp(-(f/f0)^beta) at every load, with no Python frame per load.
 
-    numpy's division is IEEE like Python's, and ``map`` puts each quotient
-    through the same libm ``pow`` and ``expm1`` as ``_cdf`` (numpy's own
-    ``**`` and ``expm1`` differ in the last bit); negation is exact.  A
-    chunk where ``pow`` overflows is done again by ``_cdf`` itself.
+    ``map`` puts each quotient through libm's ``pow`` and ``expm1`` on
+    Python floats (numpy's own ``**`` and ``expm1`` differ in the last bit).
+    For beta > 1 a quotient is capped where (f/f0)^beta is 800, so ``pow``
+    cannot overflow and, as 1 - exp(-t) rounds to 1 for t >= 38, no bit
+    changes; for beta <= 1, (f/f0)^beta <= max(f/f0, 1) needs no cap.
     """
     cdf = np.empty(loads.size)
-    for i in range(0, loads.size, _CDF_CHUNK):
-        part, out = loads[i : i + _CDF_CHUNK], cdf[i : i + _CDF_CHUNK]
-        try:
+    with np.errstate(over="ignore"):  # a quotient beyond the float range is inf
+        for i in range(0, loads.size, _CDF_CHUNK):
+            quotient, out = loads[i : i + _CDF_CHUNK] / f0, cdf[i : i + _CDF_CHUNK]
+            if beta > 1:
+                np.minimum(quotient, 800.0 ** (1.0 / beta), out=quotient)
             out[:] = np.fromiter(map(math.expm1, map(operator.neg, map(
-                pow, (part / f0).tolist(), repeat(beta)))), float, out.size)
-            np.negative(out, out=out)
-        except OverflowError:
-            out[:] = [_cdf(v, f0, beta) for v in part.tolist()]
-    return cdf
+                pow, quotient.tolist(), repeat(beta)))), float, out.size)
+    return np.negative(cdf, out=cdf)
 
 
 def weibull_mean_std(fit: WeibullFit) -> tuple[float, float]:

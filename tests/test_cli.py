@@ -231,6 +231,22 @@ def test_a_bad_config_side_is_refused_by_the_side_rule(tmp_path, capsys, command
     assert captured.out == "" and not out.exists()
 
 
+def test_a_config_integer_too_long_to_read_names_the_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 1, "fleet": 1' + "0" * 5000 + "}")
+    assert run_cli("simulate-static", "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON: ")
+
+
+def test_a_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 1, "side": "\xff"}')
+    assert run_cli("simulate-static", "--config", str(config),
+                   "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8 text: ")
+
+
 def test_boolean_seed_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"seed": true, "fleet": 2}')
@@ -337,6 +353,14 @@ def test_analyze_rejects_malformed_manifest(fleet_dir, tmp_path, capsys, content
     (tmp_path / "manifest.json").write_text(content)
     assert run_cli("analyze", str(tmp_path)) == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+def test_a_manifest_integer_too_long_to_read_names_the_file(fleet_dir, tmp_path, capsys):
+    copy_curves(fleet_dir, tmp_path, 3)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"files": [], "fleet": 1' + "0" * 5000 + "}")
+    assert run_cli("analyze", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: invalid JSON: ")
 
 
 @pytest.mark.parametrize("order", [("front", "back"), ("back", "front")])

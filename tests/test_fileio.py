@@ -21,6 +21,7 @@ from forcebench.fileio import (
     read_cycle_log_csv,
     read_force_column_csv,
     read_load_curve_csv,
+    read_manifest,
     write_cycle_log_csv,
     write_load_curve_csv,
 )
@@ -413,6 +414,30 @@ def test_header_only_cycle_log_has_no_data_rows(tmp_path):
     path.write_text(CYCLE_HEADER + "\n")
     with pytest.raises(DataFormatError, match="empty.csv: no data rows$"):
         read_cycle_log_csv(path)
+
+
+# ------------------------------------------------------------ bad text, bad side
+
+@pytest.mark.parametrize("read, name", [
+    (lambda path: read_load_curve_csv(path, "front"), "curve.csv"),
+    (read_cycle_log_csv, "cycles.csv"),
+    (read_force_column_csv, "forces.csv"),
+    (lambda path: read_manifest(path.parent), "manifest.json"),
+], ids=["curve", "cycle-log", "forces", "manifest"])
+def test_a_file_that_is_not_utf8_is_refused_by_name(tmp_path, read, name):
+    path = tmp_path / name
+    path.write_bytes(b"force_N\n0.5\n\xff\n")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+        read(path)
+
+
+def test_a_curve_of_an_unknown_side_is_refused_by_the_side_rule(tmp_path):
+    path = tmp_path / "curve.csv"
+    write_load_curve_csv(path, LoadCurve(side="front", dz_um=[0.0], force_n=[0.0],
+                                         voff_mv=np.zeros((1, 4)), valid=[True]))
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}: side: expected one of ('front', 'back'), got 'x'") + "$"):
+        read_load_curve_csv(path, "x")
 
 
 # A force file's text -> its forces, or the end of its error message.  The

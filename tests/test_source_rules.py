@@ -1,0 +1,53 @@
+"""Rules about how the modules in ``src/`` read files, checked on their source.
+
+Every file is read as text by ``fileio._read_text``, which refuses bytes
+that are not UTF-8 by the file's name; a second ``.read_text(`` would read
+past that check.  JSON is read by handlers that catch ``ValueError``: a
+``json.JSONDecodeError`` handler alone lets through the ``ValueError`` of an
+integer too long to convert, which then names no file.  The source is
+parsed, not imported, and a broken rule is reported by the function that
+breaks it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "forcebench"
+
+
+def nodes_by_function():
+    """(module.function, node) for every node of every module in ``src/``;
+    a node outside any function is named by its module alone."""
+    for module in sorted(SRC.glob("*.py")):
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = f"{scope}.{child.name}"
+                yield inner, child
+                yield from walk(child, inner)
+
+        yield from walk(ast.parse(module.read_text()), module.stem)
+
+
+def caught_names(handler):
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {getattr(kind, "attr", getattr(kind, "id", None)) for kind in kinds}
+
+
+def test_only_read_text_reads_file_text():
+    readers = sorted({scope for scope, node in nodes_by_function()
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "read_text"})
+    assert readers == ["fileio._read_text"], (
+        f"{', '.join(r for r in readers if r != 'fileio._read_text')} call .read_text("
+        "; read a file's text with fileio._read_text")
+
+
+def test_no_handler_catches_json_decode_errors_alone():
+    narrow = sorted({scope for scope, node in nodes_by_function()
+                     if isinstance(node, ast.ExceptHandler) and node.type is not None
+                     and "JSONDecodeError" in caught_names(node)
+                     and "ValueError" not in caught_names(node)})
+    assert not narrow, (f"{', '.join(narrow)} catch json.JSONDecodeError without ValueError"
+                        "; an integer too long to convert raises a plain ValueError")

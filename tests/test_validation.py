@@ -21,11 +21,13 @@ from forcebench import (
     FailureEvent,
     FleetParams,
     HingeId,
+    LoadCurve,
     PiezoCoefficients,
     RigConfig,
     SensorSpec,
     StaticProtocol,
     StressState,
+    WeibullFit,
 )
 from forcebench.sensor import ARMS, OFFSET_GAIN_MV
 
@@ -41,6 +43,9 @@ RULED = {
     HingeId: {"arm": "C", "position": "outer"},
     CycleLog: {"cycles": [500, 1000], "force_n": [0.5, 0.5], "voff_mv": np.zeros((2, 4))},
     FailureEvent: {"sample_index": 3, "force_drop_n": 0.1},
+    LoadCurve: {"side": "front", "dz_um": [0.0, 1.0], "force_n": [0.0, 0.1],
+                "voff_mv": np.zeros((2, 4)), "valid": [True, True]},
+    WeibullFit: {"f0": 1.22, "beta": 10.69},
 }
 RULED_FIELDS = [
     (cls, f.name, f.metadata["rule"][0])
@@ -77,6 +82,8 @@ def accepts(expected: str, value) -> bool:
         "positive finite number": finite and value > 0,
         "nonnegative finite number": finite and value >= 0,
         "negative finite number": finite and value < 0,
+        "finite number at most 1, or nan": (finite and value <= 1)
+        or (number and value != value),
         "integer >= 1": integer and value >= 1,
         "non-negative integer": integer and value >= 0,
         f"integer fleet size from 1 to {INTP_MAX}": integer and 1 <= value <= INTP_MAX,

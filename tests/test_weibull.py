@@ -14,10 +14,20 @@ from forcebench import (
     weibull_cdf,
     weibull_mean_std,
 )
-from forcebench.weibull import _CDF_CHUNK, _cdf, _cdf_of
+from forcebench.weibull import _CDF_CHUNK, _cdf_of
 
 FRONT = WeibullFit(f0=1.22, beta=10.69)
 BACK = WeibullFit(f0=0.77, beta=7.21)
+
+
+def _cdf(f: float, f0: float, beta: float) -> float:
+    """The scalar reference law: 1 - exp(-(f/f0)^beta) in Python float math,
+    with a load whose power overflows saturated at 1."""
+    try:
+        t = (f / f0) ** beta
+    except OverflowError:
+        return 1.0  # 1 - exp(-t) rounds to 1 for t >= 38
+    return -math.expm1(-t)
 
 
 # ---------------------------------------------------------------- median ranks
@@ -46,6 +56,16 @@ def test_median_ranks_strictly_increasing_in_unit_interval():
 def test_median_ranks_rejects_zero():
     with pytest.raises(ValueError):
         median_ranks(0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 3.0, "3"])
+def test_median_ranks_refuses_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"^n: expected integer >= 1, got {n!r}$"):
+        median_ranks(n)
+
+
+def test_median_ranks_take_a_numpy_integer():
+    assert median_ranks(np.int64(3)).tolist() == median_ranks(3).tolist()
 
 
 # ------------------------------------------------------------------------- cdf
@@ -89,9 +109,21 @@ def _bits(values):
     (1.22, 10.69, np.random.default_rng(5).uniform(0.3, 1.6, _CDF_CHUNK + 999)),
     # saturated: (f/f0)**beta >= 38, where 1 - exp(-t) rounds to 1
     (1.22, 10.69, 1.22 * np.linspace(38 ** (1 / 10.69), 2.0, 5000)),
-    # pow overflows in the second chunk only: that chunk falls back to _cdf
+    # pow of these quotients overflows, in the second chunk only
     (1.0, 10.69, np.append(np.linspace(0.5, 2.0, _CDF_CHUNK + 10), [1e30, 1e300])),
-], ids=["chunk-boundary", "saturated", "overflow"])
+    # the cap 800 ** (1 / beta) and the floats on either side of it
+    (1.22, 10.69, 1.22 * np.nextafter(800 ** (1 / 10.69), [0.0, 800.0, np.inf])),
+    (1.0, 10.69, np.nextafter(800 ** (1 / 10.69), [0.0, 800.0, np.inf])),
+    # beta <= 1: no cap, and pow of the largest quotient is finite
+    (1.0, 1.0, np.array([0.0, 0.3, 1.0, 38.0, 800.0, 1e300, 1.7e308])),
+    (2.0, 0.5, np.array([0.0, 1e-300, 0.3, 2.0, 1e4, 1e300, 1.7e308])),
+    # a cap just above 1
+    (2.0, 1e6, 2.0 * np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 1.00001, 2.0])),
+    # a subnormal f0: the quotients overflow to inf
+    (5e-324, 10.69, np.array([0.0, 5e-324, 1e-320, 1.0, 1e300])),
+    (5e-324, 0.5, np.array([0.0, 5e-324, 1e-320, 1.0, 1e300])),
+], ids=["chunk-boundary", "saturated", "overflow", "cap", "cap-unit-scale", "beta-1",
+        "beta-0.5", "beta-1e6", "subnormal-f0", "subnormal-f0-beta-0.5"])
 def test_vector_cdf_has_the_bits_of_scalar_cdf(f0, beta, loads):
     expected = [_cdf(v, f0, beta) for v in loads.tolist()]
     assert np.array_equal(_bits(_cdf_of(loads, f0, beta)), _bits(expected))
@@ -119,9 +151,10 @@ def test_invert_at_63_percent_returns_scale():
     assert invert_failure_probability(FRONT, p) == pytest.approx(FRONT.f0, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan, True])
 def test_invert_domain_error(p):
-    with pytest.raises(ValueError):
+    expected = f"^p: expected probability strictly between 0 and 1, got {p!r}$"
+    with pytest.raises(ValueError, match=expected):
         invert_failure_probability(FRONT, p)
 
 
@@ -288,3 +321,15 @@ def test_fit_validates_parameters():
 def test_fit_rejects_non_finite_parameters(f0, beta):
     with pytest.raises(ValueError, match="finite"):
         WeibullFit(f0=f0, beta=beta)
+
+
+@pytest.mark.parametrize("name", ["f0", "beta"])
+def test_fit_refuses_a_boolean_parameter(name):
+    with pytest.raises(ValueError, match=f"^{name}: expected positive finite number, got True$"):
+        WeibullFit(**{"f0": 1.0, "beta": 2.0, name: True})
+
+
+@pytest.mark.parametrize("r", [1.0 + 1e-15, math.inf, -math.inf, "0.9"])
+def test_fit_refuses_a_fit_quality_above_one_or_infinite(r):
+    with pytest.raises(ValueError, match="^r: expected finite number at most 1, or nan"):
+        WeibullFit(f0=1.0, beta=2.0, r=r)
