@@ -3,8 +3,9 @@
 Works purely on recorded data (:class:`LoadCurve`, :class:`CycleLog`); the
 only model knowledge used is the calibrated force-displacement law needed
 to translate budget forces into displacements.  The fleet summary reduces
-blocks of curves on one displacement grid, such as ``bench.RampBlock``, a
-:class:`LoadCurve` being a block of one, with the drop rule of
+blocks of curves on one displacement grid, such as ``bench.RampBlock`` or
+the ``fileio.CurveBlock`` read from curve files, a :class:`LoadCurve`
+being a block of one, with the drop rule of
 :func:`detect_failures` and the ring rule of :func:`classify_failures`;
 :func:`fracture_point` is that reduction of one curve.  A cycle log's
 record interval is its cycle spacing.

@@ -39,10 +39,10 @@ from .errors import ForceBenchError
 from .fileio import (
     json_text,
     provenance,
+    read_curve_blocks,
     read_cycle_log_csv,
     read_force_column_csv,
     read_json_object,
-    read_load_curve_csv,
     read_manifest,
     write_cycle_log_csv,
     write_json,
@@ -267,8 +267,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                           f" {manifest_side!r}")
     side = manifest_side or config["side"]  # the flag, if given, is in the config
     _check_value("side", side, SIDE)
-    curves = _Fleet((read_load_curve_csv(p, side) for p in paths), len(paths))
-    payload = _fleet_payload(curves, SensorSpec(), config)
+    payload = _fleet_payload(_Fleet(read_curve_blocks(paths, side), len(paths)),
+                             SensorSpec(), config)
     if getattr(args, "out", None):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

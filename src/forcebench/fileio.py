@@ -15,7 +15,12 @@ A cycle log holds only its columns: its record interval is its cycle spacing.
 All writes go through a temp-then-rename so output files are atomic; a
 failed write removes its temp file.
 Every file is read as UTF-8 text by :func:`_read_text`.  Error messages
-name the file and its physical line, blank lines counted.
+name the file and its physical line, blank lines counted.  The rules of a
+curve file are checked in one place, :func:`_read_curve_table`, for both
+curve readers: :func:`read_load_curve_csv` makes one ``LoadCurve``, and
+:func:`read_curve_blocks` reads many files into ``CurveBlock``s of up to
+``FLEET_BLOCK`` curves on one displacement grid, keeping the grid and each
+curve's force and valid rows only.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import functools
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import CycleLog, LoadCurve
+from .bench import FLEET_BLOCK
 from .errors import DataFormatError
 from .sensor import ARMS
 
@@ -262,19 +269,69 @@ def write_load_curve_csv(path: Path, curve: LoadCurve) -> None:
                  rest[keep], 2 * lost + curve.valid)
 
 
-def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
-    """Parse one static-test CSV; errors name the file and line."""
+def _read_curve_table(path: Path) -> np.ndarray:
+    """The table of one static-test CSV under every rule of a curve file:
+    the header, numbers, 0/1 flags, nondecreasing displacements, finite
+    displacements and forces; errors name the file and line."""
     table, rows, linenos = _read_table(path, CURVE_HEADER)
     text = "\n".join(rows) + "\n"  # a flag is exactly 0 or 1 iff its row ends in ",0" or ",1"
     if text.count(",0\n") + text.count(",1\n") != len(rows):
         _reject_first(path, linenos, [not row.endswith((",0", ",1")) for row in rows],
                       "valid flag must be 0 or 1")
     _reject_first(path, linenos[1:], np.diff(table[:, 1]) < 0, "displacement decreases")
+    if not np.isfinite(table[:, 1:3]).all():
+        raise DataFormatError(f"{path}: curve displacements and forces must be finite")
+    return table
+
+
+def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
+    """Parse one static-test CSV; errors name the file and line."""
+    table = _read_curve_table(path)
     try:  # copies, so that the curve does not keep the whole table alive
         return LoadCurve(side=side, dz_um=table[:, 1].copy(), force_n=table[:, 2].copy(),
                          voff_mv=table[:, 3:-1].copy(), valid=table[:, -1] == 1)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+@dataclasses.dataclass
+class CurveBlock:
+    """Curves read from files onto one displacement grid: the fields of a
+    ``bench.RampBlock`` that ``analysis.fleet_summary`` reduces."""
+
+    side: str
+    dz_um: np.ndarray  # (n,)
+    force_n: np.ndarray  # (m, n)
+    valid: np.ndarray  # (m, n)
+
+    def __len__(self) -> int:
+        return len(self.force_n)
+
+
+def read_curve_blocks(paths: Iterable[Path], side: str) -> Iterator[CurveBlock]:
+    """Read static-test CSVs in order as blocks of up to ``FLEET_BLOCK`` curves.
+
+    Each file is checked as :func:`read_load_curve_csv` checks it, and its
+    error is raised when the file is reached.  A block keeps one grid and
+    each curve's force and valid rows, not its table; a new block starts
+    wherever a curve's displacements differ from the block's, bit for bit.
+    """
+    grid, count = None, 0  # the block's displacements as bytes, and its curves
+    for path in paths:
+        table = _read_curve_table(path)
+        dz = table[:, 1]
+        key = dz.tobytes()
+        if key != grid or count == FLEET_BLOCK:
+            if count:
+                yield CurveBlock(side, block_dz, force[:count], valid[:count])
+            block_dz, grid, count = dz.copy(), key, 0
+            force = np.empty((FLEET_BLOCK, dz.size))
+            valid = np.empty((FLEET_BLOCK, dz.size), dtype=bool)
+        force[count] = table[:, 2]
+        valid[count] = table[:, -1] == 1
+        count += 1
+    if count:
+        yield CurveBlock(side, block_dz, force[:count], valid[:count])
 
 
 def write_cycle_log_csv(path: Path, log: CycleLog) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from forcebench.analysis import LoadCurve
-from forcebench.bench import DynamicProtocol, FleetParams, StaticProtocol
+from forcebench.bench import FLEET_BLOCK, DynamicProtocol, FleetParams, StaticProtocol
 from forcebench.cli import _CONFIG_KEY, CONFIG_DEFAULTS, CONFIG_TYPES, main
 from forcebench.fileio import (
     read_cycle_log_csv,
@@ -423,11 +423,22 @@ def test_analyze_malformed_file_reported_before_short_curve(fleet_dir, tmp_path,
     short = LoadCurve(side="front", dz_um=curve.dz_um[:9], force_n=curve.force_n[:9],
                       voff_mv=curve.voff_mv[:9], valid=curve.valid[:9])
     write_load_curve_csv(tmp_path / "short.csv", short)
-    (tmp_path / "mangled.csv").write_text(
+    mangled, missing = tmp_path / "mangled.csv", tmp_path / "missing.csv"
+    mangled.write_text(
         "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n0,0.0,zero,0,0,0,0,1\n")
-    assert run_cli("analyze", str(tmp_path / "short.csv"), str(tmp_path / "mangled.csv"),
+    assert run_cli("analyze", str(tmp_path / "short.csv"), str(mangled),
                    str(fleet_dir / "specimen_001.csv")) == 2
     assert "mangled.csv:2: not a number: 'zero'" in capsys.readouterr().err
+    # also where the file falls at the end of a block of curves, or after it
+    errors = {mangled: (2, f"error: {mangled}:2: not a number: 'zero'\n"),
+              missing: (3, f"i/o error: [Errno 2] No such file or directory: '{missing}'\n")}
+    fleet = [str(tmp_path / "short.csv")] + [
+        str(fleet_dir / f"specimen_{k % 20:03d}.csv") for k in range(FLEET_BLOCK + 1)]
+    for bad, (code, err) in errors.items():
+        for position in (FLEET_BLOCK - 1, FLEET_BLOCK, len(fleet) - 1):
+            paths = [str(bad) if k == position else path for k, path in enumerate(fleet)]
+            assert run_cli("analyze", *paths) == code
+            assert capsys.readouterr() == ("", err)
 
 
 def test_analyze_missing_file_reported_before_bad_threshold(fleet_dir, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from forcebench.analysis import CycleLog, LoadCurve
+from forcebench.analysis import CycleLog, LoadCurve, fleet_summary
 from forcebench.bench import FLEET_BLOCK, FleetParams, RigConfig, StaticProtocol, run_fleet
 from forcebench.errors import DataFormatError
 from forcebench.sensor import SensorSpec
@@ -18,6 +18,7 @@ from forcebench.fileio import (
     CYCLE_HEADER,
     _read_table,
     atomic_write_text,
+    read_curve_blocks,
     read_cycle_log_csv,
     read_force_column_csv,
     read_load_curve_csv,
@@ -487,3 +488,113 @@ def test_header_only_force_file_has_no_numeric_data(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataFormatError, match="empty.csv: no numeric data$"):
         read_force_column_csv(path)
+
+
+# ------------------------------------------------------------ the block reader
+
+def fleet_curve(n, first_dz, force_kind, flags, k):
+    """Curve ``k`` of a fleet: ``n`` samples 0.5 um apart but the first, at
+    ``first_dz`` (0.0, -0.0 or 0.25), forces of ``force_kind`` scaled by ``k``."""
+    dz = np.arange(n) * 0.5
+    dz[0] = first_dz
+    force = (1 + k % 7 / 8) * 0.1 * np.arange(1.0, n + 1)  # rising: no failure
+    if force_kind == "fails":
+        force[n // 2:] *= 0.5
+    elif force_kind == "fails_first":  # a first fracture at the first displacement
+        force[0] = 4 * force[1]
+    elif force_kind == "negative":  # falls from the start: a first fracture below 0 N
+        force = -force
+    valid = {"all": np.ones(n, bool), "none": np.zeros(n, bool),
+             "some": np.arange(n) % 3 == 0}[flags]
+    return LoadCurve(side="back", dz_um=dz, force_n=force, voff_mv=np.zeros((n, 4)),
+                     valid=valid)
+
+
+def write_fleet_curve(path, curve):
+    """Write ``curve``, its displacement -0.0 as ``-0`` (the writer writes ``0``)."""
+    write_load_curve_csv(path, curve)
+    if curve.dz_um.size and np.signbit(curve.dz_um[0]):
+        path.write_text(path.read_text().replace("\n0,0,", "\n0,-0,", 1))
+
+
+@st.composite
+def curve_fleets(draw):
+    """(size, kinds, starts, short): a fleet of ``size`` curves whose kind
+    (a ``fleet_curve`` argument tuple) changes at each of ``starts``, going
+    round ``kinds``, with a 9-sample curve at position ``short`` if any."""
+    size = draw(st.sampled_from([1, FLEET_BLOCK - 1, FLEET_BLOCK, FLEET_BLOCK + 1]))
+    kinds = draw(st.lists(st.tuples(
+        st.sampled_from([10, 11, 16]), st.sampled_from([0.0, -0.0, 0.25]),
+        st.sampled_from(["fails", "fails", "fails_first", "holds", "negative"]),
+        st.sampled_from(["all", "none", "some"])), min_size=1, max_size=4))
+    starts = sorted(draw(st.sets(st.integers(1, max(size - 1, 1)), max_size=3)))
+    short = draw(st.one_of(st.none(), st.integers(0, size - 1)))
+    return size, kinds, starts, short
+
+
+def summary_or_error(curves, drop_fraction, drop_floor_n):
+    try:
+        return repr(fleet_summary(curves, drop_fraction=drop_fraction,
+                                  drop_floor_n=drop_floor_n))
+    except ValueError as exc:  # ForceBenchError included
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fleet=curve_fleets(), drop_fraction=st.sampled_from([0.1, 0.1, 0.25, -1.0]),
+       drop_floor_n=st.sampled_from([0.05, 0.0]))
+@example(fleet=(FLEET_BLOCK + 1, [(16, 0.0, "fails", "all"), (16, -0.0, "fails", "some"),
+                                  (11, 0.0, "holds", "none")], [40, 90], 64),
+         drop_fraction=0.1, drop_floor_n=0.05)
+@example(fleet=(FLEET_BLOCK, [(10, 0.25, "fails_first", "all"), (10, 0.0, "fails_first", "all")],
+                [2], None),
+         drop_fraction=0.1, drop_floor_n=0.05)
+def test_curve_blocks_summarise_as_curve_files(tmp_path, fleet, drop_fraction, drop_floor_n):
+    size, kinds, starts, short = fleet
+    paths = [tmp_path / f"{k:03d}.csv" for k in range(size)]
+    for k, path in enumerate(paths):
+        kind = kinds[np.searchsorted(starts, k, side="right") % len(kinds)]
+        if k == short:
+            kind = (9, *kind[1:])
+        write_fleet_curve(path, fleet_curve(*kind, k))
+    by_file = summary_or_error((read_load_curve_csv(p, "back") for p in paths),
+                               drop_fraction, drop_floor_n)
+    assert summary_or_error(read_curve_blocks(paths, "back"),
+                            drop_fraction, drop_floor_n) == by_file
+
+
+def test_curve_blocks_split_where_the_grid_changes(tmp_path):
+    grids = [(12, 0.0)] * 3 + [(12, -0.0)] * 2 + [(12, 0.0), (9, 0.0)] + [(12, 0.0)] * (
+        FLEET_BLOCK + 1)
+    paths = [tmp_path / f"{k:03d}.csv" for k in range(len(grids))]
+    curves = [fleet_curve(n, first_dz, "fails", "some", k)
+              for k, (n, first_dz) in enumerate(grids)]
+    for path, curve in zip(paths, curves):
+        write_fleet_curve(path, curve)
+    blocks = list(read_curve_blocks(paths, "back"))
+    assert [len(block) for block in blocks] == [3, 2, 1, 1, FLEET_BLOCK, 1]
+    rows = iter(paths)
+    for block in blocks:
+        assert block.side == "back" and block.force_n.shape == block.valid.shape
+        for force, valid in zip(block.force_n, block.valid):
+            curve = read_load_curve_csv(next(rows), "back")
+            assert block.dz_um.tobytes() == curve.dz_um.tobytes()
+            assert force.tobytes() == curve.force_n.tobytes()
+            assert np.array_equal(valid, curve.valid)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,0,0,0,0,0,1\n1,1,inf,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
+    ("0,nan,0,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
+    ("0,1,0,0,0,0,0,1\n1,0,0,0,0,0,0,1\n", ":3: displacement decreases"),
+    ("0,0,0,0,0,0,0,1.0\n", ":2: valid flag must be 0 or 1"),
+    ("0,0,0,0,0,0,0\n", ":2: expected 8 fields, got 7"),
+], ids=["inf_force", "nan_displacement", "decreasing", "flag_float", "field_count"])
+def test_curve_blocks_refuse_what_a_curve_file_refuses(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(CURVE_HEADER + "\n" + rows)
+    for read in (lambda: read_load_curve_csv(path, "front"),
+                 lambda: list(read_curve_blocks([path], "front"))):
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}{message}") + "$"):
+            read()
