@@ -8,10 +8,13 @@ is a pure function of its inputs and seed.
 
 Destructive ramps run in blocks: one array kernel turns (m, 8) strength
 and intact arrays into a :class:`RampBlock`, with no object per specimen.
-:func:`fleet_blocks` is the one way a fleet is made; :func:`run_fleet`
-reads one curve per row off its blocks, and :func:`run_static` is the
-kernel on a batch of one.  :func:`cycle_log` is the one way a seeded
-specimen is cycled.
+:func:`fleet_block` makes any block of a fleet on its own, seeding each
+specimen from the master seed and its index, so ``simulate-static`` makes
+and writes blocks on every usable CPU with the bytes of one process, and
+with no setting.  :func:`fleet_blocks` is the fleet as those blocks in
+order, :func:`run_fleet` reads one curve per row off them, and
+:func:`run_static` is the kernel on a batch of one.  :func:`cycle_log` is
+the one way a seeded specimen is cycled.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .sensor import (
     stiffness_factor,
 )
 
-# Specimens that fleet_blocks advances through one kernel call.  Large enough
+# Specimens that fleet_block advances through one kernel call.  Large enough
 # to spread numpy's per-call cost over many specimens, small enough that a
 # block's working arrays stay a few MB and do not raise peak memory.
 FLEET_BLOCK = 128
@@ -378,10 +381,38 @@ def cycle_log(params: FleetParams, spec: SensorSpec, protocol: DynamicProtocol,
     return run_dynamic(state, spec, protocol, rig, rng)
 
 
+def _specimen_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Specimen ``index``'s generator: the child ``SeedSequence(master_seed).spawn``
+    hands out at that index, made on its own."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+
+
 def specimen_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
     """Independent per-specimen generators derived from one master seed."""
-    children = np.random.SeedSequence(master_seed).spawn(count)
-    return [np.random.default_rng(child) for child in children]
+    return [_specimen_rng(master_seed, i) for i in range(count)]
+
+
+def fleet_block(
+    params: FleetParams,
+    spec: SensorSpec,
+    protocol: StaticProtocol,
+    rig: RigConfig,
+    first: int,
+) -> RampBlock:
+    """Destructively test the specimens ``first`` to ``first + FLEET_BLOCK``
+    (at most) of a fleet, as one ``RampBlock``.
+
+    Specimen i is seeded from the master seed and its index alone, so any
+    block is made on its own, in any order or process, and repeated runs
+    are bit-identical.  Each specimen draws from its own generator its
+    eight strengths (the law of :func:`sample_specimen`), then its contact
+    offset, jitter and force noise (the order of :func:`run_static`), so
+    every row equals the curve and the damage that ``run_static`` gives.
+    """
+    rngs = [_specimen_rng(params.master_seed, i)
+            for i in range(first, min(first + FLEET_BLOCK, params.count))]
+    strength = _draw_strengths(params, protocol.side, spec, rngs)
+    return _ramp_block(strength, np.ones(strength.shape, dtype=bool), rngs, spec, protocol, rig)
 
 
 def fleet_blocks(
@@ -390,24 +421,10 @@ def fleet_blocks(
     protocol: StaticProtocol,
     rig: RigConfig,
 ) -> Iterator[RampBlock]:
-    """Destructively test a fleet; yield it as ``RampBlock``s of ``FLEET_BLOCK`` specimens.
-
-    Specimen seeds are spawned deterministically from the master seed, so
-    repeated runs are bit-identical and specimens are independent.  Each
-    specimen draws from its own generator its eight strengths (the law of
-    :func:`sample_specimen`), then its contact offset, jitter and force
-    noise (the order of :func:`run_static`), so every row equals the curve
-    and the damage that ``run_static`` gives.  Only the current block is
-    held: each block spawns its generators from one shared seed sequence,
-    which hands out the same children as spawning the whole fleet at once.
-    """
-    seeds = np.random.SeedSequence(params.master_seed)
+    """Destructively test a fleet; yield it as the ``RampBlock``s of
+    :func:`fleet_block`, in order, holding only the current one."""
     for first in range(0, params.count, FLEET_BLOCK):
-        size = min(FLEET_BLOCK, params.count - first)
-        rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
-        strength = _draw_strengths(params, protocol.side, spec, rngs)
-        yield _ramp_block(strength, np.ones(strength.shape, dtype=bool), rngs, spec,
-                          protocol, rig)
+        yield fleet_block(params, spec, protocol, rig, first)
 
 
 def run_fleet(

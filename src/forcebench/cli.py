@@ -3,15 +3,20 @@
 Subcommands: simulate-static, simulate-dynamic, analyze, fit-weibull,
 degradation, report.  Exit codes: 0 success, 2 usage/config/data error,
 3 I/O error.  Simulation commands require a seed; reruns with identical
-inputs produce byte-identical outputs.
+inputs produce byte-identical outputs.  simulate-static makes and writes
+its fleet's blocks on every usable CPU, with the bytes of one process
+(see :func:`cmd_simulate_static`).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import functools
+import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +33,13 @@ from .analysis import (
     overload_factors,
 )
 from .bench import (
+    FLEET_BLOCK,
     DynamicProtocol,
     FleetParams,
     RigConfig,
     StaticProtocol,
     cycle_log,
+    fleet_block,
     fleet_blocks,
 )
 from .errors import ForceBenchError
@@ -202,7 +209,46 @@ def _print_degradation_table(report: DegradationReport) -> None:
         print(f"  {name:<12} {stats.mean:>10.5f} {stats.std:>10.5f} {rel:>11}")
 
 
+def _workers(blocks: int) -> int:
+    """Processes that write ``blocks`` fleet blocks: one per usable CPU, at
+    most one per block, and 1 (the command's own) where fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, blocks)
+
+
+def _in_order(submit, args: Iterable, ahead: int) -> Iterator:
+    """The results of ``submit(arg)`` (a future) for each of ``args`` in
+    order, with at most ``ahead`` submitted and not yet taken."""
+    pending: collections.deque = collections.deque()
+    for arg in args:
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(submit(arg))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _write_fleet_block(out: Path, params: FleetParams, protocol: StaticProtocol,
+                       rig: RigConfig, first: int) -> None:
+    """Make the fleet block from specimen ``first`` and write its curve files,
+    each named by its specimen's index."""
+    block = fleet_block(params, SensorSpec(), protocol, rig, first)
+    for i in range(len(block)):
+        write_load_curve_csv(out / f"specimen_{first + i:03d}.csv", block.curve(i))
+
+
 def cmd_simulate_static(args: argparse.Namespace) -> int:
+    """Write a fleet's curve files, then ``manifest.json``.
+
+    The blocks are made by index and written by forked processes, one per
+    usable CPU (in this process where that is one), with no setting; the
+    files are the bytes of a run in one process.  A block stops at its
+    first failed write, the first failure in fleet order is raised once
+    every process has stopped, and no manifest is written: curve files of
+    other blocks may remain.
+    """
     config = load_config(args)
     seed = require_seed(config)
     out = _out_dir(args)
@@ -210,12 +256,25 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     rig = RigConfig()
     params = _from_config(FleetParams, config)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for block in fleet_blocks(params, SensorSpec(), protocol, rig):
-        for i in range(len(block)):
-            files.append(f"specimen_{len(files):03d}.csv")
-            write_load_curve_csv(out / files[-1], block.curve(i))
-        del block  # before the next one is made
+    firsts = range(0, params.count, FLEET_BLOCK)
+    write_block = functools.partial(_write_fleet_block, out, params, protocol, rig)
+    workers = _workers(len(firsts))
+    if workers == 1:
+        for first in firsts:
+            write_block(first)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            try:
+                for _ in _in_order(functools.partial(pool.submit, write_block), firsts,
+                                   2 * workers):
+                    pass
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    files = [f"specimen_{i:03d}.csv" for i in range(params.count)]
     write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
                    fleet=params.count)
     print(f"wrote {len(files)} curves and manifest.json to {out}")

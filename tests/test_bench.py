@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,8 @@ from forcebench import (
     weibull_cdf,
 )
 from forcebench.analysis import LoadCurve
-from forcebench.bench import FLEET_BLOCK, fleet_blocks, specimen_rngs
+from forcebench import bench
+from forcebench.bench import FLEET_BLOCK, fleet_block, fleet_blocks, specimen_rngs
 from forcebench.sensor import (
     ALL_HINGES,
     POSITIONS,
@@ -632,6 +634,41 @@ def test_fleet_blocks_match_run_fleet_and_run_static():
         order = block.failure_order[i]
         assert [ALL_HINGES[h] for h in order[order >= 0]] == alone.failure_order
         assert (order[len(alone.failure_order):] == -1).all()
+
+
+def spawned_fleet_blocks(params, spec, protocol, rig):
+    """The blocks as made when each block spawned its generators from one
+    shared ``SeedSequence(master_seed)``: the reference for ``fleet_block``."""
+    seeds = np.random.SeedSequence(params.master_seed)
+    for first in range(0, params.count, FLEET_BLOCK):
+        size = min(FLEET_BLOCK, params.count - first)
+        rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
+        strength = bench._draw_strengths(params, protocol.side, spec, rngs)
+        yield bench._ramp_block(strength, np.ones(strength.shape, dtype=bool), rngs, spec,
+                                protocol, rig)
+
+
+def assert_same_block(block, reference):
+    for f in dataclasses.fields(bench.RampBlock):
+        got, want = getattr(block, f.name), getattr(reference, f.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert type(got) is type(want) and got == want, f.name
+
+
+@pytest.mark.parametrize("count", [1, FLEET_BLOCK - 1, FLEET_BLOCK, FLEET_BLOCK + 1, 300])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64), side=st.sampled_from(["front", "back"]))
+def test_fleet_block_equals_the_shared_spawn_recipe(count, seed, side):
+    params = FleetParams(count=count, master_seed=seed)
+    protocol, rig = StaticProtocol(side=side), RigConfig()
+    reference = list(spawned_fleet_blocks(params, SPEC, protocol, rig))
+    firsts = range(0, count, FLEET_BLOCK)
+    assert len(reference) == len(firsts)
+    for first, want in reversed(list(zip(firsts, reference))):  # any order
+        assert_same_block(fleet_block(params, SPEC, protocol, rig, first), want)
 
 
 @pytest.mark.parametrize("side", ["front", "back"])

@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 import json
+import multiprocessing
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from forcebench.analysis import LoadCurve
 from forcebench.bench import FLEET_BLOCK, DynamicProtocol, FleetParams, StaticProtocol
+from forcebench import cli
 from forcebench.cli import _CONFIG_KEY, CONFIG_DEFAULTS, CONFIG_TYPES, main
 from forcebench.fileio import (
     read_cycle_log_csv,
@@ -49,6 +53,67 @@ def test_simulate_static_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert run_cli("simulate-static", "--seed", "1", "--fleet", "3", "--out", str(out)) == 3
     assert "i/o error" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["specimen_000.csv", "specimen_001.csv"]
+
+
+@pytest.mark.parametrize("count", [FLEET_BLOCK + 1, 2 * FLEET_BLOCK + 44])
+@pytest.mark.parametrize("side", ["front", "back"])
+def test_simulate_static_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                                  count, side):
+    written = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_workers", lambda blocks, workers=workers: workers)
+        out = tmp_path / str(workers)
+        assert run_cli("simulate-static", "--seed", "9", "--fleet", str(count),
+                       "--side", side, "--out", str(out)) == 0
+        assert not multiprocessing.active_children()
+        written[workers] = read_dir_bytes(out)
+    assert len(written[1]) == count + 1
+    assert written[2] == written[1] and written[3] == written[1]
+
+
+def test_in_order_results_keep_a_bounded_number_in_flight():
+    submitted = []
+
+    def submit(arg):
+        submitted.append(arg)
+        future = Future()
+        future.set_result(2 * arg)
+        return future
+
+    assert list(itertools.islice(cli._in_order(submit, itertools.count(), 4), 3)) == [0, 2, 4]
+    assert submitted == list(range(6))  # the three taken, and three ahead
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("first, later", [(1, 200), (FLEET_BLOCK - 1, FLEET_BLOCK + 1)])
+def test_simulate_static_failed_writes_in_blocks(tmp_path, capsys, monkeypatch, workers,
+                                                 first, later):
+    # writes fail in two blocks of three; the first failure in fleet order
+    # is reported, even where a later block fails sooner, once every block
+    # has stopped
+    monkeypatch.setattr(cli, "_workers", lambda blocks: workers)
+    out = tmp_path / "fleet"
+    for index in (first, later):
+        (out / f"specimen_{index:03d}.csv").mkdir(parents=True)
+    assert run_cli("simulate-static", "--seed", "1", "--fleet", "300", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and f"specimen_{first:03d}.csv" in err
+    assert f"specimen_{later:03d}.csv" not in err
+    assert not list(out.glob("*.tmp")) and not (out / "manifest.json").exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_static_rig_limit_in_blocks(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_workers", lambda blocks: workers)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dz_max_um": 300.0}))
+    out = tmp_path / "fleet"
+    assert run_cli("simulate-static", "--seed", "1", "--fleet", "300",
+                   "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: protocol ramps to 300.0 um, rig allows 200.0 um\n"
+    assert list(out.iterdir()) == []
+    assert not multiprocessing.active_children()
 
 
 def test_simulate_static_requires_seed(tmp_path):

@@ -6,10 +6,13 @@ past that check.  JSON is read by handlers that catch ``ValueError``: a
 ``json.JSONDecodeError`` handler alone lets through the ``ValueError`` of an
 integer too long to convert, which then names no file.  The source is
 parsed, not imported, and a broken rule is reported by the function that
-breaks it.
+breaks it.  Importing the CLI leaves out the process pool that only
+``simulate-static`` uses, so every command starts without its import cost.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcebench"
@@ -51,3 +54,11 @@ def test_no_handler_catches_json_decode_errors_alone():
                      and "ValueError" not in caught_names(node)})
     assert not narrow, (f"{', '.join(narrow)} catch json.JSONDecodeError without ValueError"
                         "; an integer too long to convert raises a plain ValueError")
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    code = ("import sys, forcebench.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, cwd=SRC.parent, timeout=60)
+    assert result.stdout == "[]\n"
