@@ -3,12 +3,12 @@
 Works purely on recorded data (:class:`LoadCurve`, :class:`CycleLog`); the
 only model knowledge used is the calibrated force-displacement law needed
 to translate budget forces into displacements.  The fleet summary reduces
-blocks of curves on one displacement grid, such as ``bench.RampBlock`` or
-the ``fileio.CurveBlock`` read from curve files, a :class:`LoadCurve`
-being a block of one, with the drop rule of
-:func:`detect_failures` and the ring rule of :func:`classify_failures`;
-:func:`fracture_point` is that reduction of one curve.  A cycle log's
-record interval is its cycle spacing.
+:class:`CurveBlock`s, up to ``FLEET_BLOCK`` curves on one displacement
+grid (a ``bench.RampBlock`` is one, and ``fileio.read_curve_blocks`` reads
+them from curve files), a :class:`LoadCurve` being a block of one, with
+the drop rule of :func:`detect_failures` and the ring rule of
+:func:`classify_failures`; :func:`fracture_point` is that reduction of one
+curve.  A cycle log's record interval is its cycle spacing.
 """
 
 from __future__ import annotations
@@ -218,20 +218,41 @@ def detect_failures(
             for i, d in zip(np.flatnonzero(hits).tolist(), drop[hits].tolist())]
 
 
+# Curves in one block: what fleet_block advances through one kernel call and
+# read_curve_blocks stacks from files.  Large enough to spread numpy's
+# per-call cost over many curves, small enough that a block's working
+# arrays stay a few MB and do not raise peak memory.
+FLEET_BLOCK = 128
+
+
+@dataclass
+class CurveBlock:
+    """Up to ``FLEET_BLOCK`` curves on one displacement grid, as
+    :func:`fleet_summary` reduces them: ``dz_um`` (n,), shared by every
+    curve, and ``force_n`` and ``valid`` (m, n), one row per curve."""
+
+    side: str
+    dz_um: np.ndarray
+    force_n: np.ndarray
+    valid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.force_n)
+
+
 def first_failures(
-    block,
+    block: CurveBlock | LoadCurve,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reduce a block of curves to its first failures, one entry per curve.
 
-    ``block`` is a :class:`LoadCurve` (a block of one) or has its fields,
-    with one displacement grid ``dz_um`` (n,) and ``force_n`` and
-    ``valid`` of shape (m, n), such as a ``bench.RampBlock``.  Returns the
-    sample index of each curve's first failure event, the force [N] and
-    displacement [um] there (its :func:`fracture_point`), and its number
-    of events (those of :func:`detect_failures`).  A curve without events
-    has index -1 and NaN force and displacement.
+    ``block`` is a :class:`CurveBlock`, or a :class:`LoadCurve` (a block
+    of one).  Returns the sample index of each curve's first failure
+    event, the force [N] and displacement [um] there (its
+    :func:`fracture_point`), and its number of events (those of
+    :func:`detect_failures`).  A curve without events has index -1 and NaN
+    force and displacement.
     """
     force = np.atleast_2d(block.force_n)
     _, hits = _drops(block.dz_um, force, drop_fraction, drop_floor_n)
@@ -302,7 +323,7 @@ def classify_failures(
 
 
 def fleet_summary(
-    curves: Iterable,
+    curves: Iterable[CurveBlock | LoadCurve],
     spec: SensorSpec | None = None,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
@@ -315,11 +336,12 @@ def fleet_summary(
     budget displacements come from the calibrated force-displacement law
     of ``spec`` (defaults to the standard design).
 
-    ``curves`` may be any iterable of curves or blocks of curves (see
-    :func:`first_failures`); it is read once, keeping only each curve's
-    fracture point and hinge-ring counts.  A fleet that mixes load sides is
-    reported before the first error of a single curve, which is held until
-    the iterable is exhausted, so the iterable's own errors come first.
+    ``curves`` may be any iterable of :class:`CurveBlock`s or
+    :class:`LoadCurve`s (see :func:`first_failures`); it is read once,
+    keeping only each curve's fracture point and hinge-ring counts.  A
+    fleet that mixes load sides is reported before the first error of a
+    single curve, which is held until the iterable is exhausted, so the
+    iterable's own errors come first.
     """
     if spec is None:
         spec = SensorSpec()

@@ -7,7 +7,8 @@ randomness flows through a caller-supplied numpy generator, so every run
 is a pure function of its inputs and seed.
 
 Destructive ramps run in blocks: one array kernel turns (m, 8) strength
-and intact arrays into a :class:`RampBlock`, with no object per specimen.
+and intact arrays into a :class:`RampBlock` (an ``analysis.CurveBlock``
+with its offset sources and ground truth), with no object per specimen.
 :func:`fleet_block` makes any block of a fleet on its own, seeding each
 specimen from the master seed and its index, so ``simulate-static`` makes
 and writes blocks on every usable CPU with the bytes of one process, and
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import CycleLog, LoadCurve
+from .analysis import FLEET_BLOCK, CurveBlock, CycleLog, LoadCurve
 from .errors import OverloadError, ProtocolLimitError, SupplyLossError
 from .sensor import (
     ALL_HINGES,
@@ -47,11 +48,6 @@ from .sensor import (
     intact_force,
     stiffness_factor,
 )
-
-# Specimens that fleet_block advances through one kernel call.  Large enough
-# to spread numpy's per-call cost over many specimens, small enough that a
-# block's working arrays stay a few MB and do not raise peak memory.
-FLEET_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -152,12 +148,11 @@ def sample_specimen(
 
 
 @dataclass
-class RampBlock:
-    """A block of m destructive ramps, as the fleet kernel makes them.
+class RampBlock(CurveBlock):
+    """A block of m destructive ramps, as the fleet kernel makes them: an
+    ``analysis.CurveBlock`` plus the sources of its offsets and its ground
+    truth; ``curve(i)`` is row i as a :class:`LoadCurve`, offsets included.
 
-    It has the recorded fields of a :class:`LoadCurve` (``curve(i)`` is row
-    i as one), so ``analysis.fleet_summary`` reduces it as it does a curve:
-    ``dz_um`` (n,), shared by every ramp, ``force_n`` and ``valid`` (m, n).
     The offsets come from the true force ``true_force_n`` (m, n), the bridge
     gains of each kernel pass ``pass_gains`` (p, m, 4) and the pass of each
     sample ``passes`` (m, n).  Ground truth, (m, 8) each: ``hinge_strength``,
@@ -165,10 +160,6 @@ class RampBlock:
     indices of the hinges broken in order, then -1.
     """
 
-    side: str
-    dz_um: np.ndarray
-    force_n: np.ndarray
-    valid: np.ndarray
     true_force_n: np.ndarray
     pass_gains: np.ndarray
     passes: np.ndarray
@@ -176,9 +167,6 @@ class RampBlock:
     hinge_strength: np.ndarray
     intact: np.ndarray
     failure_order: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.force_n)
 
     def curve(self, i: int) -> LoadCurve:
         """Row ``i`` as a curve that owns copies of its arrays."""

@@ -26,6 +26,7 @@ from .analysis import (
     DEFAULT_DROP_FLOOR_N,
     DEFAULT_DROP_FRACTION,
     DEFAULT_SIGMA_MULTIPLE,
+    FLEET_BLOCK,
     DegradationReport,
     FleetSummary,
     degradation_report,
@@ -33,7 +34,6 @@ from .analysis import (
     overload_factors,
 )
 from .bench import (
-    FLEET_BLOCK,
     DynamicProtocol,
     FleetParams,
     RigConfig,
@@ -58,6 +58,9 @@ from .fileio import (
 )
 from .sensor import NONNEGATIVE_INT, SIDE, SIDES, SensorSpec, _check_value
 from .weibull import WeibullFit, fit_weibull, invert_failure_probability
+
+# The curve file of specimen i, as simulate-static names it.
+_CURVE_FILE = "specimen_{:03d}.csv"
 
 # Config keys of the FleetParams fields that the config names differently.
 _CONFIG_KEY = {"count": "fleet", "master_seed": "seed"}
@@ -236,7 +239,7 @@ def _write_fleet_block(out: Path, params: FleetParams, protocol: StaticProtocol,
     each named by its specimen's index."""
     block = fleet_block(params, SensorSpec(), protocol, rig, first)
     for i in range(len(block)):
-        write_load_curve_csv(out / f"specimen_{first + i:03d}.csv", block.curve(i))
+        write_load_curve_csv(out / _CURVE_FILE.format(first + i), block.curve(i))
 
 
 def cmd_simulate_static(args: argparse.Namespace) -> int:
@@ -274,7 +277,7 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-    files = [f"specimen_{i:03d}.csv" for i in range(params.count)]
+    files = [_CURVE_FILE.format(i) for i in range(params.count)]
     write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
                    fleet=params.count)
     print(f"wrote {len(files)} curves and manifest.json to {out}")

@@ -18,9 +18,9 @@ Every file is read as UTF-8 text by :func:`_read_text`.  Error messages
 name the file and its physical line, blank lines counted.  The rules of a
 curve file are checked in one place, :func:`_read_curve_table`, for both
 curve readers: :func:`read_load_curve_csv` makes one ``LoadCurve``, and
-:func:`read_curve_blocks` reads many files into ``CurveBlock``s of up to
-``FLEET_BLOCK`` curves on one displacement grid, keeping the grid and each
-curve's force and valid rows only.
+:func:`read_curve_blocks` reads many files into ``analysis.CurveBlock``s
+of up to ``FLEET_BLOCK`` curves on one displacement grid, keeping the grid
+and each curve's force and valid rows only.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .analysis import CycleLog, LoadCurve
-from .bench import FLEET_BLOCK
+from .analysis import FLEET_BLOCK, CurveBlock, CycleLog, LoadCurve
 from .errors import DataFormatError
 from .sensor import ARMS
 
@@ -292,20 +291,6 @@ def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
                          voff_mv=table[:, 3:-1].copy(), valid=table[:, -1] == 1)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-
-
-@dataclasses.dataclass
-class CurveBlock:
-    """Curves read from files onto one displacement grid: the fields of a
-    ``bench.RampBlock`` that ``analysis.fleet_summary`` reduces."""
-
-    side: str
-    dz_um: np.ndarray  # (n,)
-    force_n: np.ndarray  # (m, n)
-    valid: np.ndarray  # (m, n)
-
-    def __len__(self) -> int:
-        return len(self.force_n)
 
 
 def read_curve_blocks(paths: Iterable[Path], side: str) -> Iterator[CurveBlock]:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from forcebench import (
     CycleLog,
+    DegenerateDataError,
     DynamicProtocol,
     FleetParams,
     InsufficientDataError,
@@ -97,6 +98,28 @@ def test_stiffness_needs_enough_low_displacement_samples():
                        np.linspace(0, 1, 10))
     with pytest.raises(InsufficientDataError):
         extract_stiffness(curve)
+
+
+def test_stiffness_needs_a_displacement_spread():
+    curve = make_curve([10, 10, 10, 30, 40], [0.1, 0.1, 0.1, 0.2, 0.3])
+    with pytest.raises(DegenerateDataError,
+                       match="^no displacement spread below the fit limit$"):
+        extract_stiffness(curve)
+
+
+@pytest.mark.parametrize("dz, force, voff, message", [
+    ([0, 1, 2], [0, 1], None, "curve arrays must agree in length"),
+    ([0, 1, 2], [0, 1, 2], np.zeros((3, 3)), "curve arrays must agree in length"),
+    ([0, 1, 2], [0, np.inf, 2], None, "curve displacements and forces must be finite"),
+    ([0, np.nan, 2], [0, 1, 2], None, "curve displacements and forces must be finite"),
+    ([0, 2, 1], [0, 1, 2], None, "displacement samples must be nondecreasing"),
+], ids=["force_length", "offset_columns", "inf_force", "nan_displacement", "decreasing"])
+def test_load_curve_refuses_inconsistent_arrays(dz, force, voff, message):
+    if voff is None:
+        voff = np.zeros((len(dz), 4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoadCurve(side="front", dz_um=dz, force_n=force, voff_mv=voff,
+                  valid=np.ones(len(dz), dtype=bool))
 
 
 # ------------------------------------------------------------ failure detection
@@ -671,6 +694,14 @@ def test_cycle_log_requires_constant_spacing():
             force_n=[0.5, 0.5, 0.5],
             voff_mv=np.zeros((3, 4)),
         )
+
+
+@pytest.mark.parametrize("force, voff", [
+    ([0.5, 0.5], np.zeros((3, 4))), ([0.5, 0.5, 0.5], np.zeros((3, 3))),
+], ids=["forces", "offset_columns"])
+def test_cycle_log_arrays_must_agree_in_length(force, voff):
+    with pytest.raises(ValueError, match="^cycle log arrays must agree in length$"):
+        CycleLog(cycles=[500, 1000, 1500], force_n=force, voff_mv=voff)
 
 
 @pytest.mark.parametrize("force, voff", [(np.inf, -190.0), (0.5, np.nan)])

@@ -28,7 +28,7 @@ from forcebench import (
     sample_specimen,
     weibull_cdf,
 )
-from forcebench.analysis import LoadCurve
+from forcebench.analysis import CurveBlock, LoadCurve
 from forcebench import bench
 from forcebench.bench import FLEET_BLOCK, fleet_block, fleet_blocks, specimen_rngs
 from forcebench.sensor import (
@@ -677,6 +677,9 @@ def test_fleet_summary_of_blocks_matches_the_curves(side):
     protocol, rig = StaticProtocol(side=side), RigConfig()
     blocks = list(fleet_blocks(params, SPEC, protocol, rig))
     assert [len(b) for b in blocks] == [FLEET_BLOCK, FLEET_BLOCK, 44]
+    assert issubclass(bench.RampBlock, CurveBlock)
+    assert [f.name for f in dataclasses.fields(bench.RampBlock)][:4] == [
+        f.name for f in dataclasses.fields(CurveBlock)]
     curves = run_fleet(params, SPEC, protocol, rig)
     assert fleet_summary(blocks, SPEC) == fleet_summary(curves, SPEC)
 

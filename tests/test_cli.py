@@ -460,6 +460,22 @@ def test_analyze_refuses_a_side_flag_the_manifest_contradicts(fleet_dir, tmp_pat
         "error: --side 'back' disagrees with the manifest's load side 'front'")
 
 
+@pytest.mark.parametrize("command, header", [
+    ("analyze", "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid"),
+    ("degradation", "cycle,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV"),
+])
+@pytest.mark.parametrize("text", ["", "{header},extra\n", "0,0,0,0,0,0\n"],
+                         ids=["empty", "extra_column", "no_header"])
+def test_a_bad_or_missing_header_is_refused_on_line_one(tmp_path, capsys, command, header,
+                                                         text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text.format(header=header))
+    assert run_cli(command, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:1: bad or missing header\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_header_only_files_exit_two_without_warning(tmp_path, capsys):
     curve, log, forces = tmp_path / "curve.csv", tmp_path / "cycles.csv", tmp_path / "f.csv"
@@ -586,6 +602,22 @@ def test_fit_weibull_rejects_non_finite_params(params, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--params", "1.22"], "--params expects 'f0,beta'"),
+    (["--params", "1.22,10.69,3"], "--params expects 'f0,beta'"),
+    (["--params", "1.22,x"], "--params expects 'f0,beta'"),
+    ([], "provide an input CSV or --params f0,beta"),
+    (["--invert", "1e-6"], "provide an input CSV or --params f0,beta"),
+    (["--params", "1.22,10.69", "--invert", "1e-6,x"],
+     "--invert expects comma-separated probabilities"),
+])
+def test_fit_weibull_refuses_bad_arguments(argv, message, capsys):
+    assert run_cli("fit-weibull", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_fit_weibull_recovers_exact_points(tmp_path, capsys):

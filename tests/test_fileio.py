@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from forcebench.analysis import CycleLog, LoadCurve, fleet_summary
+from forcebench.analysis import CurveBlock, CycleLog, LoadCurve, fleet_summary
 from forcebench.bench import FLEET_BLOCK, FleetParams, RigConfig, StaticProtocol, run_fleet
 from forcebench.errors import DataFormatError
 from forcebench.sensor import SensorSpec
@@ -576,6 +576,7 @@ def test_curve_blocks_split_where_the_grid_changes(tmp_path):
     assert [len(block) for block in blocks] == [3, 2, 1, 1, FLEET_BLOCK, 1]
     rows = iter(paths)
     for block in blocks:
+        assert type(block) is CurveBlock
         assert block.side == "back" and block.force_n.shape == block.valid.shape
         for force, valid in zip(block.force_n, block.valid):
             curve = read_load_curve_csv(next(rows), "back")

@@ -1,4 +1,5 @@
-"""Rules about how the modules in ``src/`` read files, checked on their source.
+"""Rules about how the modules in ``src/`` read files and import each other,
+checked on their source.
 
 Every file is read as text by ``fileio._read_text``, which refuses bytes
 that are not UTF-8 by the file's name; a second ``.read_text(`` would read
@@ -8,6 +9,10 @@ integer too long to convert, which then names no file.  The source is
 parsed, not imported, and a broken rule is reported by the function that
 breaks it.  Importing the CLI leaves out the process pool that only
 ``simulate-static`` uses, so every command starts without its import cost.
+The block of curves that the fleet summary reduces is declared once, as
+``analysis.CurveBlock``: ``fileio`` reads files into it without importing
+``bench``, and no other class declares its fields but ``LoadCurve``, the
+one curve that is a block of one.
 """
 
 import ast
@@ -62,3 +67,31 @@ def test_importing_the_cli_imports_no_process_pool():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, cwd=SRC.parent, timeout=60)
     assert result.stdout == "[]\n"
+
+
+def imported(node):
+    """The modules, or module attributes, that an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return {alias.name for alias in node.names} if isinstance(node, ast.Import) else set()
+
+
+def test_fileio_imports_nothing_from_bench():
+    importers = sorted({scope for scope, node in nodes_by_function()
+                        if scope.split(".")[0] == "fileio"
+                        and any(name.split(".")[-1] == "bench" for name in imported(node))})
+    assert not importers, f"{', '.join(importers)} import from bench; fileio reads files only"
+
+
+BLOCK_FIELDS = {"side", "dz_um", "force_n", "valid"}
+
+
+def test_the_curve_block_fields_are_declared_once():
+    declaring = sorted(f"{scope}.{node.name}" for scope, node in nodes_by_function()
+                       if isinstance(node, ast.ClassDef) and (
+                           node.name == "CurveBlock" or BLOCK_FIELDS <= {
+                               getattr(field.target, "id", None) for field in node.body
+                               if isinstance(field, ast.AnnAssign)}))
+    assert declaring == ["analysis.CurveBlock", "analysis.LoadCurve"], (
+        "declare the block fields once, in analysis.CurveBlock, and extend it")

@@ -207,6 +207,14 @@ def test_r_parameter_one_only_for_exact_fit():
         assert r_parameter(y, y + noise) < 1.0
 
 
+@pytest.mark.parametrize("y, y_prime", [
+    ([0.1, 0.2], [0.1]), ([[0.1, 0.2]], [[0.1, 0.2]]), ([], []),
+], ids=["lengths", "two_dimensional", "empty"])
+def test_r_parameter_needs_equal_length_1d_sequences(y, y_prime):
+    with pytest.raises(ValueError, match="^y and y_prime must be equal-length 1-d sequences$"):
+        r_parameter(y, y_prime)
+
+
 def test_r_parameter_zero_reference_error():
     with pytest.raises(DegenerateDataError):
         r_parameter([0.0, 0.0], [0.1, 0.2])
