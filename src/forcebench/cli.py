@@ -136,8 +136,8 @@ def require_seed(config: dict) -> int:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    """The required ``--out`` directory, not yet made: a command makes it
-    once its config values are checked, so a refused one leaves none."""
+    """The required ``--out`` directory; it is made by the command's first
+    file write, so a refused command leaves none, whatever refuses it."""
     if not getattr(args, "out", None):
         raise ConfigError("an output directory is required (--out)")
     return Path(args.out)
@@ -258,7 +258,6 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     protocol = _from_config(StaticProtocol, config)
     rig = RigConfig()
     params = _from_config(FleetParams, config)
-    out.mkdir(parents=True, exist_ok=True)
     firsts = range(0, params.count, FLEET_BLOCK)
     write_block = functools.partial(_write_fleet_block, out, params, protocol, rig)
     workers = _workers(len(firsts))
@@ -292,7 +291,6 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     rig = RigConfig()
     params = _from_config(FleetParams, config)
     log = cycle_log(params, SensorSpec(), protocol, rig, seed)
-    out.mkdir(parents=True, exist_ok=True)
     write_cycle_log_csv(out / "cycles.csv", log)
     write_manifest(out, "cycle-log", seed, protocol, rig, config,
                    ["cycles.csv"])
@@ -301,7 +299,8 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
 
 
 def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
-    """Expand files/directories; a manifest supplies file list and side."""
+    """Expand files/directories; a manifest supplies file list and side.
+    A curve file that the inputs name twice is refused, before any is read."""
     paths: list[Path] = []
     side = None
     for item in inputs:
@@ -318,6 +317,11 @@ def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
                 paths.extend(sorted(p.glob("*.csv")))
         else:
             paths.append(p)
+    seen: set[str] = set()
+    for path in paths:
+        if (absolute := os.path.abspath(path)) in seen:
+            raise ConfigError(f"{path}: curve file named twice by the inputs")
+        seen.add(absolute)
     return paths, side
 
 
@@ -332,15 +336,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = _fleet_payload(_Fleet(read_curve_blocks(paths, side), len(paths)),
                              SensorSpec(), config)
     if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "analysis.json", payload)
+        write_json(Path(args.out) / "analysis.json", payload)
     else:
         print(json_text(payload))
     return 0
 
 
 def cmd_fit_weibull(args: argparse.Namespace) -> int:
+    if args.params and args.input:
+        raise ConfigError("provide an input CSV or --params f0,beta, not both")
     if args.params:
         try:
             f0, beta = (float(tok) for tok in args.params.split(","))
@@ -372,9 +376,7 @@ def cmd_degradation(args: argparse.Namespace) -> int:
     payload = dataclasses.asdict(report)
     print(json_text(payload))
     if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "degradation.json", payload)
+        write_json(Path(args.out) / "degradation.json", payload)
     return 0
 
 
@@ -404,7 +406,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         "sides": sides_payload,
         "dynamic": dataclasses.asdict(degradation),
     }
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report)
     print(f"\nwrote report.json to {out}")
     return 0

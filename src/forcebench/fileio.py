@@ -12,8 +12,9 @@ its data, and only forces and present offsets are formatted, with the
 same bytes as formatting every field.  Fields are read by numpy's C
 parser: ASCII decimal numbers, ``nan`` and ``inf``, and no digit separators.
 A cycle log holds only its columns: its record interval is its cycle spacing.
-All writes go through a temp-then-rename so output files are atomic; a
-failed write removes its temp file.
+All writes go through :func:`atomic_write_text`: it makes the directory it
+writes into and renames a temp file, so output files are atomic and no
+directory is made before a file; a failed write removes its temp file.
 Every file is read as UTF-8 text by :func:`_read_text`.  Error messages
 name the file and its physical line, blank lines counted.  The rules of a
 curve file are checked in one place, :func:`_read_curve_table`, for both
@@ -72,8 +73,9 @@ _CYCLE = _Schema(CYCLE_HEADER, "%d", (_FIELD * (1 + len(ARMS)) + "\n",))
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``PATH.tmp``, then rename it to ``path``; no temp file is left."""
+    """Write ``PATH.tmp`` in ``path``'s directory, made if missing, then rename it."""
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_text(text)
         os.replace(tmp, path)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import multiprocessing
+import shutil
 import tracemalloc
 from concurrent.futures import Future
 
@@ -26,6 +27,15 @@ def run_cli(*argv):
 
 def read_dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def three_copies(path):
+    """``path`` and two copies of its file, as analyze inputs: a file named
+    twice is refused before any is read."""
+    copies = [path.with_name(f"copy{i}_{path.name}") for i in (1, 2)]
+    for copy in copies:
+        shutil.copyfile(path, copy)
+    return [str(p) for p in (path, *copies)]
 
 
 # -------------------------------------------------------------- simulate-static
@@ -112,7 +122,7 @@ def test_simulate_static_rig_limit_in_blocks(tmp_path, capsys, monkeypatch, work
     assert run_cli("simulate-static", "--seed", "1", "--fleet", "300",
                    "--config", str(config), "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: protocol ramps to 300.0 um, rig allows 200.0 um\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     assert not multiprocessing.active_children()
 
 
@@ -199,12 +209,13 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_a_config_key_has_one_default_and_type():
     # a key that several config dataclasses declare (side, v_ges) must agree in
-    # all of them: the merged config defaults keep one of them only
+    # all of them, in its default, type and rule: the merged config defaults
+    # keep one of them only
     declared = {}
     for cls in (StaticProtocol, DynamicProtocol, FleetParams):
         for f in dataclasses.fields(cls):
             declared.setdefault(_CONFIG_KEY.get(f.name, f.name), set()).add(
-                (f.default, type(f.default), f.type))
+                (f.default, type(f.default), f.type, f.metadata["rule"]))
     assert {key: found for key, found in declared.items() if len(found) > 1} == {}
 
 
@@ -289,7 +300,7 @@ def test_a_bad_config_side_is_refused_by_the_side_rule(tmp_path, capsys, command
     # analyze reads curves without a manifest; one that cannot be read shows
     # that the side is checked before any curve is read
     (tmp_path / "curve.csv").write_text("not a curve\n")
-    inputs = [str(tmp_path / "curve.csv")] * 3 if command == "analyze" else []
+    inputs = three_copies(tmp_path / "curve.csv") if command == "analyze" else []
     assert run_cli(command, *inputs, "--config", str(config), "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: side: expected one of ('front', 'back'), got {side!r}\n"
@@ -357,6 +368,20 @@ def test_analyze_duplicated_curve_zero_spread(fleet_dir, tmp_path):
     assert payload["weibull"] is None
 
 
+def test_analyze_refuses_a_curve_file_named_twice(fleet_dir, tmp_path, capsys):
+    # the directory given twice, or with one of its files (spelled another way);
+    # an unreadable first input shows that no curve is read before the refusal
+    mangled, out = tmp_path / "mangled.csv", tmp_path / "out"
+    mangled.write_text("not a curve\n")
+    one_file = fleet_dir / ".." / fleet_dir.name / "specimen_007.csv"
+    for again, repeated in [(fleet_dir, fleet_dir / "specimen_000.csv"), (one_file, one_file)]:
+        assert run_cli("analyze", str(mangled), str(fleet_dir), str(again),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {repeated}: curve file named twice by the inputs\n")
+        assert not out.exists()
+
+
 def test_analyze_rejects_non_monotone_curve(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(
@@ -365,7 +390,7 @@ def test_analyze_rejects_non_monotone_curve(tmp_path, capsys):
         "1,2.0,0.01,0,0,0,0,1\n"
         "2,1.0,0.02,0,0,0,0,1\n"
     )
-    code = run_cli("analyze", str(bad), str(bad), str(bad))
+    code = run_cli("analyze", *three_copies(bad))
     assert code == 2
     err = capsys.readouterr().err
     assert "bad.csv" in err and ":4" in err
@@ -386,7 +411,7 @@ def test_analyze_rejects_malformed_csv(tmp_path, capsys, rows, where):
     bad.write_text(
         "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n" + rows
     )
-    assert run_cli("analyze", str(bad), str(bad), str(bad)) == 2
+    assert run_cli("analyze", *three_copies(bad)) == 2
     assert where in capsys.readouterr().err
 
 
@@ -468,11 +493,11 @@ def test_analyze_refuses_a_side_flag_the_manifest_contradicts(fleet_dir, tmp_pat
                          ids=["empty", "extra_column", "no_header"])
 def test_a_bad_or_missing_header_is_refused_on_line_one(tmp_path, capsys, command, header,
                                                          text):
-    path = tmp_path / "bad.csv"
+    path, out = tmp_path / "bad.csv", tmp_path / "out"
     path.write_text(text.format(header=header))
-    assert run_cli(command, str(path)) == 2
+    assert run_cli(command, str(path), "--out", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and not out.exists()
     assert captured.err == f"error: {path}:1: bad or missing header\n"
 
 
@@ -482,7 +507,7 @@ def test_header_only_files_exit_two_without_warning(tmp_path, capsys):
     curve.write_text("index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n")
     log.write_text("cycle,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV\n")
     forces.write_text("force_N\n")
-    assert run_cli("analyze", str(curve), str(curve), str(curve)) == 2
+    assert run_cli("analyze", *three_copies(curve)) == 2
     assert run_cli("degradation", str(log)) == 2
     assert run_cli("fit-weibull", str(forces)) == 2
     err = capsys.readouterr().err
@@ -513,8 +538,10 @@ def test_analyze_malformed_file_reported_before_short_curve(fleet_dir, tmp_path,
     # also where the file falls at the end of a block of curves, or after it
     errors = {mangled: (2, f"error: {mangled}:2: not a number: 'zero'\n"),
               missing: (3, f"i/o error: [Errno 2] No such file or directory: '{missing}'\n")}
-    fleet = [str(tmp_path / "short.csv")] + [
-        str(fleet_dir / f"specimen_{k % 20:03d}.csv") for k in range(FLEET_BLOCK + 1)]
+    fleet = [str(tmp_path / "short.csv")]
+    for k in range(FLEET_BLOCK + 1):
+        fleet.append(str(tmp_path / f"specimen_{k:03d}.csv"))
+        shutil.copyfile(fleet_dir / f"specimen_{k % 20:03d}.csv", fleet[-1])
     for bad, (code, err) in errors.items():
         for position in (FLEET_BLOCK - 1, FLEET_BLOCK, len(fleet) - 1):
             paths = [str(bad) if k == position else path for k, path in enumerate(fleet)]
@@ -612,6 +639,8 @@ def test_fit_weibull_rejects_non_finite_params(params, capsys):
     (["--invert", "1e-6"], "provide an input CSV or --params f0,beta"),
     (["--params", "1.22,10.69", "--invert", "1e-6,x"],
      "--invert expects comma-separated probabilities"),
+    (["forces.csv", "--params", "1.22,10.69"],
+     "provide an input CSV or --params f0,beta, not both"),
 ])
 def test_fit_weibull_refuses_bad_arguments(argv, message, capsys):
     assert run_cli("fit-weibull", *argv) == 2
@@ -823,6 +852,27 @@ def test_report_memory_does_not_grow_with_the_fleet(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert peaks[2] < 1.5 * peaks[1], peaks
+
+
+def test_fleet_summary_is_given_a_fleet_whose_len_is_its_curve_count(tmp_path, monkeypatch):
+    # perfbench counts the curves a fleet summary reduces by len() of its first
+    # argument; here fleets of two blocks, read by analyze and made by report
+    counts = []
+    summary = cli.fleet_summary
+
+    def counting(curves, *args, **kwargs):
+        blocks = list(curves)
+        counts.append((len(curves), sum(len(block) for block in blocks)))
+        return summary(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fleet_summary", counting)
+    fleet, count = tmp_path / "fleet", FLEET_BLOCK + 1
+    assert run_cli("simulate-static", "--seed", "14", "--fleet", str(count),
+                   "--out", str(fleet)) == 0
+    assert run_cli("analyze", str(fleet)) == 0
+    assert run_cli("report", "--seed", "3", "--fleet", str(count),
+                   "--out", str(tmp_path / "report")) == 0
+    assert counts == [(count, count)] * 3
 
 
 def test_report_rerun_identical(tmp_path):

@@ -1,9 +1,13 @@
-"""Rules about how the modules in ``src/`` read files and import each other,
-checked on their source.
+"""Rules about how the modules in ``src/`` read and write files and import
+each other, checked on their source.
 
 Every file is read as text by ``fileio._read_text``, which refuses bytes
 that are not UTF-8 by the file's name; a second ``.read_text(`` would read
-past that check.  JSON is read by handlers that catch ``ValueError``: a
+past that check.  Every file is written by ``fileio.atomic_write_text``,
+which makes the directory it writes into, so a command refused before its
+first write leaves no output directory, whichever layer refuses it; a second
+``.mkdir(``, ``.write_text(`` or ``os.replace`` would make one outside it.
+JSON is read by handlers that catch ``ValueError``: a
 ``json.JSONDecodeError`` handler alone lets through the ``ValueError`` of an
 integer too long to convert, which then names no file.  The source is
 parsed, not imported, and a broken rule is reported by the function that
@@ -50,6 +54,17 @@ def test_only_read_text_reads_file_text():
     assert readers == ["fileio._read_text"], (
         f"{', '.join(r for r in readers if r != 'fileio._read_text')} call .read_text("
         "; read a file's text with fileio._read_text")
+
+
+def test_only_atomic_write_text_writes_files_and_makes_directories():
+    writers = sorted({scope for scope, node in nodes_by_function()
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and (node.func.attr in ("mkdir", "write_text")
+                           or node.func.attr == "replace"
+                           and getattr(node.func.value, "id", None) == "os")})
+    assert writers == ["fileio.atomic_write_text"], (
+        f"{', '.join(w for w in writers if w != 'fileio.atomic_write_text')} call .mkdir(,"
+        " .write_text( or os.replace; write a file with fileio.atomic_write_text")
 
 
 def test_no_handler_catches_json_decode_errors_alone():
