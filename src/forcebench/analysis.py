@@ -7,8 +7,9 @@ to translate budget forces into displacements.  The fleet summary reduces
 grid (a ``bench.RampBlock`` is one, and ``fileio.read_curve_blocks`` reads
 them from curve files), a :class:`LoadCurve` being a block of one, with
 the drop rule of :func:`detect_failures` and the ring rule of
-:func:`classify_failures`; :func:`fracture_point` is that reduction of one
-curve.  A cycle log's record interval is its cycle spacing.
+:func:`classify_failures`; :func:`reduce_block` reduces one block, in any
+process, and :func:`fracture_point` is that reduction of one curve.  A
+cycle log's record interval is its cycle spacing.
 """
 
 from __future__ import annotations
@@ -322,8 +323,55 @@ def classify_failures(
             for event, arm, position in zip(events, arms.tolist(), positions)]
 
 
+@dataclass
+class BlockReduction:
+    """What :func:`fleet_summary` keeps of a block (see :func:`reduce_block`):
+    its side, and per curve the first-fracture force [N] and displacement
+    [um], the number of failure events and whether any bridge data is valid;
+    or, in ``error``, the ``ValueError`` the reduction raised.  ``len`` is
+    the block's curve count."""
+
+    side: str
+    count: int
+    columns: tuple[list, ...] = ()
+    error: ValueError | None = None
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def reduce_block(
+    block: CurveBlock | LoadCurve,
+    drop_fraction: float = DEFAULT_DROP_FRACTION,
+    drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
+) -> BlockReduction:
+    """Reduce a block of curves, or a :class:`LoadCurve`, to what the fleet
+    summary keeps of it; an error of the reduction is returned, not raised.
+
+    Each curve's values depend on that curve alone, so the reductions of a
+    fleet do not depend on how it is cut into blocks, and they are small
+    enough to pass between processes in place of the blocks.
+    """
+    count = len(np.atleast_2d(block.force_n))
+    try:
+        if block.dz_um.size < 10:
+            raise InsufficientDataError("curves need at least 10 samples")
+        _, f, dz, events = first_failures(block, drop_fraction, drop_floor_n)
+        readable = np.atleast_2d(block.valid).any(axis=-1)
+        columns = tuple(values.tolist() for values in (f, dz, events, readable))
+        # a floor below the noise finds drops at rest; NaN (no failure) is not <= 0
+        nonpositive = next((x for x in columns[0] if x <= 0), None)
+        if nonpositive is not None:
+            raise ValueError(
+                f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
+                f" {nonpositive!r} N, not a positive force; set it above the force noise")
+    except ValueError as exc:  # ForceBenchError included
+        return BlockReduction(block.side, count, error=exc)
+    return BlockReduction(block.side, count, columns)
+
+
 def fleet_summary(
-    curves: Iterable[CurveBlock | LoadCurve],
+    curves: Iterable[CurveBlock | LoadCurve | BlockReduction],
     spec: SensorSpec | None = None,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
@@ -337,11 +385,12 @@ def fleet_summary(
     of ``spec`` (defaults to the standard design).
 
     ``curves`` may be any iterable of :class:`CurveBlock`s or
-    :class:`LoadCurve`s (see :func:`first_failures`); it is read once,
-    keeping only each curve's fracture point and hinge-ring counts.  A
-    fleet that mixes load sides is reported before the first error of a
-    single curve, which is held until the iterable is exhausted, so the
-    iterable's own errors come first.
+    :class:`LoadCurve`s (see :func:`first_failures`), each reduced by
+    :func:`reduce_block`, or of their :class:`BlockReduction`s, made
+    already (with the thresholds they were made with); it is read once,
+    keeping only the reductions.  A fleet that mixes load sides is
+    reported before the first error of a reduction, which is held until
+    the iterable is exhausted, so the iterable's own errors come first.
     """
     if spec is None:
         spec = SensorSpec()
@@ -353,22 +402,11 @@ def fleet_summary(
         sides.add(block.side)
         if error is not None:
             continue
-        try:
-            if block.dz_um.size < 10:
-                raise InsufficientDataError("curves need at least 10 samples")
-            _, f, dz, events = first_failures(block, drop_fraction, drop_floor_n)
-            readable = np.atleast_2d(block.valid).any(axis=-1)
-            reduced = [values.tolist() for values in (f, dz, events, readable)]
-            # a floor below the noise finds drops at rest; NaN (no failure) is not <= 0
-            nonpositive = next((x for x in reduced[0] if x <= 0), None)
-            if nonpositive is not None:
-                raise ValueError(
-                    f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
-                    f" {nonpositive!r} N, not a positive force; set it above the force noise")
-            for column, values in zip(columns, reduced):
-                column += values
-        except ValueError as exc:  # ForceBenchError included
-            error = exc
+        if not isinstance(block, BlockReduction):
+            block = reduce_block(block, drop_fraction, drop_floor_n)
+        error = block.error
+        for column, values in zip(columns, block.columns):
+            column += values
         del block  # before the next one is made
     if len(sides) > 1:
         raise ValueError(f"fleet mixes load sides: {sorted(sides)}")

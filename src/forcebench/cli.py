@@ -4,8 +4,8 @@ Subcommands: simulate-static, simulate-dynamic, analyze, fit-weibull,
 degradation, report.  Exit codes: 0 success, 2 usage/config/data error,
 3 I/O error.  Simulation commands require a seed; reruns with identical
 inputs produce byte-identical outputs.  simulate-static makes and writes
-its fleet's blocks on every usable CPU, with the bytes of one process
-(see :func:`cmd_simulate_static`).
+its fleet's blocks, and analyze reads and reduces its curve files, on
+every usable CPU, with the bytes of one process (see :func:`_pooled`).
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import argparse
 import collections
 import dataclasses
 import functools
+import itertools
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,13 @@ from .analysis import (
     DEFAULT_DROP_FRACTION,
     DEFAULT_SIGMA_MULTIPLE,
     FLEET_BLOCK,
+    BlockReduction,
     DegradationReport,
     FleetSummary,
     degradation_report,
     fleet_summary,
     overload_factors,
+    reduce_block,
 )
 from .bench import (
     DynamicProtocol,
@@ -151,7 +154,7 @@ def _fit_payload(fit: WeibullFit | None) -> dict | None:
 
 
 class _Fleet:
-    """A fleet's curves, or blocks of them, made as they are iterated;
+    """A fleet's curves, blocks of them or their reductions, made as they are iterated;
     ``len`` is the fleet size, known up front (perfbench counts curves by it)."""
 
     def __init__(self, curves: Iterable, count: int):
@@ -212,13 +215,13 @@ def _print_degradation_table(report: DegradationReport) -> None:
         print(f"  {name:<12} {stats.mean:>10.5f} {stats.std:>10.5f} {rel:>11}")
 
 
-def _workers(blocks: int) -> int:
-    """Processes that write ``blocks`` fleet blocks: one per usable CPU, at
-    most one per block, and 1 (the command's own) where fork is missing."""
+def _workers(tasks: int) -> int:
+    """Processes that run ``tasks`` tasks: one per usable CPU, at most one
+    per task, and 1 (the command's own) where fork is missing."""
     if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, blocks)
+    return min(cpus or 1, tasks)
 
 
 def _in_order(submit, args: Iterable, ahead: int) -> Iterator:
@@ -233,6 +236,28 @@ def _in_order(submit, args: Iterable, ahead: int) -> Iterator:
         yield pending.popleft().result()
 
 
+def _pooled(task, args: Sequence) -> Iterator:
+    """The results of ``task(arg)`` for each of ``args``, in order.
+
+    The tasks run in forked processes, one per usable CPU (in this process
+    where one suffices), with at most two per process in flight.  The first
+    failure in order is raised once every process has stopped.
+    """
+    workers = _workers(len(args))
+    if workers < 2:
+        yield from map(task, args)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        try:
+            yield from _in_order(functools.partial(pool.submit, task), args, 2 * workers)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _write_fleet_block(out: Path, params: FleetParams, protocol: StaticProtocol,
                        rig: RigConfig, first: int) -> None:
     """Make the fleet block from specimen ``first`` and write its curve files,
@@ -245,12 +270,11 @@ def _write_fleet_block(out: Path, params: FleetParams, protocol: StaticProtocol,
 def cmd_simulate_static(args: argparse.Namespace) -> int:
     """Write a fleet's curve files, then ``manifest.json``.
 
-    The blocks are made by index and written by forked processes, one per
-    usable CPU (in this process where that is one), with no setting; the
-    files are the bytes of a run in one process.  A block stops at its
-    first failed write, the first failure in fleet order is raised once
-    every process has stopped, and no manifest is written: curve files of
-    other blocks may remain.
+    The blocks are made by index and written by :func:`_pooled`, with no
+    setting; the files are the bytes of a run in one process.  A block
+    stops at its first failed write, the first failure in fleet order is
+    raised, and no manifest is written: curve files of other blocks may
+    remain.
     """
     config = load_config(args)
     seed = require_seed(config)
@@ -258,24 +282,9 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     protocol = _from_config(StaticProtocol, config)
     rig = RigConfig()
     params = _from_config(FleetParams, config)
-    firsts = range(0, params.count, FLEET_BLOCK)
     write_block = functools.partial(_write_fleet_block, out, params, protocol, rig)
-    workers = _workers(len(firsts))
-    if workers == 1:
-        for first in firsts:
-            write_block(first)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            try:
-                for _ in _in_order(functools.partial(pool.submit, write_block), firsts,
-                                   2 * workers):
-                    pass
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+    for _ in _pooled(write_block, range(0, params.count, FLEET_BLOCK)):
+        pass
     files = [_CURVE_FILE.format(i) for i in range(params.count)]
     write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
                    fleet=params.count)
@@ -300,7 +309,8 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
 
 def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
     """Expand files/directories; a manifest supplies file list and side.
-    A curve file that the inputs name twice is refused, before any is read."""
+    A curve file that the inputs name twice, by any link to it, is refused
+    before any is read; a path that cannot be stat'ed is compared spelled out."""
     paths: list[Path] = []
     side = None
     for item in inputs:
@@ -317,15 +327,30 @@ def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
                 paths.extend(sorted(p.glob("*.csv")))
         else:
             paths.append(p)
-    seen: set[str] = set()
+    seen: set = set()
     for path in paths:
-        if (absolute := os.path.abspath(path)) in seen:
+        try:
+            stat = os.stat(path)
+            key = stat.st_dev, stat.st_ino
+        except (OSError, ValueError):  # missing, or a name with a NUL: reported when read
+            key = os.path.abspath(path)
+        if key in seen:
             raise ConfigError(f"{path}: curve file named twice by the inputs")
-        seen.add(absolute)
+        seen.add(key)
     return paths, side
 
 
+def _reduce_curve_files(side: str, drop_fraction: float, drop_floor_n: float,
+                        paths: list[Path]) -> list[BlockReduction]:
+    """The reductions of the blocks that ``read_curve_blocks`` reads from ``paths``."""
+    return [reduce_block(block, drop_fraction, drop_floor_n)
+            for block in read_curve_blocks(paths, side)]
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Summarise curve files, read and reduced in groups of ``FLEET_BLOCK``
+    by :func:`_pooled`; a reduction error is held, not raised, so every
+    output and error is that of one process."""
     config = load_config(args)
     paths, manifest_side = _collect_curve_paths(args.inputs)
     if args.side and manifest_side and args.side != manifest_side:
@@ -333,8 +358,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                           f" {manifest_side!r}")
     side = manifest_side or config["side"]  # the flag, if given, is in the config
     _check_value("side", side, SIDE)
-    payload = _fleet_payload(_Fleet(read_curve_blocks(paths, side), len(paths)),
-                             SensorSpec(), config)
+    reduce_group = functools.partial(_reduce_curve_files, side, config["drop_fraction"],
+                                     config["drop_floor_n"])
+    groups = [paths[i:i + FLEET_BLOCK] for i in range(0, len(paths), FLEET_BLOCK)]
+    reductions = itertools.chain.from_iterable(_pooled(reduce_group, groups))
+    payload = _fleet_payload(_Fleet(reductions, len(paths)), SensorSpec(), config)
     if getattr(args, "out", None):
         write_json(Path(args.out) / "analysis.json", payload)
     else:
@@ -374,9 +402,9 @@ def cmd_degradation(args: argparse.Namespace) -> int:
     log = read_cycle_log_csv(Path(args.input))
     report = degradation_report(log, sigma_multiple=config["sigma_multiple"])
     payload = dataclasses.asdict(report)
-    print(json_text(payload))
-    if getattr(args, "out", None):
+    if getattr(args, "out", None):  # first, so that a failed write prints nothing
         write_json(Path(args.out) / "degradation.json", payload)
+    print(json_text(payload))
     return 0
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,7 @@ from forcebench.analysis import (
     FailureEvent,
     FleetSummary,
     first_failures,
+    reduce_block,
     ring_events,
 )
 from forcebench.sensor import ARMS
@@ -594,6 +597,29 @@ def test_block_errors_keep_their_precedence(front_fleet_curves):
 
     with pytest.raises(OSError, match="own error"):
         fleet_summary(blocks())
+
+
+def test_fleet_summary_passes_block_reductions_through(front_fleet_curves):
+    # reductions made elsewhere (by another process) sum up as the curves do
+    block = SimpleNamespace(
+        side="front", dz_um=front_fleet_curves[0].dz_um,
+        force_n=np.array([c.force_n for c in front_fleet_curves[:3]]),
+        valid=np.array([c.valid for c in front_fleet_curves[:3]]))
+    reductions = [reduce_block(block), *map(reduce_block, front_fleet_curves[3:])]
+    assert [len(r) for r in reductions] == [3] + [1] * 17
+    assert fleet_summary(reductions) == fleet_summary(front_fleet_curves)
+    dz, f = smooth_front_curve(9)
+    with pytest.raises(InsufficientDataError, match="10 samples"):
+        fleet_summary([*reductions, reduce_block(make_curve(dz, f))])
+
+
+def test_a_held_reduction_error_survives_a_pickle_round_trip():
+    dz, f = smooth_front_curve(9)
+    held = reduce_block(make_curve(dz, f, side="back"))
+    copy = pickle.loads(pickle.dumps(held))
+    assert type(copy.error) is InsufficientDataError
+    assert str(copy.error) == str(held.error) == "curves need at least 10 samples"
+    assert (copy.side, len(copy), copy.columns) == ("back", 1, ())
 
 
 def test_fleet_summary_needs_three_failed_curves():

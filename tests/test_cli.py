@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import multiprocessing
+import os
 import shutil
 import tracemalloc
 from concurrent.futures import Future
@@ -123,6 +124,20 @@ def test_simulate_static_rig_limit_in_blocks(tmp_path, capsys, monkeypatch, work
                    "--config", str(config), "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: protocol ramps to 300.0 um, rig allows 200.0 um\n"
     assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+def _pid_and(arg):
+    return os.getpid(), arg
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_results_come_in_order_from_forked_processes(monkeypatch, workers):
+    # no pool where one process suffices
+    monkeypatch.setattr(cli, "_workers", lambda tasks: workers)
+    results = list(cli._pooled(_pid_and, range(5)))
+    assert [arg for _, arg in results] == list(range(5))
+    assert ({pid for pid, _ in results} == {os.getpid()}) == (workers == 1)
     assert not multiprocessing.active_children()
 
 
@@ -380,6 +395,100 @@ def test_analyze_refuses_a_curve_file_named_twice(fleet_dir, tmp_path, capsys):
         assert capsys.readouterr() == (
             "", f"error: {repeated}: curve file named twice by the inputs\n")
         assert not out.exists()
+
+
+def test_analyze_refuses_a_curve_file_named_twice_through_a_link(fleet_dir, tmp_path, capsys):
+    # a symbolic link to the fleet directory, and a hard link to one of its files
+    linked_dir, linked_file = tmp_path / "link", tmp_path / "hard.csv"
+    linked_dir.symlink_to(fleet_dir, target_is_directory=True)
+    os.link(fleet_dir / "specimen_003.csv", linked_file)
+    for again, repeated in [(linked_dir, linked_dir / "specimen_000.csv"),
+                            (linked_file, linked_file)]:
+        assert run_cli("analyze", str(fleet_dir), str(again)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {repeated}: curve file named twice by the inputs\n")
+
+
+@pytest.fixture(scope="module")
+def fleet300_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fleet300")
+    assert run_cli("simulate-static", "--seed", "14", "--fleet", str(2 * FLEET_BLOCK + 44),
+                   "--out", str(out)) == 0
+    return out
+
+
+def analyze_at_each_worker_count(monkeypatch, capsys, *argv):
+    """(exit code, stdout, stderr) of ``analyze ARGV``, the same whether 1, 2 or
+    3 processes read and reduce the files; none is left running."""
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_workers", lambda groups, workers=workers: workers)
+        capsys.readouterr()
+        code = run_cli("analyze", *argv)
+        results.append((code, *capsys.readouterr()))
+        assert not multiprocessing.active_children()
+    assert results[1] == results[0] and results[2] == results[0]
+    return results[0]
+
+
+@pytest.mark.parametrize("count", [FLEET_BLOCK + 1, 2 * FLEET_BLOCK + 44])
+@pytest.mark.parametrize("side", ["front", "back"])
+def test_analyze_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys,
+                                                         count, side):
+    fleet = tmp_path / "fleet"
+    assert run_cli("simulate-static", "--seed", "9", "--fleet", str(count),
+                   "--side", side, "--out", str(fleet)) == 0
+    written = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_workers", lambda groups, workers=workers: workers)
+        capsys.readouterr()
+        out = tmp_path / str(workers)
+        assert run_cli("analyze", str(fleet), "--out", str(out)) == 0
+        assert not multiprocessing.active_children()
+        written[workers] = capsys.readouterr(), read_dir_bytes(out)
+    assert written[1][0].out.startswith("Fleet of ") and f"{side} loading" in written[1][0].out
+    assert written[2] == written[1] and written[3] == written[1]
+
+
+def test_analyze_reports_the_first_bad_group(fleet300_dir, tmp_path, monkeypatch, capsys):
+    # bad files in the first and the third group of FLEET_BLOCK files
+    fleet = tmp_path / "fleet"
+    shutil.copytree(fleet300_dir, fleet)
+    for index in (5, 2 * FLEET_BLOCK + 3):
+        (fleet / f"specimen_{index:03d}.csv").write_text("not a curve\n")
+    assert analyze_at_each_worker_count(monkeypatch, capsys, str(fleet)) == (
+        2, "", f"error: {fleet / 'specimen_005.csv'}:1: bad or missing header\n")
+
+
+def test_analyze_reports_a_read_error_before_a_held_reduction_error(
+        fleet300_dir, tmp_path, monkeypatch, capsys):
+    config, fleet = tmp_path / "config.json", tmp_path / "fleet"
+    config.write_text('{"drop_floor_n": 0}')
+    shutil.copytree(fleet300_dir, fleet)
+    code, out, err = analyze_at_each_worker_count(monkeypatch, capsys, str(fleet),
+                                                  "--config", str(config))
+    assert (code, out) == (2, "") and err.startswith("error: drop_floor_n: 0.0 detects")
+    (fleet / f"specimen_{2 * FLEET_BLOCK + 10:03d}.csv").write_text("not a curve\n")
+    assert analyze_at_each_worker_count(monkeypatch, capsys, str(fleet),
+                                        "--config", str(config)) == (
+        2, "", f"error: {fleet / 'specimen_266.csv'}:1: bad or missing header\n")
+
+
+@pytest.mark.parametrize("defect", ["not UTF-8", "missing"])
+def test_analyze_unreadable_file_at_every_worker_count(fleet300_dir, tmp_path, monkeypatch,
+                                                       capsys, defect):
+    fleet = tmp_path / "fleet"
+    shutil.copytree(fleet300_dir, fleet)
+    bad = fleet / "specimen_200.csv"
+    if defect == "missing":
+        bad.unlink()
+    else:
+        bad.write_bytes(b"index,dz_um\xff\n")
+    code, out, err = analyze_at_each_worker_count(monkeypatch, capsys, str(fleet))
+    assert (code, out) == ((3, "") if defect == "missing" else (2, ""))
+    expected = ("i/o error: [Errno 2] No such file or directory" if defect == "missing"
+                else f"error: {bad}: not UTF-8 text")
+    assert err.startswith(expected) and str(bad) in err
 
 
 def test_analyze_rejects_non_monotone_curve(tmp_path, capsys):
@@ -780,6 +889,18 @@ def test_degradation_writes_undefined_relative_std_as_null(tmp_path, capsys):
         channels = json.loads(text, **strict)["channels"]
         assert channels["voffA_mV"]["rel_std_pct"] is None
         assert channels["voffB_mV"]["rel_std_pct"] < 0.2
+
+
+def test_degradation_writes_its_file_before_it_prints(tmp_path, capsys):
+    dyn, blocked = tmp_path / "dyn", tmp_path / "file"
+    assert run_cli("simulate-dynamic", "--seed", "5", "--out", str(dyn)) == 0
+    blocked.write_text("")  # --out names a file: the write fails
+    capsys.readouterr()
+    assert run_cli("degradation", str(dyn / "cycles.csv"), "--out", str(blocked)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error")
+    assert run_cli("degradation", str(dyn / "cycles.csv"), "--out", str(dyn)) == 0
+    assert capsys.readouterr().out == (dyn / "degradation.json").read_text()
 
 
 def test_json_output_refuses_non_finite_numbers(tmp_path):

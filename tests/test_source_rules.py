@@ -11,8 +11,9 @@ JSON is read by handlers that catch ``ValueError``: a
 ``json.JSONDecodeError`` handler alone lets through the ``ValueError`` of an
 integer too long to convert, which then names no file.  The source is
 parsed, not imported, and a broken rule is reported by the function that
-breaks it.  Importing the CLI leaves out the process pool that only
-``simulate-static`` uses, so every command starts without its import cost.
+breaks it.  Processes are started in one place, ``cli._pooled``, the pool
+of ``simulate-static`` and ``analyze``, and importing the CLI leaves it
+out, so every command starts without its import cost.
 The block of curves that the fleet summary reduces is declared once, as
 ``analysis.CurveBlock``: ``fileio`` reads files into it without importing
 ``bench``, and no other class declares its fields but ``LoadCurve``, the
@@ -82,6 +83,18 @@ def test_importing_the_cli_imports_no_process_pool():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, cwd=SRC.parent, timeout=60)
     assert result.stdout == "[]\n"
+
+
+POOL_NAMES = {"multiprocessing", "ProcessPoolExecutor"}
+
+
+def test_only_pooled_names_the_process_pool():
+    users = sorted({scope for scope, node in nodes_by_function()
+                    if POOL_NAMES & ({part for name in imported(node) for part in name.split(".")}
+                                     | {getattr(node, "id", None), getattr(node, "attr", None)})})
+    assert users == ["cli._pooled"], (
+        f"{', '.join(u for u in users if u != 'cli._pooled')} name multiprocessing or"
+        " ProcessPoolExecutor; run tasks in processes with cli._pooled")
 
 
 def imported(node):
