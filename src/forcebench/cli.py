@@ -48,6 +48,7 @@ from .bench import (
 from .errors import ForceBenchError
 from .fileio import (
     json_text,
+    manifest,
     provenance,
     read_curve_blocks,
     read_cycle_log_csv,
@@ -167,8 +168,8 @@ class _Fleet:
         return self.count
 
 
-def _fleet_payload(curves: _Fleet, spec: SensorSpec, config: dict) -> dict:
-    """Summarise a fleet, print its table and return its JSON payload."""
+def _fleet_payload(curves: _Fleet, spec: SensorSpec, config: dict) -> tuple[dict, str]:
+    """Summarise a fleet: its JSON payload and its table, to print once every file is written."""
     summary = fleet_summary(curves, spec, drop_fraction=config["drop_fraction"],
                             drop_floor_n=config["drop_floor_n"])
     payload = dataclasses.asdict(summary) | {"weibull": _fit_payload(summary.fit)}
@@ -179,40 +180,39 @@ def _fleet_payload(curves: _Fleet, spec: SensorSpec, config: dict) -> dict:
             "displacement_factor": disp_factor,
             "force_factor": force_factor,
         }
-    _print_summary_table(summary)
-    return payload
+    return payload, _summary_table(summary)
 
 
-def _print_summary_table(summary: FleetSummary) -> None:
-    print(f"Fleet of {summary.n_curves} specimens, {summary.side} loading")
-    print(
+def _summary_table(summary: FleetSummary) -> str:
+    lines = [
+        f"Fleet of {summary.n_curves} specimens, {summary.side} loading",
         f"  fracture force [N]  : {summary.fracture_force_mean_n:.2f}"
-        f" +- {summary.fracture_force_std_n:.2f}"
-    )
-    print(
+        f" +- {summary.fracture_force_std_n:.2f}",
         f"  fracture disp. [um] : {summary.fracture_dz_mean_um:.2f}"
-        f" +- {summary.fracture_dz_std_um:.2f}"
-    )
-    print(f"  failed hinges       : {summary.hinge_counts}")
+        f" +- {summary.fracture_dz_std_um:.2f}",
+        f"  failed hinges       : {summary.hinge_counts}",
+    ]
     if summary.fit is not None:
-        print(
+        lines.append(
             f"  Weibull fit         : F0 = {summary.fit.f0:.2f} N,"
             f" beta = {summary.fit.beta:.2f}, R = {summary.fit.r:.4f}"
         )
-        print("  probability [ppm]   F_max [N]   dz_max [um]")
-        for row in summary.budget:
-            print(
-                f"  {row['probability_ppm']:>17.0f}   {row['f_max_N']:>9.2f}"
-                f"   {row['dz_max_um']:>11.2f}"
-            )
+        lines.append("  probability [ppm]   F_max [N]   dz_max [um]")
+        lines.extend(
+            f"  {row['probability_ppm']:>17.0f}   {row['f_max_N']:>9.2f}"
+            f"   {row['dz_max_um']:>11.2f}"
+            for row in summary.budget
+        )
+    return "\n".join(lines)
 
 
-def _print_degradation_table(report: DegradationReport) -> None:
-    print(f"Cycle log over {report.total_cycles} cycles: verdict {report.verdict}")
-    print("  channel          mean        std   rel.std[%]")
+def _degradation_table(report: DegradationReport) -> str:
+    lines = [f"Cycle log over {report.total_cycles} cycles: verdict {report.verdict}",
+             "  channel          mean        std   rel.std[%]"]
     for name, stats in report.channels.items():
         rel = "undefined" if stats.rel_std_pct is None else f"{stats.rel_std_pct:.4f}"
-        print(f"  {name:<12} {stats.mean:>10.5f} {stats.std:>10.5f} {rel:>11}")
+        lines.append(f"  {name:<12} {stats.mean:>10.5f} {stats.std:>10.5f} {rel:>11}")
+    return "\n".join(lines)
 
 
 def _workers(tasks: int) -> int:
@@ -282,12 +282,13 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     protocol = _from_config(StaticProtocol, config)
     rig = RigConfig()
     params = _from_config(FleetParams, config)
+    files = [_CURVE_FILE.format(i) for i in range(params.count)]
+    # hashed before the pool forks: hashing after it raised this process's peak memory
+    record = manifest("static-fleet", seed, protocol, rig, config, files, fleet=params.count)
     write_block = functools.partial(_write_fleet_block, out, params, protocol, rig)
     for _ in _pooled(write_block, range(0, params.count, FLEET_BLOCK)):
         pass
-    files = [_CURVE_FILE.format(i) for i in range(params.count)]
-    write_manifest(out, "static-fleet", seed, protocol, rig, config, files,
-                   fleet=params.count)
+    write_manifest(out, record)
     print(f"wrote {len(files)} curves and manifest.json to {out}")
     return 0
 
@@ -301,8 +302,7 @@ def cmd_simulate_dynamic(args: argparse.Namespace) -> int:
     params = _from_config(FleetParams, config)
     log = cycle_log(params, SensorSpec(), protocol, rig, seed)
     write_cycle_log_csv(out / "cycles.csv", log)
-    write_manifest(out, "cycle-log", seed, protocol, rig, config,
-                   ["cycles.csv"])
+    write_manifest(out, manifest("cycle-log", seed, protocol, rig, config, ["cycles.csv"]))
     print(f"wrote cycles.csv ({len(log)} records) and manifest.json to {out}")
     return 0
 
@@ -362,11 +362,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                      config["drop_floor_n"])
     groups = [paths[i:i + FLEET_BLOCK] for i in range(0, len(paths), FLEET_BLOCK)]
     reductions = itertools.chain.from_iterable(_pooled(reduce_group, groups))
-    payload = _fleet_payload(_Fleet(reductions, len(paths)), SensorSpec(), config)
-    if getattr(args, "out", None):
+    payload, table = _fleet_payload(_Fleet(reductions, len(paths)), SensorSpec(), config)
+    if getattr(args, "out", None):  # first, so that a failed write prints nothing
         write_json(Path(args.out) / "analysis.json", payload)
+        print(table)
     else:
-        print(json_text(payload))
+        print(table, json_text(payload), sep="\n")
     return 0
 
 
@@ -416,25 +417,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     spec = SensorSpec()
     rig = RigConfig()
     sub_seeds = np.random.SeedSequence(seed).generate_state(3)
-    sides_payload = {}
+    sides_payload, tables = {}, []
     for side, side_seed in zip(SIDES, sub_seeds[:2]):
         side_config = dict(config, side=side, seed=int(side_seed))
         params = _from_config(FleetParams, side_config)
         protocol = _from_config(StaticProtocol, side_config)
         blocks = fleet_blocks(params, spec, protocol, rig)
-        sides_payload[side] = _fleet_payload(_Fleet(blocks, params.count), spec, config)
-        print()
+        sides_payload[side], table = _fleet_payload(_Fleet(blocks, params.count), spec, config)
+        tables.append(table)
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
     log = cycle_log(_from_config(FleetParams, config), spec, dyn_protocol, rig,
                     int(sub_seeds[2]))
     degradation = degradation_report(log, sigma_multiple=config["sigma_multiple"])
-    _print_degradation_table(degradation)
+    tables.append(_degradation_table(degradation))
     report = {
         **provenance(seed, config),
         "sides": sides_payload,
         "dynamic": dataclasses.asdict(degradation),
     }
-    write_json(out / "report.json", report)
+    write_json(out / "report.json", report)  # first, so that a failed write prints nothing
+    print("\n\n".join(tables))
     print(f"\nwrote report.json to {out}")
     return 0
 

@@ -5,6 +5,10 @@ law p(F) = 1 - exp(-(F/F0)^beta), its inversion for failure-probability
 budgets, the R goodness-of-fit statistic and the distribution moments.
 The law is computed one way, by :func:`_cdf_of`; a value that breaks its
 declared rule (see ``sensor``) raises a ``ValueError`` that names it.
+:func:`fit_weibull` holds at most three float arrays of its input's length
+besides the input: it makes its temporaries in place, drops the sorted
+loads once their CDF is made, and makes the median ranks again for R
+rather than keep them.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ def median_ranks(n: int) -> np.ndarray:
     (0, 1), and symmetric: p_i + p_{n+1-i} = 1.
     """
     _check_value("n", n, POSITIVE_INT)
-    i = np.arange(1, n + 1, dtype=float)
-    return (i - 0.3) / (n + 0.4)
+    p = np.arange(1, n + 1, dtype=float)
+    p -= 0.3
+    p /= n + 0.4
+    return p
 
 
 def weibull_cdf(fit: WeibullFit, f: float) -> float:
@@ -108,9 +114,9 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
 
     # The regression's temporaries are made in place: the same ufuncs in the
     # same order as out of place, so the same bits, in less memory.
-    p = median_ranks(f.size)
     x = np.log(f_sorted)
-    y = np.negative(p)
+    y = median_ranks(f.size)
+    np.negative(y, out=y)
     np.log(np.negative(np.log1p(y, out=y), out=y), out=y)  # ln(-ln(1 - p))
     x_mean, y_mean = x.mean(), y.mean()
     x -= x_mean
@@ -124,7 +130,9 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     f0 = math.exp(-intercept / beta)
 
     WeibullFit(f0=f0, beta=beta)  # rejects a non-finite or non-positive fit
-    return WeibullFit(f0=f0, beta=beta, r=r_parameter(p, _cdf_of(f_sorted, f0, beta)))
+    cdf = _cdf_of(f_sorted, f0, beta)
+    del f_sorted  # the ranks, made again, take its place in memory
+    return WeibullFit(f0=f0, beta=beta, r=r_parameter(median_ranks(f.size), cdf))
 
 
 def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:

@@ -629,6 +629,19 @@ def test_fleet_summary_needs_three_failed_curves():
         fleet_summary(curves)
 
 
+def test_fleet_summary_refuses_two_failed_curves_itself():
+    # the summary's own count, not the fit's refusal of fewer than three loads
+    dz, f = smooth_front_curve()
+    broken = [f.copy(), f.copy()]
+    broken[0][100:] -= 0.3
+    broken[1][120:] -= 0.3
+    curves = [make_curve(dz, force) for force in (f, *broken, f)]
+    assert sum(map(bool, map(detect_failures, curves))) == 2
+    with pytest.raises(InsufficientDataError,
+                       match=r"^need at least 3 curves with detected failures, got 2$"):
+        fleet_summary(curves)
+
+
 def test_fleet_summary_rejects_mixed_sides(front_fleet_curves):
     mixed = front_fleet_curves[:2] + [simulate_specimen(5, "back")[1]]
     with pytest.raises(ValueError):
@@ -677,6 +690,23 @@ def test_degradation_tolerates_pure_noise():
         voff_mv=log.voff_mv + rng.normal(0, 0.28, (n, 4)),
     )
     assert degradation_report(noisy).verdict == "stable"
+
+
+@pytest.mark.parametrize("multiple, verdict", [(2.99, "stable"), (3.01, "degraded")])
+def test_degradation_verdict_sits_at_three_sample_sigmas(multiple, verdict):
+    # Ten records: the residual's sample std (ddof=1) is 5 % above its
+    # population std, so a trend of 2.99 sample sigmas is 3.15 population ones.
+    n = 10
+    log = constant_log(n)
+    centred = log.cycles - log.cycles.mean()
+    scatter = np.resize([1.0, -1.0], n)  # mean 0
+    scatter -= centred * (scatter @ centred) / (centred @ centred)  # and no trend
+    slope = multiple * scatter.std(ddof=1) / (n * 500)  # over the run's 5000 cycles
+    drifted = CycleLog(cycles=log.cycles, force_n=log.force_n,
+                       voff_mv=log.voff_mv + (slope * centred + scatter)[:, None])
+    report = degradation_report(drifted)
+    assert report.total_cycles == n * 500
+    assert report.verdict == verdict
 
 
 def test_total_cycles_is_read_off_the_cycle_spacing():

@@ -903,6 +903,34 @@ def test_degradation_writes_its_file_before_it_prints(tmp_path, capsys):
     assert capsys.readouterr().out == (dyn / "degradation.json").read_text()
 
 
+def test_analyze_writes_its_file_before_it_prints(fleet_dir, tmp_path, capsys):
+    blocked = tmp_path / "file"
+    blocked.write_text("")  # --out names a file: the write fails
+    capsys.readouterr()
+    assert run_cli("analyze", str(fleet_dir), "--out", str(blocked)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error")
+    assert run_cli("analyze", str(fleet_dir), "--out", str(tmp_path / "a")) == 0
+    table = capsys.readouterr().out
+    assert table.startswith("Fleet of 20 specimens, front loading\n")
+    assert run_cli("analyze", str(fleet_dir)) == 0  # the table, then the payload
+    assert capsys.readouterr().out == table + (tmp_path / "a" / "analysis.json").read_text()
+
+
+def test_report_writes_its_file_before_it_prints(tmp_path, capsys):
+    blocked, out_dir = tmp_path / "file", tmp_path / "report"
+    blocked.write_text("")  # --out names a file: the write fails
+    assert run_cli("report", "--seed", "3", "--out", str(blocked)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error")
+    assert run_cli("report", "--seed", "3", "--out", str(out_dir)) == 0
+    front, back, cycles, wrote = capsys.readouterr().out.split("\n\n")
+    assert front.startswith("Fleet of 20 specimens, front loading\n")
+    assert back.startswith("Fleet of 20 specimens, back loading\n")
+    assert cycles.startswith("Cycle log over 50000 cycles: verdict stable\n")
+    assert wrote == f"wrote report.json to {out_dir}\n"
+
+
 def test_json_output_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(tmp_path / "out.json", {"x": float("inf")})

@@ -13,7 +13,8 @@ integer too long to convert, which then names no file.  The source is
 parsed, not imported, and a broken rule is reported by the function that
 breaks it.  Processes are started in one place, ``cli._pooled``, the pool
 of ``simulate-static`` and ``analyze``, and importing the CLI leaves it
-out, so every command starts without its import cost.
+out, so every command starts without its import cost; it leaves out
+``hashlib`` too, whose OpenSSL only ``fileio.config_hash`` needs.
 The block of curves that the fleet summary reduces is declared once, as
 ``analysis.CurveBlock``: ``fileio`` reads files into it without importing
 ``bench``, and no other class declares its fields but ``LoadCurve``, the
@@ -77,12 +78,22 @@ def test_no_handler_catches_json_decode_errors_alone():
                         "; an integer too long to convert raises a plain ValueError")
 
 
-def test_importing_the_cli_imports_no_process_pool():
+def loaded_by_importing_the_cli(packages):
+    """The modules of ``packages`` that a fresh ``import forcebench.cli`` loads, as printed."""
     code = ("import sys, forcebench.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            f" if m.split('.')[0] in {tuple(packages)!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, cwd=SRC.parent, timeout=60)
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    assert loaded_by_importing_the_cli(["multiprocessing", "concurrent"]) == "[]\n"
+
+
+def test_importing_the_cli_imports_no_hashlib():
+    # hashlib maps OpenSSL (_hashlib): only fileio.config_hash imports it, when it hashes
+    assert loaded_by_importing_the_cli(["hashlib", "_hashlib"]) == "[]\n"
 
 
 POOL_NAMES = {"multiprocessing", "ProcessPoolExecutor"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ def test_fit_consistency_over_seeds():
         scales.append(fit.f0)
     assert np.median(betas) == pytest.approx(10.69, rel=0.01)
     assert np.median(scales) == pytest.approx(1.22, rel=0.01)
+
+
+def test_fit_holds_at_most_three_arrays_besides_its_input():
+    # at 1M loads the fit's float arrays of n, not its fixed costs, set its peak
+    n = 1_000_000
+    forces = 1.22 * np.random.default_rng(14).weibull(10.69, size=n)
+    tracemalloc.start()
+    try:
+        fit_weibull(forces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * n, f"{peak / (8 * n):.2f} arrays of n"
 
 
 def test_fit_quality_brackets_reference_values():
