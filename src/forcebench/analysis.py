@@ -326,14 +326,18 @@ def classify_failures(
 @dataclass
 class BlockReduction:
     """What :func:`fleet_summary` keeps of a block (see :func:`reduce_block`):
-    its side, and per curve the first-fracture force [N] and displacement
-    [um], the number of failure events and whether any bridge data is valid;
-    or, in ``error``, the ``ValueError`` the reduction raised.  ``len`` is
-    the block's curve count."""
+    its side, and per curve, in arrays of the block's curve count (its
+    ``len``), the first-fracture force ``force_n`` [N] and displacement
+    ``dz_um`` [um], the number of failure ``events``, and whether it is
+    ``readable``, with any valid bridge data; or, in ``error``, the
+    ``ValueError`` the reduction raised, and no arrays."""
 
     side: str
     count: int
-    columns: tuple[list, ...] = ()
+    force_n: np.ndarray | None = None
+    dz_um: np.ndarray | None = None
+    events: np.ndarray | None = None
+    readable: np.ndarray | None = None
     error: ValueError | None = None
 
     def __len__(self) -> int:
@@ -357,17 +361,16 @@ def reduce_block(
         if block.dz_um.size < 10:
             raise InsufficientDataError("curves need at least 10 samples")
         _, f, dz, events = first_failures(block, drop_fraction, drop_floor_n)
-        readable = np.atleast_2d(block.valid).any(axis=-1)
-        columns = tuple(values.tolist() for values in (f, dz, events, readable))
         # a floor below the noise finds drops at rest; NaN (no failure) is not <= 0
-        nonpositive = next((x for x in columns[0] if x <= 0), None)
-        if nonpositive is not None:
+        low = f[f <= 0]
+        if low.size:
             raise ValueError(
                 f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
-                f" {nonpositive!r} N, not a positive force; set it above the force noise")
+                f" {float(low[0])!r} N, not a positive force; set it above the force noise")
     except ValueError as exc:  # ForceBenchError included
         return BlockReduction(block.side, count, error=exc)
-    return BlockReduction(block.side, count, columns)
+    return BlockReduction(block.side, count, force_n=f, dz_um=dz, events=events,
+                          readable=np.atleast_2d(block.valid).any(axis=-1))
 
 
 def fleet_summary(
@@ -388,15 +391,15 @@ def fleet_summary(
     :class:`LoadCurve`s (see :func:`first_failures`), each reduced by
     :func:`reduce_block`, or of their :class:`BlockReduction`s, made
     already (with the thresholds they were made with); it is read once,
-    keeping only the reductions.  A fleet that mixes load sides is
-    reported before the first error of a reduction, which is held until
-    the iterable is exhausted, so the iterable's own errors come first.
+    keeping only the reductions, whose per-curve arrays it joins by field
+    name.  A fleet that mixes load sides is reported before the first
+    error of a reduction, which is held until the iterable is exhausted,
+    so the iterable's own errors come first.
     """
     if spec is None:
         spec = SensorSpec()
     sides: set[str] = set()
-    # per curve: first-fracture force and displacement, events, any valid bridge data
-    columns: tuple[list, ...] = ([], [], [], [])
+    reductions: list[BlockReduction] = []
     error = None
     for block in curves:
         sides.add(block.side)
@@ -405,24 +408,24 @@ def fleet_summary(
         if not isinstance(block, BlockReduction):
             block = reduce_block(block, drop_fraction, drop_floor_n)
         error = block.error
-        for column, values in zip(columns, block.columns):
-            column += values
-        del block  # before the next one is made
+        reductions.append(block)
     if len(sides) > 1:
         raise ValueError(f"fleet mixes load sides: {sorted(sides)}")
     if error is not None:
         raise error
-    f, dz, events, readable = map(np.array, columns)
-    failed = events > 0
-    n_failed = int(np.count_nonzero(failed))
+    # counted before the arrays are joined: an empty fleet has none to join
+    n_failed = sum(int(np.count_nonzero(r.events)) for r in reductions)
     if n_failed < 3:
         raise InsufficientDataError(
             f"need at least 3 curves with detected failures, got {n_failed}"
         )
 
     (side,) = sides
-    forces_arr, dz_arr = f[failed], dz[failed]
-    rings = ring_events(events, readable, side)
+    events = np.concatenate([r.events for r in reductions])
+    failed = events > 0
+    forces_arr = np.concatenate([r.force_n for r in reductions])[failed]
+    dz_arr = np.concatenate([r.dz_um for r in reductions])[failed]
+    rings = ring_events(events, np.concatenate([r.readable for r in reductions]), side)
     counts = {ring: int(rings[ring].sum()) for ring in ("inner", "outer", UNKNOWN)}
     try:
         fit = fit_weibull(forces_arr)

@@ -11,7 +11,6 @@ every usable CPU, with the bytes of one process (see :func:`_pooled`).
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import functools
 import itertools
@@ -224,24 +223,14 @@ def _workers(tasks: int) -> int:
     return min(cpus or 1, tasks)
 
 
-def _in_order(submit, args: Iterable, ahead: int) -> Iterator:
-    """The results of ``submit(arg)`` (a future) for each of ``args`` in
-    order, with at most ``ahead`` submitted and not yet taken."""
-    pending: collections.deque = collections.deque()
-    for arg in args:
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-        pending.append(submit(arg))
-    while pending:
-        yield pending.popleft().result()
-
-
 def _pooled(task, args: Sequence) -> Iterator:
     """The results of ``task(arg)`` for each of ``args``, in order.
 
     The tasks run in forked processes, one per usable CPU (in this process
-    where one suffices), with at most two per process in flight.  The first
-    failure in order is raised once every process has stopped.
+    where one suffices), and ``Executor.map`` returns their results in
+    order.  At the first failure in order, or when this iterator is closed,
+    every task not yet started is cancelled; the failure is raised once
+    every process has stopped.
     """
     workers = _workers(len(args))
     if workers < 2:
@@ -251,11 +240,7 @@ def _pooled(task, args: Sequence) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        try:
-            yield from _in_order(functools.partial(pool.submit, task), args, 2 * workers)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        yield from pool.map(task, args)
 
 
 def _write_fleet_block(out: Path, params: FleetParams, protocol: StaticProtocol,

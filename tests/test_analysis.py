@@ -619,7 +619,8 @@ def test_a_held_reduction_error_survives_a_pickle_round_trip():
     copy = pickle.loads(pickle.dumps(held))
     assert type(copy.error) is InsufficientDataError
     assert str(copy.error) == str(held.error) == "curves need at least 10 samples"
-    assert (copy.side, len(copy), copy.columns) == ("back", 1, ())
+    assert (copy.side, len(copy)) == ("back", 1)
+    assert (copy.force_n, copy.dz_um, copy.events, copy.readable) == (None,) * 4
 
 
 def test_fleet_summary_needs_three_failed_curves():
@@ -640,6 +641,12 @@ def test_fleet_summary_refuses_two_failed_curves_itself():
     with pytest.raises(InsufficientDataError,
                        match=r"^need at least 3 curves with detected failures, got 2$"):
         fleet_summary(curves)
+
+
+def test_fleet_summary_of_no_curves():
+    with pytest.raises(InsufficientDataError,
+                       match=r"^need at least 3 curves with detected failures, got 0$"):
+        fleet_summary([])
 
 
 def test_fleet_summary_rejects_mixed_sides(front_fleet_curves):

@@ -1,11 +1,11 @@
 import dataclasses
-import itertools
+import functools
 import json
 import multiprocessing
 import os
 import shutil
+import time
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -82,19 +82,6 @@ def test_simulate_static_bytes_do_not_depend_on_the_worker_count(tmp_path, monke
     assert written[2] == written[1] and written[3] == written[1]
 
 
-def test_in_order_results_keep_a_bounded_number_in_flight():
-    submitted = []
-
-    def submit(arg):
-        submitted.append(arg)
-        future = Future()
-        future.set_result(2 * arg)
-        return future
-
-    assert list(itertools.islice(cli._in_order(submit, itertools.count(), 4), 3)) == [0, 2, 4]
-    assert submitted == list(range(6))  # the three taken, and three ahead
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("first, later", [(1, 200), (FLEET_BLOCK - 1, FLEET_BLOCK + 1)])
 def test_simulate_static_failed_writes_in_blocks(tmp_path, capsys, monkeypatch, workers,
@@ -139,6 +126,35 @@ def test_pooled_results_come_in_order_from_forked_processes(monkeypatch, workers
     assert [arg for _, arg in results] == list(range(5))
     assert ({pid for pid, _ in results} == {os.getpid()}) == (workers == 1)
     assert not multiprocessing.active_children()
+
+
+def _mark(directory, arg):
+    """A task that leaves a marker file named ``arg``, then fails at 0 and
+    takes a while otherwise."""
+    (directory / str(arg)).touch()
+    if arg == 0:
+        raise ValueError("task 0 fails")
+    time.sleep(0.2)
+    return arg
+
+
+def test_pooled_starts_few_tasks_after_a_failure_or_a_close(tmp_path, monkeypatch):
+    # the tasks not yet started are cancelled, and every process has stopped
+    workers = 2
+    monkeypatch.setattr(cli, "_workers", lambda tasks: workers)
+    failing, closed = tmp_path / "failing", tmp_path / "closed"
+    for ran in (failing, closed):
+        ran.mkdir()
+    with pytest.raises(ValueError, match="^task 0 fails$"):
+        list(cli._pooled(functools.partial(_mark, failing), range(200)))
+    assert not multiprocessing.active_children()
+    results = cli._pooled(functools.partial(_mark, closed), range(1, 201))
+    assert [next(results), next(results)] == [1, 2]
+    results.close()
+    assert not multiprocessing.active_children()
+    assert "0" in {p.name for p in failing.iterdir()}
+    assert len(list(failing.iterdir())) <= 4 * workers
+    assert len(list(closed.iterdir())) <= 4 * workers
 
 
 def test_simulate_static_requires_seed(tmp_path):
@@ -627,6 +643,13 @@ def test_analyze_needs_three_curves(fleet_dir):
     assert run_cli("analyze", str(fleet_dir / "specimen_000.csv")) == 2
 
 
+def test_analyze_of_a_manifest_that_lists_no_files(tmp_path, capsys):
+    write_json(tmp_path / "manifest.json", {"files": [], "side": "front"})
+    assert run_cli("analyze", str(tmp_path)) == 2
+    assert capsys.readouterr() == (
+        "", "error: need at least 3 curves with detected failures, got 0\n")
+
+
 def test_analyze_missing_file_reported_before_too_few_curves(fleet_dir, tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert run_cli("analyze", str(fleet_dir / "specimen_000.csv"), str(missing)) == 3
@@ -1022,6 +1045,43 @@ def test_fleet_summary_is_given_a_fleet_whose_len_is_its_curve_count(tmp_path, m
     assert run_cli("report", "--seed", "3", "--fleet", str(count),
                    "--out", str(tmp_path / "report")) == 0
     assert counts == [(count, count)] * 3
+
+
+def assert_equal_within_rounding(got, want, where):
+    """Equal keys, integers and strings, and floats within 1e-8 relative:
+    the rounding of a curve file's ``%.10g``."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_equal_within_rounding(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_equal_within_rounding(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-8, abs=0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("fleet", [20, 2 * FLEET_BLOCK + 44])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_report_equals_simulate_static_then_analyze(tmp_path, seed, fleet):
+    # each side of a report is the fleet that simulate-static writes with the
+    # side's sub-seed, as analyze summarises its curve files
+    assert run_cli("report", "--seed", str(seed), "--fleet", str(fleet),
+                   "--out", str(tmp_path / "report")) == 0
+    sides = json.loads((tmp_path / "report" / "report.json").read_text())["sides"]
+    sub_seeds = np.random.SeedSequence(seed).generate_state(3)[:2]
+    assert sides.keys() == {"front", "back"}
+    for side, side_seed in zip(["front", "back"], sub_seeds):  # the order report runs them
+        curves, out = tmp_path / side, tmp_path / f"{side}_analysis"
+        assert run_cli("simulate-static", "--seed", str(side_seed), "--fleet", str(fleet),
+                       "--side", side, "--out", str(curves)) == 0
+        assert run_cli("analyze", str(curves), "--out", str(out)) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert_equal_within_rounding(analysis, sides[side], side)
 
 
 def test_report_rerun_identical(tmp_path):

@@ -12,9 +12,11 @@ JSON is read by handlers that catch ``ValueError``: a
 integer too long to convert, which then names no file.  The source is
 parsed, not imported, and a broken rule is reported by the function that
 breaks it.  Processes are started in one place, ``cli._pooled``, the pool
-of ``simulate-static`` and ``analyze``, and importing the CLI leaves it
-out, so every command starts without its import cost; it leaves out
-``hashlib`` too, whose OpenSSL only ``fileio.config_hash`` needs.
+of ``simulate-static`` and ``analyze``, whose results come in order from
+``Executor.map`` alone: no function submits a task itself, so no second
+scheduler grows back.  Importing the CLI leaves the pool out, so every
+command starts without its import cost; it leaves out ``hashlib`` too,
+whose OpenSSL only ``fileio.config_hash`` needs.
 The block of curves that the fleet summary reduces is declared once, as
 ``analysis.CurveBlock``: ``fileio`` reads files into it without importing
 ``bench``, and no other class declares its fields but ``LoadCurve``, the
@@ -106,6 +108,14 @@ def test_only_pooled_names_the_process_pool():
     assert users == ["cli._pooled"], (
         f"{', '.join(u for u in users if u != 'cli._pooled')} name multiprocessing or"
         " ProcessPoolExecutor; run tasks in processes with cli._pooled")
+
+
+def test_no_function_submits_to_an_executor():
+    submitters = sorted({scope for scope, node in nodes_by_function()
+                         if isinstance(node, ast.Attribute) and node.attr == "submit"})
+    assert not submitters, (
+        f"{', '.join(submitters)} name an executor's .submit; run tasks with cli._pooled,"
+        " whose order comes from Executor.map")
 
 
 def imported(node):
