@@ -329,19 +329,16 @@ class BlockReduction:
     its side, and per curve, in arrays of the block's curve count (its
     ``len``), the first-fracture force ``force_n`` [N] and displacement
     ``dz_um`` [um], the number of failure ``events``, and whether it is
-    ``readable``, with any valid bridge data; or, in ``error``, the
-    ``ValueError`` the reduction raised, and no arrays."""
+    ``readable``, with any valid bridge data."""
 
     side: str
-    count: int
-    force_n: np.ndarray | None = None
-    dz_um: np.ndarray | None = None
-    events: np.ndarray | None = None
-    readable: np.ndarray | None = None
-    error: ValueError | None = None
+    force_n: np.ndarray
+    dz_um: np.ndarray
+    events: np.ndarray
+    readable: np.ndarray
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.events)
 
 
 def reduce_block(
@@ -350,26 +347,22 @@ def reduce_block(
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
 ) -> BlockReduction:
     """Reduce a block of curves, or a :class:`LoadCurve`, to what the fleet
-    summary keeps of it; an error of the reduction is returned, not raised.
+    summary keeps of it.
 
     Each curve's values depend on that curve alone, so the reductions of a
     fleet do not depend on how it is cut into blocks, and they are small
     enough to pass between processes in place of the blocks.
     """
-    count = len(np.atleast_2d(block.force_n))
-    try:
-        if block.dz_um.size < 10:
-            raise InsufficientDataError("curves need at least 10 samples")
-        _, f, dz, events = first_failures(block, drop_fraction, drop_floor_n)
-        # a floor below the noise finds drops at rest; NaN (no failure) is not <= 0
-        low = f[f <= 0]
-        if low.size:
-            raise ValueError(
-                f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
-                f" {float(low[0])!r} N, not a positive force; set it above the force noise")
-    except ValueError as exc:  # ForceBenchError included
-        return BlockReduction(block.side, count, error=exc)
-    return BlockReduction(block.side, count, force_n=f, dz_um=dz, events=events,
+    if block.dz_um.size < 10:
+        raise InsufficientDataError("curves need at least 10 samples")
+    _, f, dz, events = first_failures(block, drop_fraction, drop_floor_n)
+    # a floor below the noise finds drops at rest; NaN (no failure) is not <= 0
+    low = f[f <= 0]
+    if low.size:
+        raise ValueError(
+            f"drop_floor_n: {drop_floor_n!r} detects a first fracture at"
+            f" {float(low[0])!r} N, not a positive force; set it above the force noise")
+    return BlockReduction(block.side, force_n=f, dz_um=dz, events=events,
                           readable=np.atleast_2d(block.valid).any(axis=-1))
 
 
@@ -392,27 +385,19 @@ def fleet_summary(
     :func:`reduce_block`, or of their :class:`BlockReduction`s, made
     already (with the thresholds they were made with); it is read once,
     keeping only the reductions, whose per-curve arrays it joins by field
-    name.  A fleet that mixes load sides is reported before the first
-    error of a reduction, which is held until the iterable is exhausted,
-    so the iterable's own errors come first.
+    name.  Each error is raised where it is met: a block whose load side
+    differs from the first block's, or a block that :func:`reduce_block`
+    refuses, stops the reading there.
     """
     if spec is None:
         spec = SensorSpec()
-    sides: set[str] = set()
     reductions: list[BlockReduction] = []
-    error = None
     for block in curves:
-        sides.add(block.side)
-        if error is not None:
-            continue
+        if reductions and block.side != reductions[0].side:
+            raise ValueError(f"fleet mixes load sides: {sorted({reductions[0].side, block.side})}")
         if not isinstance(block, BlockReduction):
             block = reduce_block(block, drop_fraction, drop_floor_n)
-        error = block.error
         reductions.append(block)
-    if len(sides) > 1:
-        raise ValueError(f"fleet mixes load sides: {sorted(sides)}")
-    if error is not None:
-        raise error
     # counted before the arrays are joined: an empty fleet has none to join
     n_failed = sum(int(np.count_nonzero(r.events)) for r in reductions)
     if n_failed < 3:
@@ -420,7 +405,7 @@ def fleet_summary(
             f"need at least 3 curves with detected failures, got {n_failed}"
         )
 
-    (side,) = sides
+    side = reductions[0].side
     events = np.concatenate([r.events for r in reductions])
     failed = events > 0
     forces_arr = np.concatenate([r.force_n for r in reductions])[failed]

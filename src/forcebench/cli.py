@@ -334,7 +334,7 @@ def _reduce_curve_files(side: str, drop_fraction: float, drop_floor_n: float,
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Summarise curve files, read and reduced in groups of ``FLEET_BLOCK``
-    by :func:`_pooled`; a reduction error is held, not raised, so every
+    by :func:`_pooled`; the first failure in order is raised, so every
     output and error is that of one process."""
     config = load_config(args)
     paths, manifest_side = _collect_curve_paths(args.inputs)

@@ -63,7 +63,7 @@ def weibull_cdf(fit: WeibullFit, f: float) -> float:
 def invert_failure_probability(fit: WeibullFit, p: float) -> float:
     """Load [N] at which the failure probability reaches ``p``.
 
-    Exact inverse of :func:`weibull_cdf`; requires 0 < p < 1 and a finite load.
+    Exact inverse of :func:`weibull_cdf`; requires 0 < p < 1 and a finite, nonzero load.
     """
     _check_value("p", p, PROBABILITY)
     try:
@@ -72,6 +72,8 @@ def invert_failure_probability(fit: WeibullFit, p: float) -> float:
         load = math.inf
     if not math.isfinite(load):
         raise ValueError(f"probability {p!r} inverts to a load beyond the float range")
+    if load == 0.0:  # underflow: the cdf of 0 N is 0, not p
+        raise ValueError(f"probability {p!r} inverts to a load below the float range")
     return load
 
 

@@ -31,6 +31,7 @@ from forcebench import (
 from collections import Counter
 from types import SimpleNamespace
 
+from forcebench import errors
 from forcebench.analysis import (
     UNKNOWN,
     FailureEvent,
@@ -554,23 +555,30 @@ def test_fleet_summary_reads_any_iterable_once(front_fleet_curves):
     assert fleet_summary(c for c in front_fleet_curves) == fleet_summary(front_fleet_curves)
 
 
-def test_mixed_sides_reported_before_a_short_curve(front_fleet_curves):
+def test_a_short_curve_reported_before_mixed_sides(front_fleet_curves):
+    # each error is raised at the block where it is met
     dz, f = smooth_front_curve(5)
     curves = [make_curve(dz, f), *front_fleet_curves[:3], make_curve(dz, f, side="back")]
-    with pytest.raises(ValueError, match="mixes load sides"):
+    with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
         fleet_summary(iter(curves))
+    back = make_curve(*smooth_front_curve(), side="back")
+    with pytest.raises(ValueError, match=r"^fleet mixes load sides: \['back', 'front'\]$"):
+        fleet_summary([*front_fleet_curves[:3], back])
 
 
-def test_curve_errors_held_until_the_iterable_ends(front_fleet_curves):
+def test_curve_errors_raised_before_the_iterable_resumes(front_fleet_curves):
     dz, f = smooth_front_curve(9)
+    resumed = []
 
     def curves():
         yield from front_fleet_curves[:3]
         yield make_curve(dz, f)
+        resumed.append(True)
         raise OSError("the iterable's own error")
 
-    with pytest.raises(OSError, match="own error"):
+    with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
         fleet_summary(curves())
+    assert not resumed
     with pytest.raises(InsufficientDataError, match="10 samples"):
         fleet_summary([*front_fleet_curves[:3], make_curve(dz, f)])
     with pytest.raises(ValueError, match="drop_fraction"):
@@ -585,18 +593,23 @@ def test_block_errors_keep_their_precedence(front_fleet_curves):
         valid=np.array([c.valid for c in front_fleet_curves[:3]]))
     dz, f = smooth_front_curve(9)
     assert fleet_summary([block]).n_curves == 3
-    with pytest.raises(ValueError, match="mixes load sides"):
+    with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
         fleet_summary([block, make_curve(dz, f), front_fleet_curves[0], make_curve(dz, f, "back")])
+    with pytest.raises(ValueError, match=r"^fleet mixes load sides: \['back', 'front'\]$"):
+        fleet_summary([block, make_curve(*smooth_front_curve(), side="back"), make_curve(dz, f)])
     with pytest.raises(InsufficientDataError, match="10 samples"):
         fleet_summary([block, make_curve(dz, f), block])
+    resumed = []
 
     def blocks():
         yield block
         yield make_curve(dz, f)
+        resumed.append(True)
         raise OSError("the iterable's own error")
 
-    with pytest.raises(OSError, match="own error"):
+    with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
         fleet_summary(blocks())
+    assert not resumed
 
 
 def test_fleet_summary_passes_block_reductions_through(front_fleet_curves):
@@ -613,14 +626,20 @@ def test_fleet_summary_passes_block_reductions_through(front_fleet_curves):
         fleet_summary([*reductions, reduce_block(make_curve(dz, f))])
 
 
-def test_a_held_reduction_error_survives_a_pickle_round_trip():
+def test_reduce_block_refuses_a_short_curve():
     dz, f = smooth_front_curve(9)
-    held = reduce_block(make_curve(dz, f, side="back"))
-    copy = pickle.loads(pickle.dumps(held))
-    assert type(copy.error) is InsufficientDataError
-    assert str(copy.error) == str(held.error) == "curves need at least 10 samples"
-    assert (copy.side, len(copy)) == ("back", 1)
-    assert (copy.force_n, copy.dz_um, copy.events, copy.readable) == (None,) * 4
+    with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
+        reduce_block(make_curve(dz, f, side="back"))
+
+
+def test_errors_keep_their_type_and_text_through_pickle():
+    # a worker's error reaches the command only by pickle
+    classes = [kind for kind in vars(errors).values()
+               if isinstance(kind, type) and kind.__module__ == errors.__name__]
+    assert len(classes) == 9 and all(issubclass(kind, Exception) for kind in classes)
+    for kind in classes:
+        copy = pickle.loads(pickle.dumps(kind("curves need at least 10 samples")))
+        assert type(copy) is kind and str(copy) == "curves need at least 10 samples"
 
 
 def test_fleet_summary_needs_three_failed_curves():

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from forcebench.analysis import LoadCurve
-from forcebench.bench import FLEET_BLOCK, DynamicProtocol, FleetParams, StaticProtocol
+from forcebench.bench import (
+    FLEET_BLOCK,
+    DynamicProtocol,
+    FleetParams,
+    StaticProtocol,
+    fleet_blocks,
+)
 from forcebench import cli
 from forcebench.cli import _CONFIG_KEY, CONFIG_DEFAULTS, CONFIG_TYPES, main
 from forcebench.fileio import (
@@ -476,7 +482,7 @@ def test_analyze_reports_the_first_bad_group(fleet300_dir, tmp_path, monkeypatch
         2, "", f"error: {fleet / 'specimen_005.csv'}:1: bad or missing header\n")
 
 
-def test_analyze_reports_a_read_error_before_a_held_reduction_error(
+def test_analyze_reports_the_first_error_that_one_process_meets(
         fleet300_dir, tmp_path, monkeypatch, capsys):
     config, fleet = tmp_path / "config.json", tmp_path / "fleet"
     config.write_text('{"drop_floor_n": 0}')
@@ -484,10 +490,15 @@ def test_analyze_reports_a_read_error_before_a_held_reduction_error(
     code, out, err = analyze_at_each_worker_count(monkeypatch, capsys, str(fleet),
                                                   "--config", str(config))
     assert (code, out) == (2, "") and err.startswith("error: drop_floor_n: 0.0 detects")
+    # a bad header in group 2 is met after group 0's block is reduced
     (fleet / f"specimen_{2 * FLEET_BLOCK + 10:03d}.csv").write_text("not a curve\n")
     assert analyze_at_each_worker_count(monkeypatch, capsys, str(fleet),
+                                        "--config", str(config)) == (code, out, err)
+    # one in group 0 is met first: a block is yielded once the next file is read
+    (fleet / "specimen_010.csv").write_text("not a curve\n")
+    assert analyze_at_each_worker_count(monkeypatch, capsys, str(fleet),
                                         "--config", str(config)) == (
-        2, "", f"error: {fleet / 'specimen_266.csv'}:1: bad or missing header\n")
+        2, "", f"error: {fleet / 'specimen_010.csv'}:1: bad or missing header\n")
 
 
 @pytest.mark.parametrize("defect", ["not UTF-8", "missing"])
@@ -656,7 +667,8 @@ def test_analyze_missing_file_reported_before_too_few_curves(fleet_dir, tmp_path
     assert "missing.csv" in capsys.readouterr().err
 
 
-def test_analyze_malformed_file_reported_before_short_curve(fleet_dir, tmp_path, capsys):
+def test_analyze_malformed_file_reported_before_short_curve(fleet_dir, tmp_path,
+                                                            monkeypatch, capsys):
     curve = read_load_curve_csv(fleet_dir / "specimen_000.csv", "front")
     short = LoadCurve(side="front", dz_um=curve.dz_um[:9], force_n=curve.force_n[:9],
                       voff_mv=curve.voff_mv[:9], valid=curve.valid[:9])
@@ -664,21 +676,21 @@ def test_analyze_malformed_file_reported_before_short_curve(fleet_dir, tmp_path,
     mangled, missing = tmp_path / "mangled.csv", tmp_path / "missing.csv"
     mangled.write_text(
         "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid\n0,0.0,zero,0,0,0,0,1\n")
-    assert run_cli("analyze", str(tmp_path / "short.csv"), str(mangled),
-                   str(fleet_dir / "specimen_001.csv")) == 2
-    assert "mangled.csv:2: not a number: 'zero'" in capsys.readouterr().err
-    # also where the file falls at the end of a block of curves, or after it
-    errors = {mangled: (2, f"error: {mangled}:2: not a number: 'zero'\n"),
-              missing: (3, f"i/o error: [Errno 2] No such file or directory: '{missing}'\n")}
+    # the reader reads the next file before it yields the short curve's block
+    assert analyze_at_each_worker_count(
+        monkeypatch, capsys, str(tmp_path / "short.csv"), str(mangled),
+        str(fleet_dir / "specimen_001.csv")) == (
+        2, "", f"error: {mangled}:2: not a number: 'zero'\n")
+    # a bad file further on, at the end of a block of curves or after it, is not read
     fleet = [str(tmp_path / "short.csv")]
     for k in range(FLEET_BLOCK + 1):
         fleet.append(str(tmp_path / f"specimen_{k:03d}.csv"))
         shutil.copyfile(fleet_dir / f"specimen_{k % 20:03d}.csv", fleet[-1])
-    for bad, (code, err) in errors.items():
+    for bad in (mangled, missing):
         for position in (FLEET_BLOCK - 1, FLEET_BLOCK, len(fleet) - 1):
             paths = [str(bad) if k == position else path for k, path in enumerate(fleet)]
-            assert run_cli("analyze", *paths) == code
-            assert capsys.readouterr() == ("", err)
+            assert analyze_at_each_worker_count(monkeypatch, capsys, *paths) == (
+                2, "", "error: curves need at least 10 samples\n")
 
 
 def test_analyze_missing_file_reported_before_bad_threshold(fleet_dir, tmp_path, capsys):
@@ -697,6 +709,25 @@ def test_report_rig_limit_reported_before_bad_threshold(tmp_path, capsys):
                    "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "300" in err and "drop_fraction" not in err
+
+
+def test_a_refused_report_stops_at_the_block_that_meets_the_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    made = []
+
+    def counted(*args):
+        for block in fleet_blocks(*args):
+            made.append(len(block))
+            yield block
+
+    monkeypatch.setattr(cli, "fleet_blocks", counted)
+    config = tmp_path / "config.json"
+    config.write_text('{"drop_fraction": -1}')
+    assert run_cli("report", "--seed", "3", "--fleet", "1000", "--config", str(config),
+                   "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr() == (
+        "", "error: drop_fraction: expected nonnegative finite number, got -1.0\n")
+    assert made == [FLEET_BLOCK]
 
 
 def test_curve_csv_schema(fleet_dir):
@@ -747,12 +778,14 @@ def test_fit_weibull_invert_with_params(capsys):
     assert rounded == [0.34, 0.42, 0.52]
 
 
-@pytest.mark.parametrize("params", ["1,1e-300", "1e308,0.5"], ids=["overflow", "infinite"])
-def test_fit_weibull_refuses_a_load_beyond_the_float_range(params, capsys):
-    assert run_cli("fit-weibull", "--params", params, "--invert", "0.9") == 2
+@pytest.mark.parametrize("params, p, bound", [
+    ("1,1e-300", "0.9", "beyond"), ("1e308,0.5", "0.9", "beyond"), ("1,1e-300", "0.5", "below"),
+], ids=["overflow", "infinite", "underflow"])
+def test_fit_weibull_refuses_a_load_beyond_the_float_range(params, p, bound, capsys):
+    assert run_cli("fit-weibull", "--params", params, "--invert", p) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: probability 0.9 inverts to a load beyond")
+    assert captured.err.startswith(f"error: probability {p} inverts to a load {bound}")
 
 
 @pytest.mark.parametrize("params", ["inf,2", "nan,2", "1.22,inf", "1.22,nan"])

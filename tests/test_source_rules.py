@@ -9,7 +9,10 @@ first write leaves no output directory, whichever layer refuses it; a second
 ``.mkdir(``, ``.write_text(`` or ``os.replace`` would make one outside it.
 JSON is read by handlers that catch ``ValueError``: a
 ``json.JSONDecodeError`` handler alone lets through the ``ValueError`` of an
-integer too long to convert, which then names no file.  The source is
+integer too long to convert, which then names no file.  A caught exception
+is never kept as a value, so each error is raised where it is met: the name
+that ``except ... as NAME`` binds appears only in a ``raise ... from NAME``,
+or in the message that ``cli.main`` prints.  The source is
 parsed, not imported, and a broken rule is reported by the function that
 breaks it.  Processes are started in one place, ``cli._pooled``, the pool
 of ``simulate-static`` and ``analyze``, whose results come in order from
@@ -78,6 +81,27 @@ def test_no_handler_catches_json_decode_errors_alone():
                      and "ValueError" not in caught_names(node)})
     assert not narrow, (f"{', '.join(narrow)} catch json.JSONDecodeError without ValueError"
                         "; an integer too long to convert raises a plain ValueError")
+
+
+def allowed_uses(handler, scope):
+    """The nodes of ``handler`` where the exception it binds may appear: a
+    ``raise ... from NAME`` that chains it, and the message ``cli.main`` prints."""
+    chains = [node for node in ast.walk(handler) if isinstance(node, ast.Raise)
+              and getattr(node.cause, "id", None) == handler.name]
+    prints = [node for node in ast.walk(handler) if scope == "cli.main"
+              and isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+    return {id(node) for use in chains + prints for node in ast.walk(use)}
+
+
+def test_no_caught_exception_is_kept_as_a_value():
+    keepers = sorted({scope for scope, handler in nodes_by_function()
+                      if isinstance(handler, ast.ExceptHandler) and handler.name
+                      and any(isinstance(node, ast.Name) and node.id == handler.name
+                              and id(node) not in allowed_uses(handler, scope)
+                              for node in ast.walk(handler))})
+    assert not keepers, (
+        f"{', '.join(keepers)} keep a caught exception as a value; raise each error"
+        " where it is met, or chain it with raise ... from")
 
 
 def loaded_by_importing_the_cli(packages):

@@ -159,10 +159,15 @@ def test_invert_domain_error(p):
         invert_failure_probability(FRONT, p)
 
 
-@pytest.mark.parametrize("f0, beta", [(1.0, 1e-300), (1e308, 0.5)], ids=["overflow", "inf"])
-def test_invert_refuses_a_load_beyond_the_float_range(f0, beta):
-    with pytest.raises(ValueError, match="beyond the float range"):
-        invert_failure_probability(WeibullFit(f0=f0, beta=beta), 0.9)
+@pytest.mark.parametrize("f0, beta, p, bound", [
+    (1.0, 1e-300, 0.9, "beyond"), (1e308, 0.5, 0.9, "beyond"),
+    (1.0, 1e-300, 0.5, "below"), (1.0, 0.002, 1e-6, "below"),
+], ids=["overflow", "inf", "underflow", "underflow_at_1ppm"])
+def test_invert_refuses_a_load_beyond_the_float_range(f0, beta, p, bound):
+    # below it the load is 0 N, whose failure probability is 0, not p
+    with pytest.raises(ValueError,
+                       match=rf"^probability {p!r} inverts to a load {bound} the float range$"):
+        invert_failure_probability(WeibullFit(f0=f0, beta=beta), p)
 
 
 def test_cdf_inverse_round_trip():
