@@ -229,8 +229,9 @@ def _pooled(task, args: Sequence) -> Iterator:
     The tasks run in forked processes, one per usable CPU (in this process
     where one suffices), and ``Executor.map`` returns their results in
     order.  At the first failure in order, or when this iterator is closed,
-    every task not yet started is cancelled; the failure is raised once
-    every process has stopped.
+    every task still waiting in the pool is cancelled.  The tasks already
+    handed to the processes still run: one per worker, and up to workers + 1
+    queued for them.  The failure is raised once every process has stopped.
     """
     workers = _workers(len(args))
     if workers < 2:

@@ -367,11 +367,14 @@ def read_force_column_csv(path: Path) -> np.ndarray:
         # reads the first field only; it ends lines where splitlines does.
         # It reads the file again on purpose: numpy parses a path about twice
         # as fast as the text already read (1M forces on a 2-core Xeon, numpy
-        # 2.4: 0.08 s, against 0.15 s through io.StringIO or a list of lines)
+        # 2.4: 0.08 s, against 0.15 s through io.StringIO or a list of lines).
+        # The text is dropped first, so that it is not held during the parse
+        # (12 MB for 1M forces); the fallback reads it again.
+        del text
         try:
             return _loadtxt(path, usecols=0, skiprows=start).ravel()
-        except ValueError:
-            pass  # a line whose first field is empty or not a number
+        except ValueError:  # a line whose first field is empty or not a number
+            text = _read_text(path)
     rows = text.splitlines()[start:]
     numbered = [(n, token) for n, token in enumerate(
         (line.split(",", 1)[0].strip() for line in rows), start + 1) if token]

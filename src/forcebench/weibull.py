@@ -5,10 +5,11 @@ law p(F) = 1 - exp(-(F/F0)^beta), its inversion for failure-probability
 budgets, the R goodness-of-fit statistic and the distribution moments.
 The law is computed one way, by :func:`_cdf_of`; a value that breaks its
 declared rule (see ``sensor``) raises a ``ValueError`` that names it.
-:func:`fit_weibull` holds at most three float arrays of its input's length
-besides the input: it makes its temporaries in place, drops the sorted
-loads once their CDF is made, and makes the median ranks again for R
-rather than keep them.
+:func:`fit_weibull` holds at most two float arrays of its input's length
+besides the input: it makes its temporaries in place, takes the logarithms
+in the sorted loads' buffer and sorts the input again for the CDF, makes
+the median ranks again for R rather than keep them, and computes R in the
+buffers of those ranks and of the CDF.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .sensor import (AT_MOST_ONE, NONNEGATIVE, POSITIVE, POSITIVE_INT, PROBABILI
 
 
 # Loads that _cdf_of turns into Python floats at a time: libm's pow and
-# expm1 on Python floats are what fix the bits of the fitted CDF, and a
-# whole 1M-force list at once would add 32 MB to the fit's peak memory.
-_CDF_CHUNK = 1 << 16
+# expm1 on Python floats are what fix the bits of the fitted CDF.  The
+# chunk's list costs 32 bytes a load (a float and its pointer), 0.26 MB
+# here against 32 MB for a whole 1M-force list; at 1M loads, 2^13 and 2^16
+# take the same time.
+_CDF_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -84,16 +87,21 @@ def r_parameter(y: Sequence[float], y_prime: Sequence[float]) -> float:
     ``y_prime`` the probabilities from the fitted law.  R is 1 exactly
     when y == y' elementwise.
     """
-    ya = np.asarray(y, dtype=float)
-    yp = np.asarray(y_prime, dtype=float)
+    ya = np.array(y, dtype=float)  # copies: _r_of works in their buffers
+    yp = np.array(y_prime, dtype=float)
     if ya.shape != yp.shape or ya.ndim != 1 or ya.size < 1:
         raise ValueError("y and y_prime must be equal-length 1-d sequences")
-    squares = np.square(ya)
-    ss = float(np.sum(squares))
+    return _r_of(ya, yp)
+
+
+def _r_of(y: np.ndarray, y_prime: np.ndarray) -> float:
+    """R of :func:`r_parameter`, computed in place: ``y_prime`` ends as
+    y - y' squared, ``y`` as y squared."""
+    np.subtract(y, y_prime, out=y_prime)
+    ss = float(np.sum(np.square(y, out=y)))
     if ss == 0.0:
         raise DegenerateDataError("sum of squared reference values is zero")
-    np.square(np.subtract(ya, yp, out=squares), out=squares)
-    return (ss - float(np.sum(squares))) / ss
+    return (ss - float(np.sum(np.square(y_prime, out=y_prime)))) / ss
 
 
 def fit_weibull(forces: Sequence[float]) -> WeibullFit:
@@ -110,13 +118,13 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
         raise InsufficientDataError("need at least three fracture loads to fit")
     if np.any(~np.isfinite(f)) or np.any(f <= 0):
         raise ValueError("fracture loads must be finite and positive")
-    f_sorted = np.sort(f)
-    if f_sorted[0] == f_sorted[-1]:
+    x = np.sort(f)
+    if x[0] == x[-1]:
         raise DegenerateDataError("all fracture loads are equal; no spread to fit")
 
     # The regression's temporaries are made in place: the same ufuncs in the
     # same order as out of place, so the same bits, in less memory.
-    x = np.log(f_sorted)
+    np.log(x, out=x)  # ln of the sorted loads, which are sorted again for the CDF
     y = median_ranks(f.size)
     np.negative(y, out=y)
     np.log(np.negative(np.log1p(y, out=y), out=y), out=y)  # ln(-ln(1 - p))
@@ -126,15 +134,14 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     y *= x  # (x - x_mean) * (y - y_mean)
     sxx = float(np.sum(np.square(x, out=x)))
     sxy = float(np.sum(y))
-    del x, y  # the fitted CDF takes their place in memory
+    del x, y  # the loads sorted again and their CDF take their place in memory
     beta = sxy / sxx
     intercept = y_mean - beta * x_mean
     f0 = math.exp(-intercept / beta)
 
     WeibullFit(f0=f0, beta=beta)  # rejects a non-finite or non-positive fit
-    cdf = _cdf_of(f_sorted, f0, beta)
-    del f_sorted  # the ranks, made again, take its place in memory
-    return WeibullFit(f0=f0, beta=beta, r=r_parameter(median_ranks(f.size), cdf))
+    cdf = _cdf_of(np.sort(f), f0, beta)  # the sorted copy is freed on return
+    return WeibullFit(f0=f0, beta=beta, r=_r_of(median_ranks(f.size), cdf))
 
 
 def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:

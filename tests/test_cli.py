@@ -145,7 +145,12 @@ def _mark(directory, arg):
 
 
 def test_pooled_starts_few_tasks_after_a_failure_or_a_close(tmp_path, monkeypatch):
-    # the tasks not yet started are cancelled, and every process has stopped
+    # the tasks still waiting in the pool are cancelled, and every process has
+    # stopped.  The tasks handed to the processes still run: the one each
+    # worker runs and the workers + 1 queued for them.  So the failing run
+    # leaves 1 + workers + (workers + 1) = 6 markers, the closed one, which
+    # read two results, 2 + workers + (workers + 1) = 7; the bound of
+    # 4 * workers = 8 leaves one for a task handed over as the close is made.
     workers = 2
     monkeypatch.setattr(cli, "_workers", lambda tasks: workers)
     failing, closed = tmp_path / "failing", tmp_path / "closed"

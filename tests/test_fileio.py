@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from forcebench.analysis import CurveBlock, CycleLog, LoadCurve, fleet_summary
 from forcebench.bench import FLEET_BLOCK, FleetParams, RigConfig, StaticProtocol, run_fleet
 from forcebench.errors import DataFormatError
 from forcebench.sensor import SensorSpec
+from forcebench import fileio
 from forcebench.fileio import (
     CURVE_HEADER,
     CYCLE_HEADER,
@@ -479,6 +481,48 @@ def test_force_file_edges(tmp_path, text, expected):
             read_force_column_csv(path)
     else:
         assert read_force_column_csv(path).tolist() == expected
+
+
+def test_force_file_text_is_not_held_while_numpy_parses_it(tmp_path, monkeypatch):
+    # from the parse on, the peak is numpy's: its chunks and the forces, about
+    # 1.24 arrays of n; the text of 1M such lines would add 1.5 arrays more
+    n = 1_000_000
+    path = tmp_path / "forces.csv"
+    path.write_text("force_N\n" + "1.234567891\n" * n)
+    parse = fileio._loadtxt
+
+    def peak_from_the_parse_on(*args, **kwargs):
+        tracemalloc.reset_peak()
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_loadtxt", peak_from_the_parse_on)
+    tracemalloc.start()
+    try:
+        forces = read_force_column_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forces.shape == (n,) and np.all(forces == 1.234567891)
+    assert peak <= 1.75 * 8 * n, f"{peak / (8 * n):.2f} arrays of n"
+
+
+@pytest.mark.parametrize("line, expected, reads", [
+    ("3.5", [1.5, 1.5, 1.5, 3.5, 2.5, 2.5], 1),  # numpy's parse of the path
+    (",skipped", [1.5, 1.5, 1.5, 2.5, 2.5], 2),  # empty first field: the text again
+    ("  abc ,1", "forces.csv:5: not a number: 'abc'", 2),
+    ("1.5\x0c", [1.5, 1.5, 1.5, 1.5, 2.5, 2.5], 1),  # a line break numpy does not end
+], ids=["fast", "empty-field", "bad-token", "other-line-break"])
+def test_force_file_fallback_reads_the_text_again(tmp_path, monkeypatch, line, expected, reads):
+    path = tmp_path / "forces.csv"
+    path.write_text("\n".join(["force_N", "1.5", "1.5", "1.5", line, "2.5", "2.5"]) + "\n")
+    read_text, texts = fileio._read_text, []
+    monkeypatch.setattr(fileio, "_read_text", lambda p: texts.append(p) or read_text(p))
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError, match=re.escape(expected) + "$"):
+            read_force_column_csv(path)
+    else:
+        assert read_force_column_csv(path).tolist() == expected
+    assert texts == [path] * reads
 
 
 @pytest.mark.filterwarnings("error")
