@@ -20,6 +20,7 @@ from .analysis import (
     fleet_summary,
     fracture_point,
     overload_factors,
+    reduce_block,
 )
 from .bench import (
     DynamicProtocol,

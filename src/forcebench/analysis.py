@@ -2,14 +2,14 @@
 
 Works purely on recorded data (:class:`LoadCurve`, :class:`CycleLog`); the
 only model knowledge used is the calibrated force-displacement law needed
-to translate budget forces into displacements.  The fleet summary reduces
-:class:`CurveBlock`s, up to ``FLEET_BLOCK`` curves on one displacement
-grid (a ``bench.RampBlock`` is one, and ``fileio.read_curve_blocks`` reads
-them from curve files), a :class:`LoadCurve` being a block of one, with
-the drop rule of :func:`detect_failures` and the ring rule of
-:func:`classify_failures`; :func:`reduce_block` reduces one block, in any
-process, and :func:`fracture_point` is that reduction of one curve.  A
-cycle log's record interval is its cycle spacing.
+to translate budget forces into displacements.  :func:`reduce_block`, the
+one place where a fleet's curves meet the drop thresholds, reduces a
+:class:`CurveBlock` (up to ``FLEET_BLOCK`` curves on one displacement grid:
+a ``bench.RampBlock``, or what ``fileio.read_curve_blocks`` reads from curve
+files; a :class:`LoadCurve` is a block of one) in any process, with the drop
+rule of :func:`detect_failures`.  :func:`fleet_summary` sums the reductions
+with the ring rule of :func:`classify_failures`.  A cycle log's record
+interval is its cycle spacing.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ FLEET_BLOCK = 128
 @dataclass
 class CurveBlock:
     """Up to ``FLEET_BLOCK`` curves on one displacement grid, as
-    :func:`fleet_summary` reduces them: ``dz_um`` (n,), shared by every
+    :func:`reduce_block` reduces them: ``dz_um`` (n,), shared by every
     curve, and ``force_n`` and ``valid`` (m, n), one row per curve."""
 
     side: str
@@ -367,10 +367,7 @@ def reduce_block(
 
 
 def fleet_summary(
-    curves: Iterable[CurveBlock | LoadCurve | BlockReduction],
-    spec: SensorSpec | None = None,
-    drop_fraction: float = DEFAULT_DROP_FRACTION,
-    drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
+    reductions: Iterable[BlockReduction], spec: SensorSpec | None = None
 ) -> FleetSummary:
     """Aggregate fracture statistics over a fleet of destructive tests.
 
@@ -380,37 +377,32 @@ def fleet_summary(
     budget displacements come from the calibrated force-displacement law
     of ``spec`` (defaults to the standard design).
 
-    ``curves`` may be any iterable of :class:`CurveBlock`s or
-    :class:`LoadCurve`s (see :func:`first_failures`), each reduced by
-    :func:`reduce_block`, or of their :class:`BlockReduction`s, made
-    already (with the thresholds they were made with); it is read once,
-    keeping only the reductions, whose per-curve arrays it joins by field
-    name.  Each error is raised where it is met: a block whose load side
-    differs from the first block's, or a block that :func:`reduce_block`
-    refuses, stops the reading there.
+    ``reductions`` may be any iterable of :class:`BlockReduction`s, each
+    made by :func:`reduce_block` with the thresholds it was given; it is
+    read once, and the per-curve arrays are joined by field name.  A
+    reduction whose load side differs from the first one's stops the
+    reading there, as does any error its iterable raises.
     """
     if spec is None:
         spec = SensorSpec()
-    reductions: list[BlockReduction] = []
-    for block in curves:
-        if reductions and block.side != reductions[0].side:
-            raise ValueError(f"fleet mixes load sides: {sorted({reductions[0].side, block.side})}")
-        if not isinstance(block, BlockReduction):
-            block = reduce_block(block, drop_fraction, drop_floor_n)
-        reductions.append(block)
+    kept: list[BlockReduction] = []
+    for reduction in reductions:
+        if kept and reduction.side != kept[0].side:
+            raise ValueError(f"fleet mixes load sides: {sorted({kept[0].side, reduction.side})}")
+        kept.append(reduction)
     # counted before the arrays are joined: an empty fleet has none to join
-    n_failed = sum(int(np.count_nonzero(r.events)) for r in reductions)
+    n_failed = sum(int(np.count_nonzero(r.events)) for r in kept)
     if n_failed < 3:
         raise InsufficientDataError(
             f"need at least 3 curves with detected failures, got {n_failed}"
         )
 
-    side = reductions[0].side
-    events = np.concatenate([r.events for r in reductions])
+    side = kept[0].side
+    events = np.concatenate([r.events for r in kept])
     failed = events > 0
-    forces_arr = np.concatenate([r.force_n for r in reductions])[failed]
-    dz_arr = np.concatenate([r.dz_um for r in reductions])[failed]
-    rings = ring_events(events, np.concatenate([r.readable for r in reductions]), side)
+    forces_arr = np.concatenate([r.force_n for r in kept])[failed]
+    dz_arr = np.concatenate([r.dz_um for r in kept])[failed]
+    rings = ring_events(events, np.concatenate([r.readable for r in kept]), side)
     counts = {ring: int(rings[ring].sum()) for ring in ("inner", "outer", UNKNOWN)}
     try:
         fit = fit_weibull(forces_arr)

@@ -154,23 +154,22 @@ def _fit_payload(fit: WeibullFit | None) -> dict | None:
 
 
 class _Fleet:
-    """A fleet's curves, blocks of them or their reductions, made as they are iterated;
-    ``len`` is the fleet size, known up front (perfbench counts curves by it)."""
+    """A fleet's block reductions, made as they are iterated; ``len`` is the
+    fleet size, known up front (perfbench counts curves by it)."""
 
-    def __init__(self, curves: Iterable, count: int):
-        self.curves, self.count = curves, count
+    def __init__(self, reductions: Iterable[BlockReduction], count: int):
+        self.reductions, self.count = reductions, count
 
     def __iter__(self):
-        return iter(self.curves)
+        return iter(self.reductions)
 
     def __len__(self) -> int:
         return self.count
 
 
-def _fleet_payload(curves: _Fleet, spec: SensorSpec, config: dict) -> tuple[dict, str]:
+def _fleet_payload(fleet: _Fleet, spec: SensorSpec) -> tuple[dict, str]:
     """Summarise a fleet: its JSON payload and its table, to print once every file is written."""
-    summary = fleet_summary(curves, spec, drop_fraction=config["drop_fraction"],
-                            drop_floor_n=config["drop_floor_n"])
+    summary = fleet_summary(fleet, spec)
     payload = dataclasses.asdict(summary) | {"weibull": _fit_payload(summary.fit)}
     del payload["fit"]
     if summary.fit is not None:
@@ -326,11 +325,15 @@ def _collect_curve_paths(inputs: list[str]) -> tuple[list[Path], str | None]:
     return paths, side
 
 
-def _reduce_curve_files(side: str, drop_fraction: float, drop_floor_n: float,
-                        paths: list[Path]) -> list[BlockReduction]:
-    """The reductions of the blocks that ``read_curve_blocks`` reads from ``paths``."""
-    return [reduce_block(block, drop_fraction, drop_floor_n)
-            for block in read_curve_blocks(paths, side)]
+def _reducer(config: dict):
+    """:func:`reduce_block` at the config's drop thresholds."""
+    return functools.partial(reduce_block, drop_fraction=config["drop_fraction"],
+                             drop_floor_n=config["drop_floor_n"])
+
+
+def _reduce_curve_files(reduce, side: str, paths: list[Path]) -> list[BlockReduction]:
+    """``reduce`` of each block that ``read_curve_blocks`` reads from ``paths``."""
+    return list(map(reduce, read_curve_blocks(paths, side)))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -344,11 +347,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                           f" {manifest_side!r}")
     side = manifest_side or config["side"]  # the flag, if given, is in the config
     _check_value("side", side, SIDE)
-    reduce_group = functools.partial(_reduce_curve_files, side, config["drop_fraction"],
-                                     config["drop_floor_n"])
+    reduce_group = functools.partial(_reduce_curve_files, _reducer(config), side)
     groups = [paths[i:i + FLEET_BLOCK] for i in range(0, len(paths), FLEET_BLOCK)]
     reductions = itertools.chain.from_iterable(_pooled(reduce_group, groups))
-    payload, table = _fleet_payload(_Fleet(reductions, len(paths)), SensorSpec(), config)
+    payload, table = _fleet_payload(_Fleet(reductions, len(paths)), SensorSpec())
     if getattr(args, "out", None):  # first, so that a failed write prints nothing
         write_json(Path(args.out) / "analysis.json", payload)
         print(table)
@@ -403,13 +405,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     spec = SensorSpec()
     rig = RigConfig()
     sub_seeds = np.random.SeedSequence(seed).generate_state(3)
+    reduce = _reducer(config)
     sides_payload, tables = {}, []
     for side, side_seed in zip(SIDES, sub_seeds[:2]):
         side_config = dict(config, side=side, seed=int(side_seed))
         params = _from_config(FleetParams, side_config)
         protocol = _from_config(StaticProtocol, side_config)
-        blocks = fleet_blocks(params, spec, protocol, rig)
-        sides_payload[side], table = _fleet_payload(_Fleet(blocks, params.count), spec, config)
+        # each block is made, reduced and dropped in turn
+        reductions = map(reduce, fleet_blocks(params, spec, protocol, rig))
+        sides_payload[side], table = _fleet_payload(_Fleet(reductions, params.count), spec)
         tables.append(table)
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
     log = cycle_log(_from_config(FleetParams, config), spec, dyn_protocol, rig,

@@ -125,6 +125,8 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     # The regression's temporaries are made in place: the same ufuncs in the
     # same order as out of place, so the same bits, in less memory.
     np.log(x, out=x)  # ln of the sorted loads, which are sorted again for the CDF
+    if x[0] == x[-1]:  # distinct loads whose logarithms round to one value
+        raise DegenerateDataError("all fracture loads have equal logarithms; no spread to fit")
     y = median_ranks(f.size)
     np.negative(y, out=y)
     np.log(np.negative(np.log1p(y, out=y), out=y), out=y)  # ln(-ln(1 - p))

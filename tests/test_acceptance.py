@@ -29,6 +29,7 @@ from forcebench import (
     median_ranks,
     overload_factors,
     r_parameter,
+    reduce_block,
     resistivity_change,
     run_dynamic,
     run_fleet,
@@ -67,7 +68,7 @@ def fleet(side):
     seed = FRONT_FLEET_SEED if side == "front" else BACK_FLEET_SEED
     params = FleetParams(count=20, master_seed=seed)
     curves = run_fleet(params, SPEC, StaticProtocol(side=side), RIG)
-    return fleet_summary(curves, SPEC)
+    return fleet_summary(map(reduce_block, curves), SPEC)
 
 
 def test_criterion_01_budget_forces_match_published_table():

@@ -514,7 +514,7 @@ def front_fleet_curves():
 
 
 def test_fleet_summary_statistics(front_fleet_curves):
-    summary = fleet_summary(front_fleet_curves)
+    summary = fleet_summary(map(reduce_block, front_fleet_curves))
     assert summary.n_curves == 20
     assert summary.fracture_force_mean_n == pytest.approx(1.16, abs=0.10)
     assert summary.fracture_dz_mean_um == pytest.approx(78.2, abs=5.0)
@@ -523,7 +523,7 @@ def test_fleet_summary_statistics(front_fleet_curves):
 
 
 def test_fleet_summary_counts_match_event_total(front_fleet_curves):
-    summary = fleet_summary(front_fleet_curves)
+    summary = fleet_summary(map(reduce_block, front_fleet_curves))
     n_events = sum(
         len(detect_failures(c)) for c in front_fleet_curves
     )
@@ -531,7 +531,7 @@ def test_fleet_summary_counts_match_event_total(front_fleet_curves):
 
 
 def test_fleet_budget_forces_increase_and_stay_below_observations(front_fleet_curves):
-    summary = fleet_summary(front_fleet_curves)
+    summary = fleet_summary(map(reduce_block, front_fleet_curves))
     forces = [row["f_max_N"] for row in summary.budget]
     assert forces == sorted(forces) and forces[0] < forces[-1]
     min_fracture = min(fracture_point(c)[0] for c in front_fleet_curves)
@@ -544,15 +544,24 @@ def test_fleet_summary_handles_duplicated_curves():
     f[150:] -= 0.4
     curve_f = np.maximum(f, 0.0)
     curves = [make_curve(dz, curve_f) for _ in range(3)]
-    summary = fleet_summary(curves)
+    summary = fleet_summary(map(reduce_block, curves))
     assert summary.fracture_force_std_n == pytest.approx(0.0, abs=1e-12)
     assert summary.fracture_dz_std_um == pytest.approx(0.0, abs=1e-12)
     assert summary.fit is None and summary.budget == []
 
 
 def test_fleet_summary_reads_any_iterable_once(front_fleet_curves):
-    assert fleet_summary(iter(front_fleet_curves)) == fleet_summary(front_fleet_curves)
-    assert fleet_summary(c for c in front_fleet_curves) == fleet_summary(front_fleet_curves)
+    reductions = list(map(reduce_block, front_fleet_curves))
+    assert fleet_summary(iter(reductions)) == fleet_summary(reductions)
+    assert fleet_summary(r for r in reductions) == fleet_summary(reductions)
+
+
+def test_fleet_summary_takes_reductions_and_no_thresholds(front_fleet_curves):
+    # thresholds meet the curves in reduce_block alone, so none can be ignored here
+    with pytest.raises(TypeError, match="drop_fraction"):
+        fleet_summary(map(reduce_block, front_fleet_curves), drop_fraction=0.05)
+    with pytest.raises(AttributeError, match="events"):
+        fleet_summary(front_fleet_curves)
 
 
 def test_a_short_curve_reported_before_mixed_sides(front_fleet_curves):
@@ -560,10 +569,10 @@ def test_a_short_curve_reported_before_mixed_sides(front_fleet_curves):
     dz, f = smooth_front_curve(5)
     curves = [make_curve(dz, f), *front_fleet_curves[:3], make_curve(dz, f, side="back")]
     with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
-        fleet_summary(iter(curves))
+        fleet_summary(map(reduce_block, curves))
     back = make_curve(*smooth_front_curve(), side="back")
     with pytest.raises(ValueError, match=r"^fleet mixes load sides: \['back', 'front'\]$"):
-        fleet_summary([*front_fleet_curves[:3], back])
+        fleet_summary(map(reduce_block, [*front_fleet_curves[:3], back]))
 
 
 def test_curve_errors_raised_before_the_iterable_resumes(front_fleet_curves):
@@ -577,12 +586,12 @@ def test_curve_errors_raised_before_the_iterable_resumes(front_fleet_curves):
         raise OSError("the iterable's own error")
 
     with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
-        fleet_summary(curves())
+        fleet_summary(map(reduce_block, curves()))
     assert not resumed
     with pytest.raises(InsufficientDataError, match="10 samples"):
-        fleet_summary([*front_fleet_curves[:3], make_curve(dz, f)])
+        fleet_summary(map(reduce_block, [*front_fleet_curves[:3], make_curve(dz, f)]))
     with pytest.raises(ValueError, match="drop_fraction"):
-        fleet_summary(iter(front_fleet_curves), drop_fraction=-1.0)
+        reduce_block(front_fleet_curves[0], drop_fraction=-1.0)
 
 
 def test_block_errors_keep_their_precedence(front_fleet_curves):
@@ -592,13 +601,18 @@ def test_block_errors_keep_their_precedence(front_fleet_curves):
         force_n=np.array([c.force_n for c in front_fleet_curves[:3]]),
         valid=np.array([c.valid for c in front_fleet_curves[:3]]))
     dz, f = smooth_front_curve(9)
-    assert fleet_summary([block]).n_curves == 3
+    assert fleet_summary([reduce_block(block)]).n_curves == 3
     with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
-        fleet_summary([block, make_curve(dz, f), front_fleet_curves[0], make_curve(dz, f, "back")])
+        fleet_summary(map(reduce_block, [block, make_curve(dz, f), front_fleet_curves[0],
+                                         make_curve(dz, f, "back")]))
     with pytest.raises(ValueError, match=r"^fleet mixes load sides: \['back', 'front'\]$"):
-        fleet_summary([block, make_curve(*smooth_front_curve(), side="back"), make_curve(dz, f)])
+        fleet_summary(map(reduce_block, [block, make_curve(*smooth_front_curve(), side="back"),
+                                         make_curve(dz, f)]))
     with pytest.raises(InsufficientDataError, match="10 samples"):
-        fleet_summary([block, make_curve(dz, f), block])
+        fleet_summary(map(reduce_block, [block, make_curve(dz, f), block]))
+    # a block of the other side that reduce_block refuses reports the refusal
+    with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
+        fleet_summary(map(reduce_block, [block, make_curve(dz, f, "back")]))
     resumed = []
 
     def blocks():
@@ -608,22 +622,19 @@ def test_block_errors_keep_their_precedence(front_fleet_curves):
         raise OSError("the iterable's own error")
 
     with pytest.raises(InsufficientDataError, match="^curves need at least 10 samples$"):
-        fleet_summary(blocks())
+        fleet_summary(map(reduce_block, blocks()))
     assert not resumed
 
 
 def test_fleet_summary_passes_block_reductions_through(front_fleet_curves):
-    # reductions made elsewhere (by another process) sum up as the curves do
+    # a 3-curve block plus 17 single curves sums like the 20 single curves
     block = SimpleNamespace(
         side="front", dz_um=front_fleet_curves[0].dz_um,
         force_n=np.array([c.force_n for c in front_fleet_curves[:3]]),
         valid=np.array([c.valid for c in front_fleet_curves[:3]]))
     reductions = [reduce_block(block), *map(reduce_block, front_fleet_curves[3:])]
     assert [len(r) for r in reductions] == [3] + [1] * 17
-    assert fleet_summary(reductions) == fleet_summary(front_fleet_curves)
-    dz, f = smooth_front_curve(9)
-    with pytest.raises(InsufficientDataError, match="10 samples"):
-        fleet_summary([*reductions, reduce_block(make_curve(dz, f))])
+    assert fleet_summary(reductions) == fleet_summary(map(reduce_block, front_fleet_curves))
 
 
 def test_reduce_block_refuses_a_short_curve():
@@ -646,7 +657,7 @@ def test_fleet_summary_needs_three_failed_curves():
     dz, f = smooth_front_curve()
     curves = [make_curve(dz, f) for _ in range(5)]
     with pytest.raises(InsufficientDataError):
-        fleet_summary(curves)
+        fleet_summary(map(reduce_block, curves))
 
 
 def test_fleet_summary_refuses_two_failed_curves_itself():
@@ -659,7 +670,7 @@ def test_fleet_summary_refuses_two_failed_curves_itself():
     assert sum(map(bool, map(detect_failures, curves))) == 2
     with pytest.raises(InsufficientDataError,
                        match=r"^need at least 3 curves with detected failures, got 2$"):
-        fleet_summary(curves)
+        fleet_summary(map(reduce_block, curves))
 
 
 def test_fleet_summary_of_no_curves():
@@ -670,8 +681,8 @@ def test_fleet_summary_of_no_curves():
 
 def test_fleet_summary_rejects_mixed_sides(front_fleet_curves):
     mixed = front_fleet_curves[:2] + [simulate_specimen(5, "back")[1]]
-    with pytest.raises(ValueError):
-        fleet_summary(mixed)
+    with pytest.raises(ValueError, match="fleet mixes load sides"):
+        fleet_summary(map(reduce_block, mixed))
 
 
 # ------------------------------------------------------------------ degradation

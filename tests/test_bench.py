@@ -22,6 +22,7 @@ from forcebench import (
     fit_weibull,
     fleet_summary,
     fracture_point,
+    reduce_block,
     run_dynamic,
     run_fleet,
     run_static,
@@ -414,32 +415,28 @@ def test_fleet_single_specimen_matches_manual_run():
 def test_fleet_mean_fracture_force():
     params = FleetParams(count=20, master_seed=2024)
     curves = run_fleet(params, SPEC, StaticProtocol(), RigConfig())
-    from forcebench import fleet_summary
-
-    summary = fleet_summary(curves)
+    summary = fleet_summary(map(reduce_block, curves))
     assert summary.fracture_force_mean_n == pytest.approx(1.16, abs=0.10)
 
 
 def test_tensile_ring_dominates_hinge_counts_over_seeds():
-    from forcebench import fleet_summary
-
     for side, key in (("front", "outer"), ("back", "inner")):
         for seed in range(30):
             params = FleetParams(count=20, master_seed=70_000 + seed)
             curves = run_fleet(params, SPEC, StaticProtocol(side=side), RigConfig())
-            summary = fleet_summary(curves)
+            summary = fleet_summary(map(reduce_block, curves))
             fraction = summary.hinge_counts[key] / sum(summary.hinge_counts.values())
             assert fraction >= 0.70
 
 
 def test_budget_stays_below_minimum_fracture_over_seeds():
-    from forcebench import fleet_summary, fracture_point
+    from forcebench import fracture_point
 
     hits = 0
     for seed in range(100):
         params = FleetParams(count=20, master_seed=31_000 + seed)
         curves = run_fleet(params, SPEC, StaticProtocol(), RigConfig())
-        summary = fleet_summary(curves)
+        summary = fleet_summary(map(reduce_block, curves))
         min_observed = min(fracture_point(c)[0] for c in curves)
         if all(row["f_max_N"] < min_observed for row in summary.budget):
             hits += 1
@@ -681,7 +678,8 @@ def test_fleet_summary_of_blocks_matches_the_curves(side):
     assert [f.name for f in dataclasses.fields(bench.RampBlock)][:4] == [
         f.name for f in dataclasses.fields(CurveBlock)]
     curves = run_fleet(params, SPEC, protocol, rig)
-    assert fleet_summary(blocks, SPEC) == fleet_summary(curves, SPEC)
+    assert (fleet_summary(map(reduce_block, blocks), SPEC)
+            == fleet_summary(map(reduce_block, curves), SPEC))
 
 
 def test_fleet_size_bounded_by_numpy_index_type():

@@ -253,11 +253,15 @@ def test_a_config_key_has_one_default_and_type():
     # a key that several config dataclasses declare (side, v_ges) must agree in
     # all of them, in its default, type and rule: the merged config defaults
     # keep one of them only
-    declared = {}
+    declared, declarers = {}, {}
     for cls in (StaticProtocol, DynamicProtocol, FleetParams):
         for f in dataclasses.fields(cls):
-            declared.setdefault(_CONFIG_KEY.get(f.name, f.name), set()).add(
+            key = _CONFIG_KEY.get(f.name, f.name)
+            declared.setdefault(key, set()).add(
                 (f.default, type(f.default), f.type, f.metadata["rule"]))
+            declarers.setdefault(key, []).append(cls.__name__)
+    # not vacuous: both protocols declare these two
+    assert {key for key, classes in declarers.items() if len(classes) > 1} >= {"side", "v_ges"}
     assert {key: found for key, found in declared.items() if len(found) > 1} == {}
 
 
@@ -854,6 +858,15 @@ def test_fit_weibull_names_bad_line(tmp_path, capsys):
     assert "forces.csv:5: not a number: '2.0x'" in capsys.readouterr().err
 
 
+def test_fit_weibull_refuses_distinct_loads_of_equal_logarithms(tmp_path, capsys):
+    data = tmp_path / "forces.csv"
+    data.write_text("1e300\n1e300\n1.0000000000000002e300\n")
+    assert run_cli("fit-weibull", str(data)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_fit_weibull_rejects_nonpositive(tmp_path, capsys):
     # one rule, in fit_weibull, whatever the reason a force is not positive
     data = tmp_path / "nonpositive.csv"
@@ -1103,21 +1116,40 @@ def assert_equal_within_rounding(got, want, where):
         assert got == want, where
 
 
-@pytest.mark.parametrize("fleet", [20, 2 * FLEET_BLOCK + 44])
-@pytest.mark.parametrize("seed", [3, 7])
-def test_report_equals_simulate_static_then_analyze(tmp_path, seed, fleet):
+def report_sides(out, seed, fleet, *config):
+    assert run_cli("report", "--seed", str(seed), "--fleet", str(fleet), *config,
+                   "--out", str(out)) == 0
+    return json.loads((out / "report.json").read_text())["sides"]
+
+
+THRESHOLDS = {"drop_fraction": 0.05, "drop_floor_n": 0.015}
+
+
+@pytest.mark.parametrize("seed, fleet, thresholds", [
+    pytest.param(seed, fleet, config, id=f"{seed}-{fleet}" + ("-thresholds" if config else ""))
+    for config in (None, THRESHOLDS) for seed in (3, 7)
+    for fleet in (20, 2 * FLEET_BLOCK + 44)])
+def test_report_equals_simulate_static_then_analyze(tmp_path, seed, fleet, thresholds):
     # each side of a report is the fleet that simulate-static writes with the
-    # side's sub-seed, as analyze summarises its curve files
-    assert run_cli("report", "--seed", str(seed), "--fleet", str(fleet),
-                   "--out", str(tmp_path / "report")) == 0
-    sides = json.loads((tmp_path / "report" / "report.json").read_text())["sides"]
+    # side's sub-seed, as analyze summarises its curve files, at the thresholds
+    # of the config that both commands are given
+    config = ()
+    if thresholds:
+        (tmp_path / "config.json").write_text(json.dumps(thresholds))
+        config = ("--config", str(tmp_path / "config.json"))
+    sides = report_sides(tmp_path / "report", seed, fleet, *config)
+    if thresholds and fleet > FLEET_BLOCK:
+        # the thresholds reach report's reductions: a 300-curve back fleet holds
+        # curves whose first drop they see otherwise (seed 3's 20 curves hold none)
+        default = report_sides(tmp_path / "default", seed, fleet)
+        assert sides["back"]["weibull"] != default["back"]["weibull"]
     sub_seeds = np.random.SeedSequence(seed).generate_state(3)[:2]
     assert sides.keys() == {"front", "back"}
     for side, side_seed in zip(["front", "back"], sub_seeds):  # the order report runs them
         curves, out = tmp_path / side, tmp_path / f"{side}_analysis"
         assert run_cli("simulate-static", "--seed", str(side_seed), "--fleet", str(fleet),
                        "--side", side, "--out", str(curves)) == 0
-        assert run_cli("analyze", str(curves), "--out", str(out)) == 0
+        assert run_cli("analyze", str(curves), *config, "--out", str(out)) == 0
         analysis = json.loads((out / "analysis.json").read_text())
         assert_equal_within_rounding(analysis, sides[side], side)
 

@@ -1,5 +1,6 @@
 """The CSV table codec: round trips, the writer, the parser, and its error and empty cases."""
 
+import functools
 import math
 import re
 import struct
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from forcebench.analysis import CurveBlock, CycleLog, LoadCurve, fleet_summary
+from forcebench.analysis import CurveBlock, CycleLog, LoadCurve, fleet_summary, reduce_block
 from forcebench.bench import FLEET_BLOCK, FleetParams, RigConfig, StaticProtocol, run_fleet
 from forcebench.errors import DataFormatError
 from forcebench.sensor import SensorSpec
@@ -578,8 +579,9 @@ def curve_fleets(draw):
 
 def summary_or_error(curves, drop_fraction, drop_floor_n):
     try:
-        return repr(fleet_summary(curves, drop_fraction=drop_fraction,
-                                  drop_floor_n=drop_floor_n))
+        reduce = functools.partial(reduce_block, drop_fraction=drop_fraction,
+                                   drop_floor_n=drop_floor_n)
+        return repr(fleet_summary(map(reduce, curves)))
     except ValueError as exc:  # ForceBenchError included
         return f"{type(exc).__name__}: {exc}"
 

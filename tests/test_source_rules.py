@@ -23,7 +23,9 @@ whose OpenSSL only ``fileio.config_hash`` needs.
 The block of curves that the fleet summary reduces is declared once, as
 ``analysis.CurveBlock``: ``fileio`` reads files into it without importing
 ``bench``, and no other class declares its fields but ``LoadCurve``, the
-one curve that is a block of one.
+one curve that is a block of one.  The drop thresholds meet the curves
+in ``analysis.reduce_block`` and the per-curve functions under it alone: no
+summary layer takes a threshold, so none can be passed to it and ignored.
 """
 
 import ast
@@ -168,3 +170,18 @@ def test_the_curve_block_fields_are_declared_once():
                                if isinstance(field, ast.AnnAssign)}))
     assert declaring == ["analysis.CurveBlock", "analysis.LoadCurve"], (
         "declare the block fields once, in analysis.CurveBlock, and extend it")
+
+
+THRESHOLDS = {"drop_fraction", "drop_floor_n"}
+THRESHOLD_TAKERS = ["analysis._drops", "analysis.detect_failures", "analysis.first_failures",
+                    "analysis.reduce_block"]
+
+
+def test_only_the_reductions_take_a_drop_threshold():
+    takers = sorted(scope for scope, node in nodes_by_function()
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and THRESHOLDS & {arg.arg for arg in ast.walk(node.args)
+                                      if isinstance(arg, ast.arg)})
+    assert takers == THRESHOLD_TAKERS, (
+        f"{', '.join(t for t in takers if t not in THRESHOLD_TAKERS)} take a drop threshold;"
+        " reduce the curves with analysis.reduce_block at the thresholds instead")

@@ -371,6 +371,16 @@ def test_fit_rejects_equal_forces():
         fit_weibull([1.5, 1.5, 1.5])
 
 
+@pytest.mark.parametrize("forces", [
+    [1e300, 1e300, 1.0000000000000002e300],  # the regression's spread sxx is 0
+    [4.1339425312241295e189, 4.1339425312241295e189, 4.13394253122413e189],  # sxx is not
+])
+def test_fit_rejects_distinct_forces_of_equal_logarithms(forces):
+    assert len(set(forces)) == 2 and len(set(np.log(forces))) == 1
+    with pytest.raises(DegenerateDataError, match="equal logarithms"):
+        fit_weibull(forces)
+
+
 def test_fit_validates_parameters():
     with pytest.raises(ValueError):
         WeibullFit(f0=-1.0, beta=2.0)
