@@ -1,15 +1,16 @@
 """Analysis of measured curves: stiffness, failures, fleet and cycle stats.
 
 Works purely on recorded data (:class:`LoadCurve`, :class:`CycleLog`); the
-only model knowledge used is the calibrated force-displacement law needed
-to translate budget forces into displacements.  :func:`reduce_block`, the
-one place where a fleet's curves meet the drop thresholds, reduces a
-:class:`CurveBlock` (up to ``FLEET_BLOCK`` curves on one displacement grid:
-a ``bench.RampBlock``, or what ``fileio.read_curve_blocks`` reads from curve
-files; a :class:`LoadCurve` is a block of one) in any process, with the drop
-rule of :func:`detect_failures`.  :func:`fleet_summary` sums the reductions
-with the ring rule of :func:`classify_failures`.  A cycle log's record
-interval is its cycle spacing.
+only model knowledge used is the calibrated force-displacement law needed to
+translate budget forces into displacements.  :class:`CurveBlock` declares a
+curve's fields and rules once, and checks them wherever a block is made: a
+``bench.RampBlock``, what ``fileio.read_curve_blocks`` reads, or a
+:class:`LoadCurve`, the block of one with bridge offsets.
+:func:`reduce_block`, the one place where a fleet's curves meet the drop
+thresholds, reduces a block in any process, with the drop rule of
+:func:`detect_failures`.  :func:`fleet_summary` sums the reductions with the
+ring rule of :func:`classify_failures`.  A cycle log's record interval is
+its cycle spacing.
 """
 
 from __future__ import annotations
@@ -47,30 +48,35 @@ BUDGET_PROBABILITIES = (1e-6, 1e-5, 1e-4)  # ascending, as the budget table list
 STIFFNESS_WINDOW_UM = 20.0
 
 
-@dataclass
-class LoadCurve(Ruled):
-    """One static destructive test record.
+# Curves in one block: what fleet_block advances through one kernel call and
+# read_curve_blocks stacks from files.  Large enough to spread numpy's
+# per-call cost over many curves, small enough that a block's working
+# arrays stay a few MB and do not raise peak memory.
+FLEET_BLOCK = 128
 
-    Column arrays over the samples: displacement ``dz_um`` (nondecreasing),
-    force ``force_n`` (both finite) and the four bridge offsets ``voff_mv``
-    (n x 4, arm order A..D; NaN marks supply loss) with a per-sample
-    validity flag.
+
+@dataclass
+class CurveBlock(Ruled):
+    """Up to ``FLEET_BLOCK`` curves on one displacement grid, as
+    :func:`reduce_block` reduces them: displacement ``dz_um`` (n,),
+    nondecreasing and shared by every curve, and force ``force_n`` (both
+    finite) with a per-sample validity flag ``valid``, (m, n) with one row
+    per curve.  Its ``len`` is that of ``force_n``: a block's curves, and a
+    :class:`LoadCurve`'s samples.
     """
 
     side: str = field(metadata=SIDE)
     dz_um: np.ndarray
     force_n: np.ndarray
-    voff_mv: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self) -> None:
         super().__post_init__()
         self.dz_um = np.asarray(self.dz_um, dtype=float)
         self.force_n = np.asarray(self.force_n, dtype=float)
-        self.voff_mv = np.asarray(self.voff_mv, dtype=float)
         self.valid = np.asarray(self.valid, dtype=bool)
-        n = self.dz_um.size
-        if self.force_n.size != n or self.valid.size != n or self.voff_mv.shape != (n, 4):
+        if (self.dz_um.ndim != 1 or self.force_n.shape[-1:] != self.dz_um.shape
+                or self.valid.shape != self.force_n.shape):
             raise ValueError("curve arrays must agree in length")
         if not (np.isfinite(self.dz_um).all() and np.isfinite(self.force_n).all()):
             raise ValueError("curve displacements and forces must be finite")
@@ -78,7 +84,22 @@ class LoadCurve(Ruled):
             raise ValueError("displacement samples must be nondecreasing")
 
     def __len__(self) -> int:
-        return int(self.dz_um.size)
+        return len(self.force_n)
+
+
+@dataclass
+class LoadCurve(CurveBlock):
+    """One static destructive test record: a :class:`CurveBlock` of one,
+    with (n,) rows, plus the four bridge offsets ``voff_mv`` (n x 4, arm
+    order A..D; NaN marks supply loss)."""
+
+    voff_mv: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.voff_mv = np.asarray(self.voff_mv, dtype=float)
+        if self.force_n.ndim != 1 or self.voff_mv.shape != (len(self), 4):
+            raise ValueError("curve arrays must agree in length")
 
 
 @dataclass
@@ -190,15 +211,14 @@ def _drops(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The drop rule: force drops between consecutive samples, and which are failures.
 
-    ``force`` is (..., n) and ``dz`` (n,) or of the same shape.  The drop
-    from sample i to i+1 is a failure when it exceeds
-    max(drop_fraction * f_i, drop_floor_n) while the displacement is
-    increasing.
+    ``force`` is (..., n) and ``dz`` (n,).  The drop from sample i to i+1
+    is a failure when it exceeds max(drop_fraction * f_i, drop_floor_n)
+    while the displacement is increasing.
     """
     _check_value("drop_fraction", drop_fraction, NONNEGATIVE)
     _check_value("drop_floor_n", drop_floor_n, NONNEGATIVE)
     drop = force[..., :-1] - force[..., 1:]
-    hits = (dz[..., 1:] > dz[..., :-1]) & (
+    hits = (dz[1:] > dz[:-1]) & (
         drop > np.maximum(drop_fraction * force[..., :-1], drop_floor_n))
     return drop, hits
 
@@ -219,40 +239,17 @@ def detect_failures(
             for i, d in zip(np.flatnonzero(hits).tolist(), drop[hits].tolist())]
 
 
-# Curves in one block: what fleet_block advances through one kernel call and
-# read_curve_blocks stacks from files.  Large enough to spread numpy's
-# per-call cost over many curves, small enough that a block's working
-# arrays stay a few MB and do not raise peak memory.
-FLEET_BLOCK = 128
-
-
-@dataclass
-class CurveBlock:
-    """Up to ``FLEET_BLOCK`` curves on one displacement grid, as
-    :func:`reduce_block` reduces them: ``dz_um`` (n,), shared by every
-    curve, and ``force_n`` and ``valid`` (m, n), one row per curve."""
-
-    side: str
-    dz_um: np.ndarray
-    force_n: np.ndarray
-    valid: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.force_n)
-
-
 def first_failures(
-    block: CurveBlock | LoadCurve,
+    block: CurveBlock,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reduce a block of curves to its first failures, one entry per curve.
 
-    ``block`` is a :class:`CurveBlock`, or a :class:`LoadCurve` (a block
-    of one).  Returns the sample index of each curve's first failure
-    event, the force [N] and displacement [um] there (its
-    :func:`fracture_point`), and its number of events (those of
-    :func:`detect_failures`).  A curve without events has index -1 and NaN
+    A :class:`LoadCurve`'s (n,) rows are read as one curve.  Returns the
+    sample index of each curve's first failure event, the force [N] and
+    displacement [um] there (its :func:`fracture_point`), and its number
+    of events (those of :func:`detect_failures`).  A curve without events has index -1 and NaN
     force and displacement.
     """
     force = np.atleast_2d(block.force_n)
@@ -342,12 +339,11 @@ class BlockReduction:
 
 
 def reduce_block(
-    block: CurveBlock | LoadCurve,
+    block: CurveBlock,
     drop_fraction: float = DEFAULT_DROP_FRACTION,
     drop_floor_n: float = DEFAULT_DROP_FLOOR_N,
 ) -> BlockReduction:
-    """Reduce a block of curves, or a :class:`LoadCurve`, to what the fleet
-    summary keeps of it.
+    """Reduce a block of curves to what the fleet summary keeps of it.
 
     Each curve's values depend on that curve alone, so the reductions of a
     fleet do not depend on how it is cut into blocks, and they are small

@@ -7,8 +7,9 @@ randomness flows through a caller-supplied numpy generator, so every run
 is a pure function of its inputs and seed.
 
 Destructive ramps run in blocks: one array kernel turns (m, 8) strength
-and intact arrays into a :class:`RampBlock` (an ``analysis.CurveBlock``
-with its offset sources and ground truth), with no object per specimen.
+and intact arrays into a :class:`RampBlock` (an ``analysis.CurveBlock``,
+checked by the curve's rules as it is made, with its offset sources and
+ground truth), with no object per specimen.
 :func:`fleet_block` makes any block of a fleet on its own, seeding each
 specimen from the master seed and its index, so ``simulate-static`` makes
 and writes blocks on every usable CPU with the bytes of one process, and

@@ -88,23 +88,27 @@ class ConfigError(ForceBenchError):
     pass
 
 
-def load_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, an optional config file and flags; flags win.
+def _given_config(args: argparse.Namespace) -> dict:
+    """The config keys that an optional config file and flags set; flags win.
 
     A flag that sets a config key stores its value under that key's name.
     Each value is :func:`_cast` to its key's type, so the commands read and
     hash ``5.0`` and ``5`` for an integer alike; the reader refuses the rest."""
-    config = dict(CONFIG_DEFAULTS)
+    given = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        loaded = read_json_object(path)
-        unknown = set(loaded) - set(config)
+        given = read_json_object(path)
+        unknown = set(given) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
-    config.update((key, value) for key, value in vars(args).items()
-                  if key in config and value is not None)
-    return {key: _cast(key, value) for key, value in config.items()}
+    given.update((key, value) for key, value in vars(args).items()
+                 if key in CONFIG_DEFAULTS and value is not None)
+    return {key: _cast(key, value) for key, value in given.items()}
+
+
+def load_config(args: argparse.Namespace) -> dict:
+    """The defaults, overridden by :func:`_given_config`."""
+    return CONFIG_DEFAULTS | _given_config(args)
 
 
 def _cast(key: str, value):
@@ -340,12 +344,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """Summarise curve files, read and reduced in groups of ``FLEET_BLOCK``
     by :func:`_pooled`; the first failure in order is raised, so every
     output and error is that of one process."""
-    config = load_config(args)
+    given = _given_config(args)
+    config = CONFIG_DEFAULTS | given
     paths, manifest_side = _collect_curve_paths(args.inputs)
-    if args.side and manifest_side and args.side != manifest_side:
-        raise ConfigError(f"--side {args.side!r} disagrees with the manifest's load side"
+    if manifest_side and "side" in given and given["side"] != manifest_side:
+        source = "--side" if args.side else f"{args.config}: side"
+        raise ConfigError(f"{source} {given['side']!r} disagrees with the manifest's load side"
                           f" {manifest_side!r}")
-    side = manifest_side or config["side"]  # the flag, if given, is in the config
+    side = manifest_side or config["side"]  # a flag's or the file's, if given
     _check_value("side", side, SIDE)
     reduce_group = functools.partial(_reduce_curve_files, _reducer(config), side)
     groups = [paths[i:i + FLEET_BLOCK] for i in range(0, len(paths), FLEET_BLOCK)]

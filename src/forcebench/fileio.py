@@ -23,7 +23,8 @@ curve file are checked in one place, :func:`_read_curve_table`, for both
 curve readers: :func:`read_load_curve_csv` makes one ``LoadCurve``, and
 :func:`read_curve_blocks` reads many files into ``analysis.CurveBlock``s
 of up to ``FLEET_BLOCK`` curves on one displacement grid, keeping the grid
-and each curve's force and valid rows only.
+and each curve's force and valid rows only.  What either reader makes is
+checked again, side included, by the curve's rules in ``analysis``.
 """
 
 from __future__ import annotations

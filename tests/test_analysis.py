@@ -29,11 +29,11 @@ from forcebench import (
     sample_specimen,
 )
 from collections import Counter
-from types import SimpleNamespace
 
 from forcebench import errors
 from forcebench.analysis import (
     UNKNOWN,
+    CurveBlock,
     FailureEvent,
     FleetSummary,
     first_failures,
@@ -124,6 +124,37 @@ def test_load_curve_refuses_inconsistent_arrays(dz, force, voff, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         LoadCurve(side="front", dz_um=dz, force_n=force, voff_mv=voff,
                   valid=np.ones(len(dz), dtype=bool))
+
+
+def test_load_curve_refuses_rows_of_a_block():
+    dz = np.arange(3.0)
+    with pytest.raises(ValueError, match="^curve arrays must agree in length$"):
+        LoadCurve(side="front", dz_um=dz, force_n=dz[None], valid=np.ones((1, 3), dtype=bool),
+                  voff_mv=np.zeros((3, 4)))
+
+
+def replaced(array, index, value):
+    copy = array.copy()
+    copy[index] = value
+    return copy
+
+
+GRID, ROWS, FLAGS = np.arange(12.0), np.ones((3, 12)), np.ones((3, 12), dtype=bool)
+
+
+# Unrefused, a NaN row would reduce to a curve without events, and one flag
+# row would be broadcast over every curve.
+@pytest.mark.parametrize("side, dz, force, valid, message", [
+    ("back", GRID, replaced(ROWS, (1, 5), np.nan), FLAGS,
+     "curve displacements and forces must be finite"),
+    ("back", GRID, ROWS, FLAGS[0], "curve arrays must agree in length"),
+    ("back", np.tile(GRID, (3, 1)), ROWS, FLAGS, "curve arrays must agree in length"),
+    ("back", replaced(GRID, 7, 5.5), ROWS, FLAGS, "displacement samples must be nondecreasing"),
+    ("x", GRID, ROWS, FLAGS, r"side: expected one of \('front', 'back'\), got 'x'"),
+], ids=["nan_force_in_one_row", "one_valid_row", "grid_per_row", "decreasing", "side"])
+def test_curve_block_refuses_what_a_curve_refuses(side, dz, force, valid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CurveBlock(side, dz, force, valid)
 
 
 # ------------------------------------------------------------ failure detection
@@ -305,8 +336,7 @@ def curve_blocks(draw):
          drop_fraction=0.5, drop_floor_n=0.125)
 def test_block_reduction_matches_curve_by_curve_path(block, drop_fraction, drop_floor_n):
     side, dz, forces, valid = block
-    reduced = first_failures(SimpleNamespace(side=side, dz_um=dz, force_n=forces, valid=valid),
-                             drop_fraction, drop_floor_n)
+    reduced = first_failures(CurveBlock(side, dz, forces, valid), drop_fraction, drop_floor_n)
     first, force, disp, events = reduced
     rings = ring_events(events, valid.any(axis=-1), side)
     for r, row in enumerate(forces):
@@ -596,7 +626,7 @@ def test_curve_errors_raised_before_the_iterable_resumes(front_fleet_curves):
 
 def test_block_errors_keep_their_precedence(front_fleet_curves):
     # three failed curves as one block, then a short curve, then a back-side one
-    block = SimpleNamespace(
+    block = CurveBlock(
         side="front", dz_um=front_fleet_curves[0].dz_um,
         force_n=np.array([c.force_n for c in front_fleet_curves[:3]]),
         valid=np.array([c.valid for c in front_fleet_curves[:3]]))
@@ -628,7 +658,7 @@ def test_block_errors_keep_their_precedence(front_fleet_curves):
 
 def test_fleet_summary_passes_block_reductions_through(front_fleet_curves):
     # a 3-curve block plus 17 single curves sums like the 20 single curves
-    block = SimpleNamespace(
+    block = CurveBlock(
         side="front", dz_um=front_fleet_curves[0].dz_um,
         force_n=np.array([c.force_n for c in front_fleet_curves[:3]]),
         valid=np.array([c.valid for c in front_fleet_curves[:3]]))

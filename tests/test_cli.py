@@ -630,6 +630,32 @@ def test_analyze_refuses_a_side_flag_the_manifest_contradicts(fleet_dir, tmp_pat
         "error: --side 'back' disagrees with the manifest's load side 'front'")
 
 
+def test_analyze_refuses_a_config_side_the_manifest_contradicts(fleet_dir, tmp_path, capsys):
+    run_cli("analyze", str(fleet_dir))
+    plain = capsys.readouterr().out
+    agreeing, contradicting = tmp_path / "front.json", tmp_path / "back.json"
+    agreeing.write_text('{"side": "front"}')
+    contradicting.write_text('{"side": "back"}')
+    assert run_cli("analyze", str(fleet_dir), "--config", str(agreeing)) == 0
+    assert capsys.readouterr().out == plain
+    # the flag wins over the file, as for every key
+    assert run_cli("analyze", str(fleet_dir), "--config", str(contradicting),
+                   "--side", "front") == 0
+    assert capsys.readouterr().out == plain
+    fleet = tmp_path / "fleet"
+    fleet.mkdir()
+    copy_curves(fleet_dir, fleet, 20)
+    (fleet / "manifest.json").write_bytes((fleet_dir / "manifest.json").read_bytes())
+    # a curve that cannot be read shows that no curve is read first
+    (fleet / "specimen_000.csv").write_text("not a curve\n")
+    assert run_cli("analyze", str(fleet), "--config", str(contradicting),
+                   "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out").exists()
+    assert captured.err.startswith(
+        f"error: {contradicting}: side 'back' disagrees with the manifest's load side 'front'")
+
+
 @pytest.mark.parametrize("command, header", [
     ("analyze", "index,dz_um,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV,valid"),
     ("degradation", "cycle,force_N,voffA_mV,voffB_mV,voffC_mV,voffD_mV"),

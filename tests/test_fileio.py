@@ -631,6 +631,15 @@ def test_curve_blocks_split_where_the_grid_changes(tmp_path):
             assert np.array_equal(valid, curve.valid)
 
 
+def test_curve_blocks_refuse_a_side_as_the_first_block_is_made(tmp_path):
+    paths = [tmp_path / f"{k:03d}.csv" for k in range(3)]
+    for k, path in enumerate(paths):
+        write_fleet_curve(path, fleet_curve(12, 0.0, "fails", "some", k))
+    blocks = read_curve_blocks(paths, "x")
+    with pytest.raises(ValueError, match=r"^side: expected one of \('front', 'back'\), got 'x'$"):
+        next(blocks)
+
+
 @pytest.mark.parametrize("rows, message", [
     ("0,0,0,0,0,0,0,1\n1,1,inf,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
     ("0,nan,0,0,0,0,0,1\n", ": curve displacements and forces must be finite"),

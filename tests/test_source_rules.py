@@ -22,8 +22,8 @@ command starts without its import cost; it leaves out ``hashlib`` too,
 whose OpenSSL only ``fileio.config_hash`` needs.
 The block of curves that the fleet summary reduces is declared once, as
 ``analysis.CurveBlock``: ``fileio`` reads files into it without importing
-``bench``, and no other class declares its fields but ``LoadCurve``, the
-one curve that is a block of one.  The drop thresholds meet the curves
+``bench``, and no other class declares its fields: ``LoadCurve``, a block
+of one, declares only its offsets.  The drop thresholds meet the curves
 in ``analysis.reduce_block`` and the per-curve functions under it alone: no
 summary layer takes a threshold, so none can be passed to it and ignored.
 """
@@ -168,7 +168,7 @@ def test_the_curve_block_fields_are_declared_once():
                            node.name == "CurveBlock" or BLOCK_FIELDS <= {
                                getattr(field.target, "id", None) for field in node.body
                                if isinstance(field, ast.AnnAssign)}))
-    assert declaring == ["analysis.CurveBlock", "analysis.LoadCurve"], (
+    assert declaring == ["analysis.CurveBlock"], (
         "declare the block fields once, in analysis.CurveBlock, and extend it")
 
 
