@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +94,9 @@ def _given_config(args: argparse.Namespace) -> dict:
     Each value is :func:`_cast` to its key's type, so the commands read and
     hash ``5.0`` and ``5`` for an integer alike; the reader refuses the rest."""
     given = {}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
+        if not args.config:  # Path("") would be the current directory
+            raise ConfigError("--config expects a file name")
         path = Path(args.config)
         given = read_json_object(path)
         unknown = set(given) - set(CONFIG_DEFAULTS)
@@ -157,23 +158,10 @@ def _fit_payload(fit: WeibullFit | None) -> dict | None:
     return {"f0_n": fit.f0, "beta": fit.beta, "r": r}
 
 
-class _Fleet:
-    """A fleet's block reductions, made as they are iterated; ``len`` is the
-    fleet size, known up front (perfbench counts curves by it)."""
-
-    def __init__(self, reductions: Iterable[BlockReduction], count: int):
-        self.reductions, self.count = reductions, count
-
-    def __iter__(self):
-        return iter(self.reductions)
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def _fleet_payload(fleet: _Fleet, spec: SensorSpec) -> tuple[dict, str]:
-    """Summarise a fleet: its JSON payload and its table, to print once every file is written."""
-    summary = fleet_summary(fleet, spec)
+def _fleet_payload(reductions: list[BlockReduction], spec: SensorSpec) -> tuple[dict, str]:
+    """Summarise a fleet's block reductions: its JSON payload and its table,
+    to print once every file is written."""
+    summary = fleet_summary(reductions, spec)
     payload = dataclasses.asdict(summary) | {"weibull": _fit_payload(summary.fit)}
     del payload["fit"]
     if summary.fit is not None:
@@ -226,25 +214,24 @@ def _workers(tasks: int) -> int:
     return min(cpus or 1, tasks)
 
 
-def _pooled(task, args: Sequence) -> Iterator:
-    """The results of ``task(arg)`` for each of ``args``, in order.
+def _pooled(task, args: Sequence) -> list:
+    """The list of ``task(arg)`` for each of ``args``, in order.
 
     The tasks run in forked processes, one per usable CPU (in this process
     where one suffices), and ``Executor.map`` returns their results in
-    order.  At the first failure in order, or when this iterator is closed,
-    every task still waiting in the pool is cancelled.  The tasks already
-    handed to the processes still run: one per worker, and up to workers + 1
-    queued for them.  The failure is raised once every process has stopped.
+    order.  At the first failure in order, every task still waiting in the
+    pool is cancelled.  The tasks already handed to the processes still
+    run: one per worker, and up to workers + 1 queued for them.  The
+    failure is raised once every process has stopped.
     """
     workers = _workers(len(args))
     if workers < 2:
-        yield from map(task, args)
-        return
+        return list(map(task, args))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(task, args)
+        return list(pool.map(task, args))
 
 
 def _write_fleet_block(out: Path, params: FleetParams, protocol: StaticProtocol,
@@ -275,8 +262,7 @@ def cmd_simulate_static(args: argparse.Namespace) -> int:
     # hashed before the pool forks: hashing after it raised this process's peak memory
     record = manifest("static-fleet", seed, protocol, rig, config, files, fleet=params.count)
     write_block = functools.partial(_write_fleet_block, out, params, protocol, rig)
-    for _ in _pooled(write_block, range(0, params.count, FLEET_BLOCK)):
-        pass
+    _pooled(write_block, range(0, params.count, FLEET_BLOCK))
     write_manifest(out, record)
     print(f"wrote {len(files)} curves and manifest.json to {out}")
     return 0
@@ -346,6 +332,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     output and error is that of one process."""
     given = _given_config(args)
     config = CONFIG_DEFAULTS | given
+    out = None if args.out is None else _out_dir(args)
     paths, manifest_side = _collect_curve_paths(args.inputs)
     if manifest_side and "side" in given and given["side"] != manifest_side:
         source = "--side" if args.side else f"{args.config}: side"
@@ -355,10 +342,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _check_value("side", side, SIDE)
     reduce_group = functools.partial(_reduce_curve_files, _reducer(config), side)
     groups = [paths[i:i + FLEET_BLOCK] for i in range(0, len(paths), FLEET_BLOCK)]
-    reductions = itertools.chain.from_iterable(_pooled(reduce_group, groups))
-    payload, table = _fleet_payload(_Fleet(reductions, len(paths)), SensorSpec())
-    if getattr(args, "out", None):  # first, so that a failed write prints nothing
-        write_json(Path(args.out) / "analysis.json", payload)
+    reductions = [r for group in _pooled(reduce_group, groups) for r in group]
+    payload, table = _fleet_payload(reductions, SensorSpec())
+    if out is not None:  # first, so that a failed write prints nothing
+        write_json(out / "analysis.json", payload)
         print(table)
     else:
         print(table, json_text(payload), sep="\n")
@@ -366,9 +353,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_weibull(args: argparse.Namespace) -> int:
-    if args.params and args.input:
+    if args.params is not None and args.input:
         raise ConfigError("provide an input CSV or --params f0,beta, not both")
-    if args.params:
+    if args.params is not None:
         try:
             f0, beta = (float(tok) for tok in args.params.split(","))
         except ValueError as exc:
@@ -379,7 +366,7 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("provide an input CSV or --params f0,beta")
     payload = {"fit": _fit_payload(fit)}
-    if args.invert:
+    if args.invert is not None:
         try:
             probabilities = [float(tok) for tok in args.invert.split(",")]
         except ValueError as exc:
@@ -394,11 +381,12 @@ def cmd_fit_weibull(args: argparse.Namespace) -> int:
 
 def cmd_degradation(args: argparse.Namespace) -> int:
     config = load_config(args)
+    out = None if args.out is None else _out_dir(args)
     log = read_cycle_log_csv(Path(args.input))
     report = degradation_report(log, sigma_multiple=config["sigma_multiple"])
     payload = dataclasses.asdict(report)
-    if getattr(args, "out", None):  # first, so that a failed write prints nothing
-        write_json(Path(args.out) / "degradation.json", payload)
+    if out is not None:  # first, so that a failed write prints nothing
+        write_json(out / "degradation.json", payload)
     print(json_text(payload))
     return 0
 
@@ -417,9 +405,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         side_config = dict(config, side=side, seed=int(side_seed))
         params = _from_config(FleetParams, side_config)
         protocol = _from_config(StaticProtocol, side_config)
-        # each block is made, reduced and dropped in turn
-        reductions = map(reduce, fleet_blocks(params, spec, protocol, rig))
-        sides_payload[side], table = _fleet_payload(_Fleet(reductions, params.count), spec)
+        # each block is made, reduced and dropped in turn; only its reduction is kept
+        reductions = list(map(reduce, fleet_blocks(params, spec, protocol, rig)))
+        sides_payload[side], table = _fleet_payload(reductions, spec)
         tables.append(table)
     dyn_protocol = _from_config(DynamicProtocol, dict(config, side="front"))
     log = cycle_log(_from_config(FleetParams, config), spec, dyn_protocol, rig,

@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .analysis import FLEET_BLOCK, CurveBlock, CycleLog, LoadCurve
 from .errors import DataFormatError
-from .sensor import ARMS
+from .sensor import ARMS, SIDE, _check_value
 
 # The line breaks of str.splitlines other than "\n" (_read_text has turned
 # "\r\n" and "\r" into "\n"): numpy's parser does not end a line at them.
@@ -305,11 +305,13 @@ def read_load_curve_csv(path: Path, side: str) -> LoadCurve:
 def read_curve_blocks(paths: Iterable[Path], side: str) -> Iterator[CurveBlock]:
     """Read static-test CSVs in order as blocks of up to ``FLEET_BLOCK`` curves.
 
-    Each file is checked as :func:`read_load_curve_csv` checks it, and its
-    error is raised when the file is reached.  A block keeps one grid and
-    each curve's force and valid rows, not its table; a new block starts
-    wherever a curve's displacements differ from the block's, bit for bit.
+    A bad ``side`` is refused before any file is read; each file is checked
+    as :func:`read_load_curve_csv` checks it when it is reached.  A block
+    keeps one grid and each curve's force and valid rows, not its table; a
+    new block starts wherever a curve's displacements differ from the
+    block's, bit for bit.
     """
+    _check_value("side", side, SIDE)
     grid, count = None, 0  # the block's displacements as bytes, and its curves
     for path in paths:
         table = _read_curve_table(path)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from forcebench.analysis import LoadCurve
+from forcebench.analysis import BlockReduction, LoadCurve
 from forcebench.bench import (
     FLEET_BLOCK,
     DynamicProtocol,
@@ -128,7 +128,8 @@ def _pid_and(arg):
 def test_pooled_results_come_in_order_from_forked_processes(monkeypatch, workers):
     # no pool where one process suffices
     monkeypatch.setattr(cli, "_workers", lambda tasks: workers)
-    results = list(cli._pooled(_pid_and, range(5)))
+    results = cli._pooled(_pid_and, range(5))
+    assert type(results) is list
     assert [arg for _, arg in results] == list(range(5))
     assert ({pid for pid, _ in results} == {os.getpid()}) == (workers == 1)
     assert not multiprocessing.active_children()
@@ -144,28 +145,18 @@ def _mark(directory, arg):
     return arg
 
 
-def test_pooled_starts_few_tasks_after_a_failure_or_a_close(tmp_path, monkeypatch):
+def test_pooled_starts_few_tasks_after_a_failure(tmp_path, monkeypatch):
     # the tasks still waiting in the pool are cancelled, and every process has
     # stopped.  The tasks handed to the processes still run: the one each
-    # worker runs and the workers + 1 queued for them.  So the failing run
-    # leaves 1 + workers + (workers + 1) = 6 markers, the closed one, which
-    # read two results, 2 + workers + (workers + 1) = 7; the bound of
-    # 4 * workers = 8 leaves one for a task handed over as the close is made.
+    # worker runs and the workers + 1 queued for them.  So the run leaves
+    # 1 + workers + (workers + 1) = 6 markers; the bound is 4 * workers = 8.
     workers = 2
     monkeypatch.setattr(cli, "_workers", lambda tasks: workers)
-    failing, closed = tmp_path / "failing", tmp_path / "closed"
-    for ran in (failing, closed):
-        ran.mkdir()
     with pytest.raises(ValueError, match="^task 0 fails$"):
-        list(cli._pooled(functools.partial(_mark, failing), range(200)))
+        cli._pooled(functools.partial(_mark, tmp_path), range(200))
     assert not multiprocessing.active_children()
-    results = cli._pooled(functools.partial(_mark, closed), range(1, 201))
-    assert [next(results), next(results)] == [1, 2]
-    results.close()
-    assert not multiprocessing.active_children()
-    assert "0" in {p.name for p in failing.iterdir()}
-    assert len(list(failing.iterdir())) <= 4 * workers
-    assert len(list(closed.iterdir())) <= 4 * workers
+    assert "0" in {p.name for p in tmp_path.iterdir()}
+    assert len(list(tmp_path.iterdir())) <= 4 * workers
 
 
 def test_simulate_static_requires_seed(tmp_path):
@@ -199,6 +190,33 @@ def test_output_directory_is_required_before_the_config_is_cast(tmp_path, capsys
     for command in ("simulate-static", "simulate-dynamic", "report"):
         assert run_cli(command, "--seed", "1", "--config", str(config)) == 2
         assert "an output directory is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit-weibull", "{forces}", "--params", ""],
+     "provide an input CSV or --params f0,beta, not both"),
+    (["fit-weibull", "--params", ""], "--params expects 'f0,beta'"),
+    (["fit-weibull", "{forces}", "--invert", ""],
+     "--invert expects comma-separated probabilities"),
+    (["simulate-static", "--seed", "1", "--fleet", "3", "--config", "", "--out", "{new}"],
+     "--config expects a file name"),
+    (["analyze", "{fleet}", "--out", ""], "an output directory is required (--out)"),
+    (["degradation", "{log}", "--out", ""], "an output directory is required (--out)"),
+], ids=["params_with_input", "params", "invert", "config", "analyze_out", "degradation_out"])
+def test_an_empty_option_value_is_refused(fleet_dir, tmp_path, monkeypatch, capsys,
+                                          argv, message):
+    # an empty value is neither ignored nor taken for the current directory
+    forces = tmp_path / "forces.csv"
+    forces.write_text("1.0\n1.5\n2.0\n")
+    assert run_cli("simulate-dynamic", "--seed", "5", "--out", str(tmp_path / "dyn")) == 0
+    inputs = {"forces": forces, "new": tmp_path / "new", "fleet": fleet_dir,
+              "log": tmp_path / "dyn" / "cycles.csv"}
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
+    files = sorted([*tmp_path.rglob("*"), *fleet_dir.rglob("*")])
+    capsys.readouterr()
+    assert run_cli(*(arg.format(**inputs) for arg in argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted([*tmp_path.rglob("*"), *fleet_dir.rglob("*")]) == files
 
 
 def test_drop_floor_below_the_noise_is_named(tmp_path, capsys):
@@ -1103,16 +1121,17 @@ def test_report_memory_does_not_grow_with_the_fleet(tmp_path, capsys):
     assert peaks[2] < 1.5 * peaks[1], peaks
 
 
-def test_fleet_summary_is_given_a_fleet_whose_len_is_its_curve_count(tmp_path, monkeypatch):
-    # perfbench counts the curves a fleet summary reduces by len() of its first
-    # argument; here fleets of two blocks, read by analyze and made by report
+def test_fleet_summary_is_given_a_list_of_every_curves_reduction(tmp_path, monkeypatch):
+    # fleets of two blocks, read by analyze and made by report, are summarised
+    # from a list of their block reductions, which holds every curve once
     counts = []
     summary = cli.fleet_summary
 
-    def counting(curves, *args, **kwargs):
-        blocks = list(curves)
-        counts.append((len(curves), sum(len(block) for block in blocks)))
-        return summary(blocks, *args, **kwargs)
+    def counting(reductions, *args, **kwargs):
+        assert type(reductions) is list
+        assert all(type(r) is BlockReduction for r in reductions)
+        counts.append(sum(len(r) for r in reductions))
+        return summary(reductions, *args, **kwargs)
 
     monkeypatch.setattr(cli, "fleet_summary", counting)
     fleet, count = tmp_path / "fleet", FLEET_BLOCK + 1
@@ -1121,7 +1140,7 @@ def test_fleet_summary_is_given_a_fleet_whose_len_is_its_curve_count(tmp_path, m
     assert run_cli("analyze", str(fleet)) == 0
     assert run_cli("report", "--seed", "3", "--fleet", str(count),
                    "--out", str(tmp_path / "report")) == 0
-    assert counts == [(count, count)] * 3
+    assert counts == [count] * 3
 
 
 def assert_equal_within_rounding(got, want, where):

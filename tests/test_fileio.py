@@ -640,6 +640,18 @@ def test_curve_blocks_refuse_a_side_as_the_first_block_is_made(tmp_path):
         next(blocks)
 
 
+def test_curve_blocks_refuse_a_side_before_any_file_is_read(tmp_path):
+    # the headerless file would be refused when reached, after three good ones
+    paths = [tmp_path / f"{k:03d}.csv" for k in range(3)]
+    for k, path in enumerate(paths):
+        write_fleet_curve(path, fleet_curve(12, 0.0, "fails", "some", k))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,0,0,0,0,0,0,1\n")
+    blocks = read_curve_blocks([*paths, bad], "x")
+    with pytest.raises(ValueError, match=r"^side: expected one of \('front', 'back'\), got 'x'$"):
+        next(blocks)
+
+
 @pytest.mark.parametrize("rows, message", [
     ("0,0,0,0,0,0,0,1\n1,1,inf,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
     ("0,nan,0,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
