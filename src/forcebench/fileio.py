@@ -17,7 +17,9 @@ writes into and renames a temp file, so output files are atomic and no
 directory is made before a file; a failed write removes its temp file.
 :func:`config_hash` alone imports ``hashlib``, whose OpenSSL costs a
 command that makes no hash about 3.5 MB resident and 4 ms of start-up.
-Every file is read as UTF-8 text by :func:`_read_text`.  Error messages
+Every file is read as UTF-8 text by :func:`_read_text` (but a force file
+that numpy parses from its path, which is scanned in chunks for its first
+line and its line breaks, and never held whole).  Error messages
 name the file and its physical line, blank lines counted.  The rules of a
 curve file are checked in one place, :func:`_read_curve_table`, for both
 curve readers: :func:`read_load_curve_csv` makes one ``LoadCurve``, and
@@ -45,9 +47,10 @@ from .analysis import FLEET_BLOCK, CurveBlock, CycleLog, LoadCurve
 from .errors import DataFormatError
 from .sensor import ARMS, SIDE, _check_value
 
-# The line breaks of str.splitlines other than "\n" (_read_text has turned
-# "\r\n" and "\r" into "\n"): numpy's parser does not end a line at them.
+# The line breaks of str.splitlines other than "\n" (reading in text mode
+# turns "\r\n" and "\r" into "\n"): numpy's parser does not end a line at them.
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SCAN_CHUNK = 1 << 16  # characters that read_force_column_csv scans at a time
 # numpy opens a file path with one of these suffixes as a compressed archive.
 _ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -355,30 +358,37 @@ def read_force_column_csv(path: Path) -> np.ndarray:
     Only the first field of a line counts, and lines where it is empty are
     skipped.  A first line whose first field is not a number is the header.
     """
-    text = _read_text(path)
-    end = text.find("\n") if "\n" in text else len(text)  # the first line's end
-    head = text[:end].splitlines()[:1]  # the first line as splitlines ends it
+    top, chars, newlines, other_break = [], 0, 0, False  # top: the text before the first "\n"
+    try:
+        with open(path, encoding="utf-8") as file:  # newlines decoded as read_text does
+            for chunk in iter(functools.partial(file.read, _SCAN_CHUNK), ""):
+                if not newlines:
+                    top.append(chunk.partition("\n")[0])
+                chars, newlines = chars + len(chunk), newlines + chunk.count("\n")
+                other_break = other_break or any(sep in chunk for sep in _OTHER_LINE_BREAKS)
+    except UnicodeDecodeError:
+        _read_text(path)  # raises, naming the byte's place in the whole file
+        raise
+    top = "".join(top)
+    head = top.splitlines()[:1]  # the first line as splitlines ends it
     first = head[0].split(",", 1)[0].strip() if head else ""
     start = 1 if first and _rejects([first]) else 0
     if (
         # some line after the header is not empty: more characters than "\n"s
-        len(text) - (end if start else 0) > text.count("\n")
-        and not any(sep in text for sep in _OTHER_LINE_BREAKS)
+        chars - (len(top) if start else 0) > newlines
+        and not other_break
         and path.suffix not in _ARCHIVE_SUFFIXES
     ):
         # fast path: numpy reads the file in chunks, skips empty lines and
         # reads the first field only; it ends lines where splitlines does.
-        # It reads the file again on purpose: numpy parses a path about twice
-        # as fast as the text already read (1M forces on a 2-core Xeon, numpy
-        # 2.4: 0.08 s, against 0.15 s through io.StringIO or a list of lines).
-        # The text is dropped first, so that it is not held during the parse
-        # (12 MB for 1M forces); the fallback reads it again.
-        del text
+        # numpy parses a path about twice as fast as text already read (1M
+        # forces on a 2-core Xeon, numpy 2.4: 0.08 s, against 0.15 s through
+        # io.StringIO or a list of lines), and no text of the file is held.
         try:
             return _loadtxt(path, usecols=0, skiprows=start).ravel()
         except ValueError:  # a line whose first field is empty or not a number
-            text = _read_text(path)
-    rows = text.splitlines()[start:]
+            pass
+    rows = _read_text(path).splitlines()[start:]
     numbered = [(n, token) for n, token in enumerate(
         (line.split(",", 1)[0].strip() for line in rows), start + 1) if token]
     if not numbered:

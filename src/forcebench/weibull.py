@@ -5,11 +5,11 @@ law p(F) = 1 - exp(-(F/F0)^beta), its inversion for failure-probability
 budgets, the R goodness-of-fit statistic and the distribution moments.
 The law is computed one way, by :func:`_cdf_of`; a value that breaks its
 declared rule (see ``sensor``) raises a ``ValueError`` that names it.
-:func:`fit_weibull` holds at most two float arrays of its input's length
-besides the input: it makes its temporaries in place, takes the logarithms
-in the sorted loads' buffer and sorts the input again for the CDF, makes
-the median ranks again for R rather than keep them, and computes R in the
-buffers of those ranks and of the CDF.
+:func:`fit_weibull` holds one sorted copy of its input and nothing else of
+its length: it makes the logarithms, the median ranks, the regression's
+products and the CDF one leaf of at most ``_SUM_LEAF`` loads at a time, and
+adds the leaves up in numpy's own pairwise order, so every sum has the bits
+of ``np.sum`` over the whole array.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .sensor import (AT_MOST_ONE, NONNEGATIVE, POSITIVE, POSITIVE_INT, PROBABILI
 # here against 32 MB for a whole 1M-force list; at 1M loads, 2^13 and 2^16
 # take the same time.
 _CDF_CHUNK = 1 << 13
+# Values that _pairwise_sum makes and sums at a time, at least 128.  A leaf's
+# arrays stay under malloc's 128 kB mmap threshold: at 2^16 each was mapped and
+# faulted in anew, and a fit of 1M loads in a fresh process took 20 % longer.
+_SUM_LEAF = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,12 @@ def median_ranks(n: int) -> np.ndarray:
     (0, 1), and symmetric: p_i + p_{n+1-i} = 1.
     """
     _check_value("n", n, POSITIVE_INT)
-    p = np.arange(1, n + 1, dtype=float)
+    return _ranks(n, 0, n)
+
+
+def _ranks(n: int, lo: int, hi: int) -> np.ndarray:
+    """Median ranks lo+1 .. hi of ``n``: a slice of :func:`median_ranks`, bit for bit."""
+    p = np.arange(lo + 1, hi + 1, dtype=float)
     p -= 0.3
     p /= n + 0.4
     return p
@@ -87,21 +96,29 @@ def r_parameter(y: Sequence[float], y_prime: Sequence[float]) -> float:
     ``y_prime`` the probabilities from the fitted law.  R is 1 exactly
     when y == y' elementwise.
     """
-    ya = np.array(y, dtype=float)  # copies: _r_of works in their buffers
-    yp = np.array(y_prime, dtype=float)
+    ya, yp = np.asarray(y, dtype=float), np.asarray(y_prime, dtype=float)
     if ya.shape != yp.shape or ya.ndim != 1 or ya.size < 1:
         raise ValueError("y and y_prime must be equal-length 1-d sequences")
-    return _r_of(ya, yp)
+    return _r_of(float(np.sum(np.square(ya))), float(np.sum(np.square(ya - yp))))
 
 
-def _r_of(y: np.ndarray, y_prime: np.ndarray) -> float:
-    """R of :func:`r_parameter`, computed in place: ``y_prime`` ends as
-    y - y' squared, ``y`` as y squared."""
-    np.subtract(y, y_prime, out=y_prime)
-    ss = float(np.sum(np.square(y, out=y)))
+def _r_of(ss: float, residual_ss: float) -> float:
+    """R of :func:`r_parameter` from the sums of y^2 and of (y - y')^2."""
     if ss == 0.0:
         raise DegenerateDataError("sum of squared reference values is zero")
-    return (ss - float(np.sum(np.square(y_prime, out=y_prime)))) / ss
+    return (ss - residual_ss) / ss
+
+
+def _pairwise_sum(term, lo: int, hi: int) -> float:
+    """``np.sum`` of the array ``term(lo, hi)``, bit for bit, made and summed in
+    leaves of at most ``_SUM_LEAF`` values.  numpy splits more than 128 values
+    at half their count, rounded down to a multiple of 8, and adds the halves'
+    sums; so does this, down to leaves that are nodes of numpy's tree."""
+    if hi - lo <= _SUM_LEAF:
+        return float(np.sum(term(lo, hi)))
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return _pairwise_sum(term, lo, mid) + _pairwise_sum(term, mid, hi)
 
 
 def fit_weibull(forces: Sequence[float]) -> WeibullFit:
@@ -113,37 +130,37 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
     and f0 = exp(-intercept/beta).  The reported r compares the empirical
     ranks with the fitted CDF :func:`_cdf_of` on the probability scale.
     """
-    f = np.asarray(forces, dtype=float)
-    if f.ndim != 1 or f.size < 3:
+    loads = np.array(forces, dtype=float)  # the one copy, sorted in place
+    if loads.ndim != 1 or loads.size < 3:
         raise InsufficientDataError("need at least three fracture loads to fit")
-    if np.any(~np.isfinite(f)) or np.any(f <= 0):
+    loads.sort()  # NaN sorts last
+    n = loads.size
+    if not (loads[0] > 0 and loads[-1] < math.inf):
         raise ValueError("fracture loads must be finite and positive")
-    x = np.sort(f)
-    if x[0] == x[-1]:
+    if loads[0] == loads[-1]:
         raise DegenerateDataError("all fracture loads are equal; no spread to fit")
-
-    # The regression's temporaries are made in place: the same ufuncs in the
-    # same order as out of place, so the same bits, in less memory.
-    np.log(x, out=x)  # ln of the sorted loads, which are sorted again for the CDF
-    if x[0] == x[-1]:  # distinct loads whose logarithms round to one value
+    if np.log(loads[0]) == np.log(loads[-1]):  # distinct loads, logarithms rounded to one
         raise DegenerateDataError("all fracture loads have equal logarithms; no spread to fit")
-    y = median_ranks(f.size)
-    np.negative(y, out=y)
-    np.log(np.negative(np.log1p(y, out=y), out=y), out=y)  # ln(-ln(1 - p))
-    x_mean, y_mean = x.mean(), y.mean()
-    x -= x_mean
-    y -= y_mean
-    y *= x  # (x - x_mean) * (y - y_mean)
-    sxx = float(np.sum(np.square(x, out=x)))
-    sxy = float(np.sum(y))
-    del x, y  # the loads sorted again and their CDF take their place in memory
+
+    # A leaf's values have the bits of the whole-array regression's: the same ufuncs in order.
+    def x(lo, hi, mean=0.0):  # ln of the sorted loads, less mean (less 0 is no change)
+        return np.log(loads[lo:hi]) - mean
+
+    def y(lo, hi, mean=0.0):  # ln(-ln(1 - p)), less mean
+        return np.log(-np.log1p(-_ranks(n, lo, hi))) - mean
+
+    x_mean, y_mean = _pairwise_sum(x, 0, n) / n, _pairwise_sum(y, 0, n) / n
+    sxx = _pairwise_sum(lambda lo, hi: np.square(x(lo, hi, x_mean)), 0, n)
+    sxy = _pairwise_sum(lambda lo, hi: x(lo, hi, x_mean) * y(lo, hi, y_mean), 0, n)
     beta = sxy / sxx
     intercept = y_mean - beta * x_mean
     f0 = math.exp(-intercept / beta)
 
     WeibullFit(f0=f0, beta=beta)  # rejects a non-finite or non-positive fit
-    cdf = _cdf_of(np.sort(f), f0, beta)  # the sorted copy is freed on return
-    return WeibullFit(f0=f0, beta=beta, r=_r_of(median_ranks(f.size), cdf))
+    ss = _pairwise_sum(lambda lo, hi: np.square(_ranks(n, lo, hi)), 0, n)
+    residual_ss = _pairwise_sum(lambda lo, hi: np.square(
+        _ranks(n, lo, hi) - _cdf_of(loads[lo:hi], f0, beta)), 0, n)
+    return WeibullFit(f0=f0, beta=beta, r=_r_of(ss, residual_ss))
 
 
 def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:

@@ -484,19 +484,13 @@ def test_force_file_edges(tmp_path, text, expected):
         assert read_force_column_csv(path).tolist() == expected
 
 
-def test_force_file_text_is_not_held_while_numpy_parses_it(tmp_path, monkeypatch):
-    # from the parse on, the peak is numpy's: its chunks and the forces, about
-    # 1.24 arrays of n; the text of 1M such lines would add 1.5 arrays more
+def test_force_file_text_is_not_held_while_numpy_parses_it(tmp_path):
+    # the whole call: the scan holds one chunk of text, and numpy its chunks
+    # and the forces, about 1.23 arrays of n; the text of 1M such lines would
+    # add 1.5 arrays more, and Path.read_text's bytes as much again
     n = 1_000_000
     path = tmp_path / "forces.csv"
     path.write_text("force_N\n" + "1.234567891\n" * n)
-    parse = fileio._loadtxt
-
-    def peak_from_the_parse_on(*args, **kwargs):
-        tracemalloc.reset_peak()
-        return parse(*args, **kwargs)
-
-    monkeypatch.setattr(fileio, "_loadtxt", peak_from_the_parse_on)
     tracemalloc.start()
     try:
         forces = read_force_column_csv(path)
@@ -504,26 +498,94 @@ def test_force_file_text_is_not_held_while_numpy_parses_it(tmp_path, monkeypatch
     finally:
         tracemalloc.stop()
     assert forces.shape == (n,) and np.all(forces == 1.234567891)
-    assert peak <= 1.75 * 8 * n, f"{peak / (8 * n):.2f} arrays of n"
+    assert peak <= 1.5 * 8 * n, f"{peak / (8 * n):.2f} arrays of n"
 
 
-@pytest.mark.parametrize("line, expected, reads", [
-    ("3.5", [1.5, 1.5, 1.5, 3.5, 2.5, 2.5], 1),  # numpy's parse of the path
-    (",skipped", [1.5, 1.5, 1.5, 2.5, 2.5], 2),  # empty first field: the text again
-    ("  abc ,1", "forces.csv:5: not a number: 'abc'", 2),
-    ("1.5\x0c", [1.5, 1.5, 1.5, 1.5, 2.5, 2.5], 1),  # a line break numpy does not end
+def count_reads(monkeypatch):
+    """Two lists that the force reader's calls fill: the paths that
+    ``_read_text`` reads whole, and those that numpy parses from the path."""
+    read_text, parse, texts, parses = fileio._read_text, fileio._loadtxt, [], []
+
+    def counted_parse(rows, *args, **kwargs):
+        if not isinstance(rows, list):
+            parses.append(rows)
+        return parse(rows, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_read_text", lambda p: texts.append(p) or read_text(p))
+    monkeypatch.setattr(fileio, "_loadtxt", counted_parse)
+    return texts, parses
+
+
+@pytest.mark.parametrize("line, expected, reads, parses", [
+    ("3.5", [1.5, 1.5, 1.5, 3.5, 2.5, 2.5], 0, 1),  # numpy's parse of the path alone
+    (",skipped", [1.5, 1.5, 1.5, 2.5, 2.5], 1, 1),  # empty first field: then the text
+    ("  abc ,1", "forces.csv:5: not a number: 'abc'", 1, 1),
+    ("1.5\x0c", [1.5, 1.5, 1.5, 1.5, 2.5, 2.5], 1, 0),  # a line break numpy does not end
 ], ids=["fast", "empty-field", "bad-token", "other-line-break"])
-def test_force_file_fallback_reads_the_text_again(tmp_path, monkeypatch, line, expected, reads):
+def test_force_file_fallback_reads_the_text_again(tmp_path, monkeypatch, line, expected, reads,
+                                                  parses):
+    # the fast path reads no whole text; each fallback reads it once
     path = tmp_path / "forces.csv"
     path.write_text("\n".join(["force_N", "1.5", "1.5", "1.5", line, "2.5", "2.5"]) + "\n")
-    read_text, texts = fileio._read_text, []
-    monkeypatch.setattr(fileio, "_read_text", lambda p: texts.append(p) or read_text(p))
+    texts, paths = count_reads(monkeypatch)
     if isinstance(expected, str):
         with pytest.raises(DataFormatError, match=re.escape(expected) + "$"):
             read_force_column_csv(path)
     else:
         assert read_force_column_csv(path).tolist() == expected
     assert texts == [path] * reads
+    assert paths == [path] * parses
+
+
+# The force reader scans a file's text in chunks of _SCAN_CHUNK characters;
+# with small chunks, every file reads as it does in one.
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("text, expected", list(FORCE_FILES.items()),
+                         ids=[repr(text) for text in FORCE_FILES])
+def test_force_file_edges_in_small_chunks(tmp_path, monkeypatch, text, expected, chunk):
+    monkeypatch.setattr(fileio, "_SCAN_CHUNK", chunk)
+    test_force_file_edges(tmp_path, text, expected)
+
+
+def test_force_file_not_utf8_after_the_first_chunk_names_the_byte_in_the_file(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_SCAN_CHUNK", 4)
+    data = b"force_N\n" + b"1.5\n" * 3000 + b"\xff\n"  # past the decoder's first 8 kB
+    path = tmp_path / "forces.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert "position 12008" in str(whole.value)
+    with pytest.raises(DataFormatError, match="^" + re.escape(
+            f"{path}: not UTF-8 text: {whole.value}") + "$"):
+        read_force_column_csv(path)
+
+
+@pytest.mark.parametrize("pad", range(5))
+def test_force_file_crlf_across_a_decoder_chunk(tmp_path, monkeypatch, pad):
+    # one of the pads puts a "\r" on the last byte of the decoder's first
+    # 8192 and its "\n" on the next
+    monkeypatch.setattr(fileio, "_SCAN_CHUNK", 3)
+    text = "force_N" + "," * pad + "\r\n" + "1.5\r\n" * 2000
+    path = tmp_path / "forces.csv"
+    path.write_bytes(text.encode())
+    texts, paths = count_reads(monkeypatch)
+    assert read_force_column_csv(path).tolist() == [1.5] * 2000
+    assert (texts, paths) == ([], [path])
+
+
+def test_force_file_other_line_break_in_a_later_chunk_takes_the_fallback(tmp_path, monkeypatch):
+    # numpy would parse this file to [1.5, 2.5]: it ends no line at "\x0c"
+    monkeypatch.setattr(fileio, "_SCAN_CHUNK", 4)
+    path = tmp_path / "forces.csv"
+    path.write_text("force_N\n1.5\n" + "\n" * 40 + "2.5,\x0cabc\n")
+    texts, paths = count_reads(monkeypatch)
+    with pytest.raises(DataFormatError, match=re.escape("forces.csv:44: not a number: 'abc'")
+                       + "$"):
+        read_force_column_csv(path)
+    assert (texts, paths) == ([path], [])
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,10 +3,12 @@ each other, checked on their source.
 
 Every file is read as text by ``fileio._read_text``, which refuses bytes
 that are not UTF-8 by the file's name; a second ``.read_text(`` would read
-past that check.  Every file is written by ``fileio.atomic_write_text``,
-which makes the directory it writes into, so a command refused before its
-first write leaves no output directory, whichever layer refuses it; a second
-``.mkdir(``, ``.write_text(`` or ``os.replace`` would make one outside it.
+past that check.  The one ``open(`` is the force reader's scan, which hands
+a byte that is not UTF-8 to ``_read_text``.  Every file is written by
+``fileio.atomic_write_text``, which makes the directory it writes into, so
+a command refused before its first write leaves no output directory,
+whichever layer refuses it; a second ``.mkdir(``, ``.write_text(`` or
+``os.replace`` would make one outside it.
 JSON is read by handlers that catch ``ValueError``: a
 ``json.JSONDecodeError`` handler alone lets through the ``ValueError`` of an
 integer too long to convert, which then names no file.  A caught exception
@@ -63,6 +65,10 @@ def test_only_read_text_reads_file_text():
     assert readers == ["fileio._read_text"], (
         f"{', '.join(r for r in readers if r != 'fileio._read_text')} call .read_text("
         "; read a file's text with fileio._read_text")
+    openers = sorted({scope for scope, node in nodes_by_function()
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"})
+    assert openers == ["fileio.read_force_column_csv"], (
+        f"{', '.join(openers)} call open(; read a file's text with fileio._read_text")
 
 
 def test_only_atomic_write_text_writes_files_and_makes_directories():

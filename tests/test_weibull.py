@@ -1,8 +1,11 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcebench import (
     DegenerateDataError,
@@ -15,7 +18,8 @@ from forcebench import (
     weibull_cdf,
     weibull_mean_std,
 )
-from forcebench.weibull import _CDF_CHUNK, _cdf_of
+from forcebench import weibull
+from forcebench.weibull import _CDF_CHUNK, _cdf_of, _pairwise_sum
 
 FRONT = WeibullFit(f0=1.22, beta=10.69)
 BACK = WeibullFit(f0=0.77, beta=7.21)
@@ -291,9 +295,9 @@ def test_fit_consistency_over_seeds():
     assert np.median(scales) == pytest.approx(1.22, rel=0.01)
 
 
-def test_fit_holds_at_most_two_arrays_besides_its_input():
-    # at 1M loads the fit's float arrays of n, not its fixed costs, set its
-    # peak; the rest is _cdf_of's chunk, about 0.04 of an array here
+def test_fit_holds_one_array_besides_its_input():
+    # at 1M loads the sorted copy sets the fit's peak; the rest is a few
+    # leaves of _SUM_LEAF values and _cdf_of's chunk, about 0.08 of an array
     n = 1_000_000
     forces = 1.22 * np.random.default_rng(14).weibull(10.69, size=n)
     tracemalloc.start()
@@ -302,7 +306,7 @@ def test_fit_holds_at_most_two_arrays_besides_its_input():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 8 * n, f"{peak / (8 * n):.2f} arrays of n"
+    assert peak <= 1.25 * 8 * n, f"{peak / (8 * n):.2f} arrays of n"
 
 
 def _fit_out_of_place(forces) -> tuple[float, float, float]:
@@ -338,6 +342,37 @@ def test_fit_equals_the_out_of_place_fit_bit_for_bit(sample):
     assert fit.r == r_parameter(ranks, cdf)
     assert np.array_equal(forces, given)
     assert np.array_equal(ranks, ranks_given) and np.array_equal(cdf, cdf_given)
+
+
+@pytest.mark.parametrize("sample", list(FIT_SAMPLES), ids=list(FIT_SAMPLES))
+def test_fit_in_leaves_of_128_equals_the_out_of_place_fit_bit_for_bit(monkeypatch, sample):
+    monkeypatch.setattr(weibull, "_SUM_LEAF", 128)  # small samples cross many leaves
+    forces = FIT_SAMPLES[sample](np.random.default_rng(33))
+    fit = fit_weibull(forces)
+    assert (fit.f0, fit.beta, fit.r) == _fit_out_of_place(forces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eighths=st.integers(0, 37_499), rest=st.integers(1, 8),
+       leaf=st.sampled_from([128, 1024, weibull._SUM_LEAF, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pairwise_sum_equals_np_sum_bit_for_bit(eighths, rest, leaf, seed):
+    n = 8 * eighths + rest  # 1 .. 300,000, every n mod 8
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 5, n)
+    leaves = []
+
+    def term(lo, hi):
+        leaves.append((lo, hi))
+        return values[lo:hi]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weibull, "_SUM_LEAF", leaf)
+        total = _pairwise_sum(term, 0, n)
+    assert struct.pack("<d", total) == struct.pack("<d", np.sum(values))
+    # the leaves tile 0 .. n in order, none longer than the leaf
+    assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+    assert leaves[-1][1] == n and all(hi - lo <= leaf for lo, hi in leaves)
 
 
 def test_fit_quality_brackets_reference_values():
