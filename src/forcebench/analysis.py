@@ -80,7 +80,7 @@ class CurveBlock(Ruled):
             raise ValueError("curve arrays must agree in length")
         if not (np.isfinite(self.dz_um).all() and np.isfinite(self.force_n).all()):
             raise ValueError("curve displacements and forces must be finite")
-        if np.any(np.diff(self.dz_um) < 0):
+        if np.any(self.dz_um[1:] < self.dz_um[:-1]):  # a step may overflow: compare
             raise ValueError("displacement samples must be nondecreasing")
 
     def __len__(self) -> int:

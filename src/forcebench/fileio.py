@@ -289,7 +289,7 @@ def _read_curve_table(path: Path) -> np.ndarray:
     if text.count(",0\n") + text.count(",1\n") != len(rows):
         _reject_first(path, linenos, [not row.endswith((",0", ",1")) for row in rows],
                       "valid flag must be 0 or 1")
-    _reject_first(path, linenos[1:], np.diff(table[:, 1]) < 0, "displacement decreases")
+    _reject_first(path, linenos[1:], table[1:, 1] < table[:-1, 1], "displacement decreases")
     if not np.isfinite(table[:, 1:3]).all():
         raise DataFormatError(f"{path}: curve displacements and forces must be finite")
     return table

@@ -15,9 +15,7 @@ of ``np.sum`` over the whole array.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +25,10 @@ from .sensor import (AT_MOST_ONE, NONNEGATIVE, POSITIVE, POSITIVE_INT, PROBABILI
                      Ruled, _check_value)
 
 
-# Loads that _cdf_of turns into Python floats at a time: libm's pow and
-# expm1 on Python floats are what fix the bits of the fitted CDF.  The
-# chunk's list costs 32 bytes a load (a float and its pointer), 0.26 MB
-# here against 32 MB for a whole 1M-force list; at 1M loads, 2^13 and 2^16
-# take the same time.
+# Loads that _cdf_of hands to libm's expm1 as Python floats at a time.  The
+# chunk's list costs 32 bytes a load (a float and its pointer), 0.26 MB here
+# against 32 MB for a whole 1M-force list; at 1M loads, 2^13 and 2^16 take the
+# same time.
 _CDF_CHUNK = 1 << 13
 # Values that _pairwise_sum makes and sums at a time, at least 128.  A leaf's
 # arrays stay under malloc's 128 kB mmap threshold: at 2^16 each was mapped and
@@ -166,20 +163,18 @@ def fit_weibull(forces: Sequence[float]) -> WeibullFit:
 def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:
     """1 - exp(-(f/f0)^beta) at every load, with no Python frame per load.
 
-    ``map`` puts each quotient through libm's ``pow`` and ``expm1`` on
-    Python floats (numpy's own ``**`` and ``expm1`` differ in the last bit).
-    For beta > 1 a quotient is capped where (f/f0)^beta is 800, so ``pow``
-    cannot overflow and, as 1 - exp(-t) rounds to 1 for t >= 38, no bit
-    changes; for beta <= 1, (f/f0)^beta <= max(f/f0, 1) needs no cap.
+    The bits are libm's on every CPU.  ``np.float_power``'s float64 loop is
+    numpy's generic loop over libm's ``pow``, which no CPU feature dispatches,
+    and ``map`` puts each negated power through ``math.expm1`` (numpy's own
+    ``power`` and ``expm1`` are SIMD loops that differ in the last bit).  A
+    power beyond the float range is inf, and expm1(-inf) = -1 gives 1.
     """
     cdf = np.empty(loads.size)
-    with np.errstate(over="ignore"):  # a quotient beyond the float range is inf
+    with np.errstate(over="ignore"):  # a quotient or power beyond the float range is inf
         for i in range(0, loads.size, _CDF_CHUNK):
-            quotient, out = loads[i : i + _CDF_CHUNK] / f0, cdf[i : i + _CDF_CHUNK]
-            if beta > 1:
-                np.minimum(quotient, 800.0 ** (1.0 / beta), out=quotient)
-            out[:] = np.fromiter(map(math.expm1, map(operator.neg, map(
-                pow, quotient.tolist(), repeat(beta)))), float, out.size)
+            t = np.float_power(loads[i : i + _CDF_CHUNK] / f0, beta)
+            cdf[i : i + _CDF_CHUNK] = np.fromiter(
+                map(math.expm1, np.negative(t, out=t).tolist()), float, t.size)
     return np.negative(cdf, out=cdf)
 
 

@@ -117,13 +117,24 @@ def test_stiffness_needs_a_displacement_spread():
     ([0, 1, 2], [0, np.inf, 2], None, "curve displacements and forces must be finite"),
     ([0, np.nan, 2], [0, 1, 2], None, "curve displacements and forces must be finite"),
     ([0, 2, 1], [0, 1, 2], None, "displacement samples must be nondecreasing"),
-], ids=["force_length", "offset_columns", "inf_force", "nan_displacement", "decreasing"])
+    ([1e308, -1e308], [0, 1], None, "displacement samples must be nondecreasing"),
+], ids=["force_length", "offset_columns", "inf_force", "nan_displacement", "decreasing",
+        "decreasing_across_the_float_range"])
 def test_load_curve_refuses_inconsistent_arrays(dz, force, voff, message):
     if voff is None:
         voff = np.zeros((len(dz), 4))
     with pytest.raises(ValueError, match=f"^{message}$"):
         LoadCurve(side="front", dz_um=dz, force_n=force, voff_mv=voff,
                   valid=np.ones(len(dz), dtype=bool))
+
+
+def test_a_grid_across_the_float_range_is_nondecreasing():
+    # its step, 2e308, overflows: the check compares neighbours, never subtracts them
+    dz = np.array([-1e308, 1e308])
+    curve = LoadCurve(side="front", dz_um=dz, force_n=[0.0, 1.0], voff_mv=np.zeros((2, 4)),
+                      valid=[True, True])
+    block = CurveBlock("back", dz, np.ones((3, 2)), np.ones((3, 2), dtype=bool))
+    assert curve.dz_um.tolist() == block.dz_um.tolist() == dz.tolist()
 
 
 def test_load_curve_refuses_rows_of_a_block():
@@ -150,8 +161,11 @@ GRID, ROWS, FLAGS = np.arange(12.0), np.ones((3, 12)), np.ones((3, 12), dtype=bo
     ("back", GRID, ROWS, FLAGS[0], "curve arrays must agree in length"),
     ("back", np.tile(GRID, (3, 1)), ROWS, FLAGS, "curve arrays must agree in length"),
     ("back", replaced(GRID, 7, 5.5), ROWS, FLAGS, "displacement samples must be nondecreasing"),
+    ("back", [1e308, -1e308], ROWS[:, :2], FLAGS[:, :2],
+     "displacement samples must be nondecreasing"),
     ("x", GRID, ROWS, FLAGS, r"side: expected one of \('front', 'back'\), got 'x'"),
-], ids=["nan_force_in_one_row", "one_valid_row", "grid_per_row", "decreasing", "side"])
+], ids=["nan_force_in_one_row", "one_valid_row", "grid_per_row", "decreasing",
+        "decreasing_across_the_float_range", "side"])
 def test_curve_block_refuses_what_a_curve_refuses(side, dz, force, valid, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         CurveBlock(side, dz, force, valid)

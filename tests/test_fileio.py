@@ -718,9 +718,12 @@ def test_curve_blocks_refuse_a_side_before_any_file_is_read(tmp_path):
     ("0,0,0,0,0,0,0,1\n1,1,inf,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
     ("0,nan,0,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
     ("0,1,0,0,0,0,0,1\n1,0,0,0,0,0,0,1\n", ":3: displacement decreases"),
+    ("0,1e308,0,0,0,0,0,1\n1,-1e308,0,0,0,0,0,1\n", ":3: displacement decreases"),
+    ("0,inf,0,0,0,0,0,1\n1,inf,0,0,0,0,0,1\n", ": curve displacements and forces must be finite"),
     ("0,0,0,0,0,0,0,1.0\n", ":2: valid flag must be 0 or 1"),
     ("0,0,0,0,0,0,0\n", ":2: expected 8 fields, got 7"),
-], ids=["inf_force", "nan_displacement", "decreasing", "flag_float", "field_count"])
+], ids=["inf_force", "nan_displacement", "decreasing", "decreasing_across_the_float_range",
+        "inf_displacements", "flag_float", "field_count"])
 def test_curve_blocks_refuse_what_a_curve_file_refuses(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
     path.write_text(CURVE_HEADER + "\n" + rows)
@@ -728,3 +731,12 @@ def test_curve_blocks_refuse_what_a_curve_file_refuses(tmp_path, rows, message):
                  lambda: list(read_curve_blocks([path], "front"))):
         with pytest.raises(DataFormatError, match=re.escape(f"{path}{message}") + "$"):
             read()
+
+
+def test_a_curve_file_whose_grid_spans_the_float_range_is_read(tmp_path):
+    # its step, 2e308, overflows: the check compares neighbours, never subtracts them
+    path = tmp_path / "wide.csv"
+    path.write_text(CURVE_HEADER + "\n0,-1e308,0,0,0,0,0,1\n1,1e308,1,0,0,0,0,1\n")
+    [block] = read_curve_blocks([path], "front")
+    assert read_load_curve_csv(path, "front").dz_um.tolist() == [-1e308, 1e308]
+    assert block.dz_um.tolist() == [-1e308, 1e308]

@@ -1,6 +1,10 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,13 +120,13 @@ def _bits(values):
     (1.22, 10.69, 1.22 * np.linspace(38 ** (1 / 10.69), 2.0, 5000)),
     # pow of these quotients overflows, in the second chunk only
     (1.0, 10.69, np.append(np.linspace(0.5, 2.0, _CDF_CHUNK + 10), [1e30, 1e300])),
-    # the cap 800 ** (1 / beta) and the floats on either side of it
+    # the floats about 800 ** (1 / beta), where the power is 800
     (1.22, 10.69, 1.22 * np.nextafter(800 ** (1 / 10.69), [0.0, 800.0, np.inf])),
     (1.0, 10.69, np.nextafter(800 ** (1 / 10.69), [0.0, 800.0, np.inf])),
-    # beta <= 1: no cap, and pow of the largest quotient is finite
+    # beta <= 1: pow of the largest quotient is finite
     (1.0, 1.0, np.array([0.0, 0.3, 1.0, 38.0, 800.0, 1e300, 1.7e308])),
     (2.0, 0.5, np.array([0.0, 1e-300, 0.3, 2.0, 1e4, 1e300, 1.7e308])),
-    # a cap just above 1
+    # a power that overflows for a quotient just above 1
     (2.0, 1e6, 2.0 * np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 1.00001, 2.0])),
     # a subnormal f0: the quotients overflow to inf
     (5e-324, 10.69, np.array([0.0, 5e-324, 1e-320, 1.0, 1e300])),
@@ -139,6 +143,39 @@ def test_vector_cdf_is_one_where_saturated_or_overflowing():
     assert np.all(_cdf_of(saturated, 1.22, 10.69) == 1.0)
     assert _cdf_of(np.array([0.5, 1e300]), 1.0, 10.69).tolist() == [
         _cdf(0.5, 1.0, 10.69), 1.0]
+
+
+def _cpu_features():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
+
+
+# the CDF and np.power on one fixed sample, as hex digests of their bits
+_DISPATCH_PROBE = """
+import hashlib, numpy as np
+from forcebench.weibull import _cdf_of
+loads = np.random.default_rng(5).uniform(0.3, 1.6, 20000)
+for values in (_cdf_of(loads, 1.22, 10.69), np.power(loads / 1.22, 10.69)):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_vector_cdf_has_the_same_bits_with_avx512_switched_off():
+    features, dispatched = _cpu_features()
+    avx512 = [name for name in dispatched if name.startswith("AVX512") or name == "X86_V4"]
+    if not (features.get("AVX512F") and avx512):
+        pytest.skip("the host or numpy build dispatches no AVX-512 loops")
+    here = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ""}
+    off = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+    (cdf_on, power_on), (cdf_off, power_off) = (subprocess.run(
+        [sys.executable, "-c", _DISPATCH_PROBE], capture_output=True, text=True, check=True,
+        cwd=Path(weibull.__file__).parents[1], env=env, timeout=60).stdout.split()
+        for env in (here, off))
+    assert power_on != power_off, "numpy's own power did not move: the switch took no effect"
+    assert cdf_on == cdf_off
 
 
 # ------------------------------------------------------------------- inversion
