@@ -3,8 +3,9 @@
 Rank-regression fitting of the two-parameter Weibull failure-probability
 law p(F) = 1 - exp(-(F/F0)^beta), its inversion for failure-probability
 budgets, the R goodness-of-fit statistic and the distribution moments.
-The law is computed one way, by :func:`_cdf_of`; a value that breaks its
-declared rule (see ``sensor``) raises a ``ValueError`` that names it.
+The law is computed one way, by :func:`_cdf_of`, in numpy loops over the C
+library's ``pow`` and ``expm1``; a value that breaks its declared rule (see
+``sensor``) raises a ``ValueError`` that names it.
 :func:`fit_weibull` holds one sorted copy of its input and nothing else of
 its length: it makes the logarithms, the median ranks, the regression's
 products and the CDF one leaf of at most ``_SUM_LEAF`` loads at a time, and
@@ -25,10 +26,9 @@ from .sensor import (AT_MOST_ONE, NONNEGATIVE, POSITIVE, POSITIVE_INT, PROBABILI
                      Ruled, _check_value)
 
 
-# Loads that _cdf_of hands to libm's expm1 as Python floats at a time.  The
-# chunk's list costs 32 bytes a load (a float and its pointer), 0.26 MB here
-# against 32 MB for a whole 1M-force list; at 1M loads, 2^13 and 2^16 take the
-# same time.
+# Loads that _cdf_of puts through libm's expm1 at a time.  Its complex buffer
+# costs 16 bytes a load, 0.13 MB here against 16 MB for 1M loads at once, which
+# took longer.
 _CDF_CHUNK = 1 << 13
 # Values that _pairwise_sum makes and sums at a time, at least 128.  A leaf's
 # arrays stay under malloc's 128 kB mmap threshold: at 2^16 each was mapped and
@@ -90,12 +90,14 @@ def r_parameter(y: Sequence[float], y_prime: Sequence[float]) -> float:
     """Fit quality R = (sum y^2 - sum (y - y')^2) / sum y^2.
 
     ``y`` are the estimated failure probabilities from the measurement,
-    ``y_prime`` the probabilities from the fitted law.  R is 1 exactly
-    when y == y' elementwise.
+    ``y_prime`` the probabilities from the fitted law, both finite.  R is
+    1 exactly when y == y' elementwise.
     """
     ya, yp = np.asarray(y, dtype=float), np.asarray(y_prime, dtype=float)
     if ya.shape != yp.shape or ya.ndim != 1 or ya.size < 1:
         raise ValueError("y and y_prime must be equal-length 1-d sequences")
+    if not (np.isfinite(ya).all() and np.isfinite(yp).all()):
+        raise ValueError("y and y_prime must be finite")
     return _r_of(float(np.sum(np.square(ya))), float(np.sum(np.square(ya - yp))))
 
 
@@ -164,27 +166,39 @@ def _cdf_of(loads: np.ndarray, f0: float, beta: float) -> np.ndarray:
     """1 - exp(-(f/f0)^beta) at every load, with no Python frame per load.
 
     The bits are libm's on every CPU.  ``np.float_power``'s float64 loop is
-    numpy's generic loop over libm's ``pow``, which no CPU feature dispatches,
-    and ``map`` puts each negated power through ``math.expm1`` (numpy's own
+    numpy's generic loop over libm's ``pow``, and its complex128 ``expm1``
+    loop gives expm1(re)·cos(im) - 2·sin(im/2)², which at im = 0 is libm's
+    ``expm1(re)``; no CPU feature dispatches either (numpy's own float64
     ``power`` and ``expm1`` are SIMD loops that differ in the last bit).  A
     power beyond the float range is inf, and expm1(-inf) = -1 gives 1.
     """
     cdf = np.empty(loads.size)
+    buf = np.empty(min(loads.size, _CDF_CHUNK), dtype=complex)
     with np.errstate(over="ignore"):  # a quotient or power beyond the float range is inf
         for i in range(0, loads.size, _CDF_CHUNK):
             t = np.float_power(loads[i : i + _CDF_CHUNK] / f0, beta)
-            cdf[i : i + _CDF_CHUNK] = np.fromiter(
-                map(math.expm1, np.negative(t, out=t).tolist()), float, t.size)
-    return np.negative(cdf, out=cdf)
+            z = buf[: t.size]
+            np.negative(t, out=z.real)
+            z.imag = 0.0  # expm1 left exp(re)·sin(0) there, 0 unless re was NaN
+            np.expm1(z, out=z)
+            np.negative(z.real, out=cdf[i : i + t.size])
+    return cdf
 
 
 def weibull_mean_std(fit: WeibullFit) -> tuple[float, float]:
     """Mean and standard deviation [N] of the fitted fracture load.
 
     mean = f0 * Gamma(1 + 1/beta);
-    std = f0 * sqrt(Gamma(1 + 2/beta) - Gamma(1 + 1/beta)^2).
+    std = f0 * sqrt(Gamma(1 + 2/beta) - Gamma(1 + 1/beta)^2); a fit whose
+    mean or std is beyond the float range is refused.
     """
-    g1 = math.exp(math.lgamma(1.0 + 1.0 / fit.beta))
-    g2 = math.exp(math.lgamma(1.0 + 2.0 / fit.beta))
-    variance = max(g2 - g1 * g1, 0.0)
-    return fit.f0 * g1, fit.f0 * math.sqrt(variance)
+    try:
+        g1 = math.exp(math.lgamma(1.0 + 1.0 / fit.beta))
+        g2 = math.exp(math.lgamma(1.0 + 2.0 / fit.beta))
+    except OverflowError:
+        g1 = g2 = math.inf
+    variance = max(g2 - g1 * g1, 0.0)  # inf - inf is nan, and max keeps it
+    mean, std = fit.f0 * g1, fit.f0 * math.sqrt(variance)
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"{fit!r} has a mean or standard deviation beyond the float range")
+    return mean, std

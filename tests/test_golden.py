@@ -96,8 +96,9 @@ def test_degradation_of_a_non_default_interval_matches_golden_digest(tmp_path, c
 
 
 # fit-weibull on seeded force files: (count, invert) -> digest of stdout,
-# the same with and without a header line.  65 537 loads is one past a
-# chunk of the fit's exact CDF loop.
+# the same with and without a header line.  65 537 loads is 2^16 + 1: eight
+# whole chunks of the fit's CDF and a last chunk of one load, and sums that
+# split into leaves of 16 384, 16 384, 16 384, 8192 and 8193 loads.
 FIT_GOLDEN = {
     (20, False): "2bcb2bcab3a1a8c775c1b1ddf4e4071cb505134c204bcd4d900ee9a0559dbd82",
     (20, True): "f6103ae95ee02da5a3ec87afc9c044af2d3ac980631df64bb5b87112aba69c22",

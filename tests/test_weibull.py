@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -153,12 +154,29 @@ def _cpu_features():
     return umath.__cpu_features__, umath.__cpu_dispatch__
 
 
-# the CDF and np.power on one fixed sample, as hex digests of their bits
+@pytest.mark.parametrize("imag", [0.0, -0.0])
+def test_complex_expm1_at_imaginary_part_zero_is_libm_expm1(imag):
+    # the identity _cdf_of rests on: numpy's complex128 expm1 has real part
+    # expm1(re)·cos(im) - 2·sin(im/2)², which at im = ±0 is the C library's
+    # expm1, the one math.expm1 calls
+    re = -np.concatenate([
+        [0.0, -0.0, np.inf, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300],
+        np.geomspace(1e-300, 800.0, 20000),
+        [745.1, 745.2, 746.0, 1000.0, 1e300, 1.7e308],
+    ])
+    z = np.empty(re.size, dtype=complex)
+    z.real, z.imag = re, imag
+    expected = [math.expm1(v) for v in re.tolist()]
+    assert np.array_equal(_bits(np.expm1(z).real), _bits(expected))
+
+
+# the CDF, np.power and np.expm1 on one fixed sample, as hex digests of their bits
 _DISPATCH_PROBE = """
 import hashlib, numpy as np
 from forcebench.weibull import _cdf_of
 loads = np.random.default_rng(5).uniform(0.3, 1.6, 20000)
-for values in (_cdf_of(loads, 1.22, 10.69), np.power(loads / 1.22, 10.69)):
+for values in (_cdf_of(loads, 1.22, 10.69), np.power(loads / 1.22, 10.69),
+               np.expm1(-np.float_power(loads / 1.22, 10.69))):
     print(hashlib.sha256(values.tobytes()).hexdigest())
 """
 
@@ -170,11 +188,12 @@ def test_vector_cdf_has_the_same_bits_with_avx512_switched_off():
         pytest.skip("the host or numpy build dispatches no AVX-512 loops")
     here = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ""}
     off = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
-    (cdf_on, power_on), (cdf_off, power_off) = (subprocess.run(
+    (cdf_on, power_on, expm1_on), (cdf_off, power_off, expm1_off) = (subprocess.run(
         [sys.executable, "-c", _DISPATCH_PROBE], capture_output=True, text=True, check=True,
         cwd=Path(weibull.__file__).parents[1], env=env, timeout=60).stdout.split()
         for env in (here, off))
     assert power_on != power_off, "numpy's own power did not move: the switch took no effect"
+    assert expm1_on != expm1_off, "numpy's own expm1 did not move: the switch took no effect"
     assert cdf_on == cdf_off
 
 
@@ -262,6 +281,15 @@ def test_r_parameter_needs_equal_length_1d_sequences(y, y_prime):
         r_parameter(y, y_prime)
 
 
+@pytest.mark.parametrize("y, y_prime", [
+    ([1.0, math.nan], [1.0, 1.0]), ([1.0, 2.0], [1.0, math.inf]),
+    ([-math.inf, 1.0], [1.0, 1.0]), ([1.0, 2.0], [math.nan, 2.0]),
+], ids=["nan_y", "inf_y_prime", "minus_inf_y", "nan_y_prime"])
+def test_r_parameter_needs_finite_values(y, y_prime):
+    with pytest.raises(ValueError, match="^y and y_prime must be finite$"):
+        r_parameter(y, y_prime)
+
+
 def test_r_parameter_zero_reference_error():
     with pytest.raises(DegenerateDataError):
         r_parameter([0.0, 0.0], [0.1, 0.2])
@@ -284,6 +312,24 @@ def test_moments_degenerate_limit():
     mean, std = weibull_mean_std(fit)
     assert mean == pytest.approx(fit.f0, abs=1e-4 * fit.f0)
     assert std < 1e-4 * fit.f0
+
+
+@pytest.mark.parametrize("fit", [
+    WeibullFit(f0=1.0, beta=0.005),  # Gamma(201) overflows a float
+    WeibullFit(f0=1.0, beta=0.01),  # the mean is finite, Gamma(201) of the std is not
+    WeibullFit(f0=1.7e308, beta=0.5),  # finite Gammas, f0 times them is not
+    WeibullFit(f0=1.0, beta=5e-324),  # 1 / beta is inf
+], ids=["gamma-overflow", "std-overflow", "scale-overflow", "subnormal-beta"])
+def test_moments_refuse_beyond_the_float_range(fit):
+    with pytest.raises(ValueError, match=(
+            rf"^{re.escape(repr(fit))} has a mean or standard deviation beyond the float range$")):
+        weibull_mean_std(fit)
+
+
+def test_moments_at_the_edge_of_the_float_range_are_finite():
+    mean, std = weibull_mean_std(WeibullFit(f0=1.0, beta=0.02))
+    assert mean == pytest.approx(math.factorial(50), rel=1e-12)
+    assert math.isfinite(std) and std > mean
 
 
 # -------------------------------------------------------------------- fitting
@@ -334,7 +380,8 @@ def test_fit_consistency_over_seeds():
 
 def test_fit_holds_one_array_besides_its_input():
     # at 1M loads the sorted copy sets the fit's peak; the rest is a few
-    # leaves of _SUM_LEAF values and _cdf_of's chunk, about 0.08 of an array
+    # leaves of _SUM_LEAF values and _cdf_of's chunk and its complex buffer,
+    # about 0.07 of an array
     n = 1_000_000
     forces = 1.22 * np.random.default_rng(14).weibull(10.69, size=n)
     tracemalloc.start()
